@@ -1,0 +1,78 @@
+"""Golden outputs of the README command-line examples, byte for byte.
+
+Each case pins the exact stdout and exit code of one ``braidalg`` command
+line.  The expected stdout lives in ``tests/golden/<case>.out``; rewrite the
+files from a known-good checkout with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from braidalg.cli import run
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+ONE_VERTEX_GRAPH = "vertices 1\nedge 1 1 1 deg 1\nedge 2 1 1 deg 1\n"
+
+VERIFY = {
+    "coproduct": ["--n", "2", "--d", "0,1"],
+    "fundamental": ["--n", "2", "--d", "0,1", "--F", "diag:1,2"],
+    "cuntz-action": ["--n", "3", "--d", "1,2,3"],
+    "kms-preserve": ["--n", "2", "--d", "0,1", "--len", "3"],
+    "matricial": ["--n", "2", "--d", "0,1"],
+    "quotient": ["--n", "2", "--d", "0,1"],
+}
+
+# case name -> (argv, expected exit code); "{graph}" is a one-vertex graph file
+CASES = {
+    "admissible": (["admissible", "--F", "I", "--n", "3", "--d", "1,2,3"], 0),
+    "presentation": (["presentation", "--F", "diag:1,2", "--d", "0,1"], 0),
+    "kms": (["kms", "--graph", "{graph}", "--len", "2"], 0),
+    "fusion": (["fusion", "--left", "(0; a)", "--right", "(0; b)", "--n", "2"], 0),
+    "dims": (["dims", "--n", "2", "--maxlen", "4"], 0),
+}
+for _zeta in ("formal", "root:8"):
+    _tag = _zeta.replace(":", "")
+    CASES[f"bosonize-{_tag}"] = (
+        ["bosonize", "--F", "I", "--n", "2", "--d", "0,1", "--zeta", _zeta], 0
+    )
+    for _prop, _args in VERIFY.items():
+        CASES[f"verify-{_prop}-{_tag}"] = (
+            ["verify", "--prop", _prop, *_args, "--zeta", _zeta, "--trace"], 0
+        )
+
+
+def invoke(argv, graph_path):
+    argv = [graph_path if a == "{graph}" else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    code = run(argv, out, err)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_golden(case, tmp_path):
+    graph = tmp_path / "o2.graph"
+    graph.write_text(ONE_VERTEX_GRAPH)
+    argv, expected_code = CASES[case]
+    code, out = invoke(argv, str(graph))
+    assert code == expected_code
+    assert out == (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        graph = Path(tmp) / "o2.graph"
+        graph.write_text(ONE_VERTEX_GRAPH)
+        for case, (argv, expected_code) in sorted(CASES.items()):
+            code, out = invoke(argv, str(graph))
+            if code != expected_code:
+                sys.exit(f"{case}: exit code {code}, expected {expected_code}")
+            (GOLDEN / f"{case}.out").write_text(out, encoding="utf-8")
