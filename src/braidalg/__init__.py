@@ -4,8 +4,11 @@ Subpackages:
 
 * ``scalars``  - Laurent ring in a formal unit-modulus phase over the
   rationals with formal square roots, optional root-of-unity specialization;
-* ``algebra``  - graded letters, noncommutative polynomials, matrix helpers;
-* ``braided``  - leg-indexed words with the phase-accumulating normal form;
+* ``algebra``  - graded letters on tensor legs and the one sparse word
+  polynomial: one leg (graded), n braided legs, or a plain tensor of blocks
+  of braided legs; matrix helpers;
+* ``braided``  - moving polynomials between leg structures: leg embeddings,
+  relabeling, the flattening map, leg-1 state application;
 * ``simplify`` - the relation-driven reduction and verification engine;
 * ``graphalg`` - finite graphs, spectral radius, the equilibrium state;
 * ``uqf``      - the braided unitary presentation, its bosonization, the
@@ -15,8 +18,8 @@ Subpackages:
 """
 
 from .scalars import FORMAL, Scalar, ZetaSpec, zeta, sqrt, rational
-from .algebra import GradedPoly, Letter, NOT_HOMOGENEOUS, conjugate_matrix
-from .braided import LeggedLetter, LeggedPoly, TensorPoly, braided_mul, embed, psi_flatten
+from .algebra import GradedPoly, Letter, NOT_HOMOGENEOUS, conjugate_matrix, mat_mul
+from .braided import apply_state_leg1, embed, lift_legs, psi_flatten
 from .simplify import RelationSet, VerificationReport, verify_identity
 from .graphalg import GraphData, KmsData, check_dagger, kms_eval, vertex_matrix
 from .fusion import Irrep, Word, conjugate_irrep, dimension, fuse, word_bar

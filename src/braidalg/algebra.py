@@ -1,35 +1,46 @@
-"""Graded letters, noncommutative polynomials and matrix helpers.
+"""Graded letters, the sparse word polynomial, and matrix helpers.
 
-A :class:`Letter` is a generator symbol with an integer degree and a star
-flag; starring toggles the flag and negates the degree.  A
+A :class:`Letter` is a generator symbol with an integer degree, a star flag
+and a tensor leg; starring toggles the flag and negates the degree.  A
 :class:`GradedPoly` is a finite linear combination of words of letters with
-:class:`~braidalg.scalars.Scalar` coefficients.  Words multiply by
-concatenation; the star is antimultiplicative and conjugates coefficients.
+:class:`~braidalg.scalars.Scalar` coefficients, together with a leg
+structure: a tuple of block sizes.  Legs of one block braid: commuting two
+letters on different legs costs the phase ``z^(deg * deg)``, so words are
+kept sorted by leg (stable within a leg) and the total phase of sorting is
+determined by the inverted pairs, independent of the swap order.  Letters in
+different blocks commute without a phase.
 
-Matrices of polynomials are plain lists of lists, composed with ordinary
-matrix algebra over the polynomial ring.  ``conjugate_matrix`` builds the
-phase-dressed entrywise adjoint used for braided conjugate representations.
+* ``legs=(1,)`` is the graded algebra itself; words multiply by concatenation;
+* ``legs=(n,)`` is its n-fold braided tensor product, rendered ``j1(..)*j2(..)``;
+* ``legs=(2, 2)`` is the plain tensor square of a two-leg braided product,
+  rendered ``... (x) ...``.
+
+The star is antimultiplicative and conjugates coefficients.  Matrices of
+polynomials or scalars are plain lists of lists, composed with ordinary
+matrix algebra.  ``conjugate_matrix`` builds the phase-dressed entrywise
+adjoint used for braided conjugate representations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
+from operator import attrgetter
 
-from .scalars import ONE, ZERO, Scalar, zeta
+from .scalars import ONE, ZERO, Scalar, parse_scalar, split_terms, zeta
 
 __all__ = [
     "Letter",
     "GradedPoly",
     "NOT_HOMOGENEOUS",
+    "BadLeg",
+    "LegMismatch",
     "DegreeMismatch",
     "SingularMatrix",
-    "poly_star",
-    "degree_of",
     "conjugate_matrix",
     "mat_mul",
     "mat_identity",
-    "scalar_mat_mul",
     "scalar_mat_inverse",
     "Presentation",
     "UnitaryMatrixRel",
@@ -38,6 +49,14 @@ __all__ = [
     "ExplicitPolyRel",
     "parse_poly",
 ]
+
+
+class BadLeg(Exception):
+    """Leg index out of range."""
+
+
+class LegMismatch(Exception):
+    """Operands have different leg structures."""
 
 
 class DegreeMismatch(Exception):
@@ -63,20 +82,29 @@ NOT_HOMOGENEOUS = _NotHomogeneous()
 
 @dataclass(frozen=True)
 class Letter:
-    """A generator symbol: family name, optional index pair, degree, star flag."""
+    """A generator symbol: family name, optional index, degree, star flag, tensor leg."""
 
     name: str
     index: tuple[int, ...]
     degree: int
     starred: bool = False
+    leg: int = 1
 
     def star(self) -> "Letter":
-        return Letter(self.name, self.index, -self.degree, not self.starred)
+        return Letter(self.name, self.index, -self.degree, not self.starred, self.leg)
+
+    def on_leg(self, leg: int) -> "Letter":
+        return Letter(self.name, self.index, self.degree, self.starred, leg)
+
+    @property
+    def symbol(self):
+        """The generator this letter stands for, on whatever leg."""
+        return (self.name, self.index, self.starred)
 
     @property
     def sort_key(self):
-        # Total order by (family, index, star flag); degree is determined by these.
-        return (self.name, self.index, self.starred)
+        # Total order by (leg, family, index, star flag); degree is determined by these.
+        return (self.leg, self.name, self.index, self.starred)
 
     def __str__(self) -> str:
         star = "*" if self.starred else ""
@@ -86,6 +114,8 @@ class Letter:
 
 
 Word = tuple[Letter, ...]
+
+_LEG = attrgetter("leg")
 
 
 def word_key(word: Word):
@@ -100,57 +130,157 @@ def word_str(word: Word) -> str:
     return "*".join(str(l) for l in word) if word else "1"
 
 
+def lword_str(word: Word, offset: int = 0) -> str:
+    """Leg notation ``j1(a*b)*j2(c)``, numbering legs from ``offset + 1``."""
+    if not word:
+        return "1"
+    parts = []
+    current_leg = None
+    current: list[str] = []
+    for l in word:
+        if l.leg != current_leg:
+            if current:
+                parts.append(f"j{current_leg - offset}({'*'.join(current)})")
+            current_leg, current = l.leg, []
+        current.append(str(l))
+    parts.append(f"j{current_leg - offset}({'*'.join(current)})")
+    return "*".join(parts)
+
+
+def _block_of(legs: tuple[int, ...]):
+    """The block number of every leg, indexed by leg; None when words never need sorting."""
+    if legs == (1,):
+        return None
+    out = [None]
+    for block, size in enumerate(legs):
+        out.extend([block] * size)
+    return tuple(out)
+
+
+def _leg_sort(word: Word, block_of: tuple) -> tuple[Word, int]:
+    """Stable-sort a word by leg; return the sorted word and the phase exponent.
+
+    Every inverted pair (leg_i > leg_j with i < j) in one block contributes
+    deg_i * deg_j to the exponent, which is independent of the order in which
+    adjacent swaps are performed; pairs in different blocks contribute nothing.
+    """
+    exponent = 0
+    n = len(word)
+    for i in range(n):
+        a = word[i]
+        for j in range(i + 1, n):
+            b = word[j]
+            if a.leg > b.leg and block_of[a.leg] == block_of[b.leg]:
+                exponent += a.degree * b.degree
+    return tuple(sorted(word, key=_LEG)), exponent
+
+
+def _collect(pairs, block_of=None, terms=None) -> dict[Word, Scalar]:
+    """Sum (word, coefficient) pairs into ``terms``; zero sums drop out.
+
+    With ``block_of`` (from ``_block_of``) every word is leg-sorted first and
+    picks up the phase of the sort; without it the words are in normal form.
+    """
+    terms = {} if terms is None else terms
+    get = terms.get
+    for w, c in pairs:
+        if block_of is not None:
+            w, exponent = _leg_sort(w, block_of)
+            if exponent:
+                c = c * zeta(exponent)
+        prev = get(w)
+        if prev is not None:
+            c = prev + c
+        if c:
+            terms[w] = c
+        elif prev is not None:
+            del terms[w]
+    return terms
+
+
 class GradedPoly:
-    """Noncommutative polynomial: finite map from words to nonzero scalars."""
+    """Sparse word polynomial: normal-form words to nonzero scalars, on a leg structure.
 
-    __slots__ = ("_terms",)
+    ``legs`` lists the block sizes (an int n means one block of n legs);
+    letters carry legs 1..sum(legs), numbered consecutively across blocks.
+    """
 
-    def __init__(self, terms: dict[Word, Scalar] | None = None):
-        cleaned: dict[Word, Scalar] = {}
-        if terms:
-            for w, c in terms.items():
-                c = _as_scalar(c)
-                if not c.is_zero():
-                    prev = cleaned.get(w)
-                    c = c if prev is None else prev + c
-                    if c.is_zero():
-                        cleaned.pop(w, None)
-                    else:
-                        cleaned[w] = c
-        self._terms = cleaned
+    __slots__ = ("legs", "_terms")
+
+    def __init__(self, terms: dict[Word, Scalar] | None = None, legs=1):
+        legs = (legs,) if isinstance(legs, int) else tuple(legs)
+        if not legs or min(legs) < 1:
+            raise BadLeg(f"every block needs at least one leg, got {legs}")
+        total = sum(legs)
+        for w in terms or ():
+            for l in w:
+                if not 1 <= l.leg <= total:
+                    raise BadLeg(f"letter {l} on leg {l.leg}, outside 1..{total}")
+        self.legs = legs
+        self._terms = _collect(
+            ((tuple(w), _as_scalar(c)) for w, c in (terms or {}).items()), _block_of(legs)
+        )
+
+    @classmethod
+    def _make(cls, terms: dict[Word, Scalar], legs: tuple[int, ...]) -> "GradedPoly":
+        """Wrap terms that are already in normal form with nonzero coefficients."""
+        out = cls.__new__(cls)
+        out.legs = legs
+        out._terms = terms
+        return out
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "GradedPoly":
-        return cls()
+    def zero(cls, legs=1) -> "GradedPoly":
+        return cls(None, legs)
 
     @classmethod
-    def one(cls) -> "GradedPoly":
-        return cls({(): ONE})
+    def one(cls, legs=1) -> "GradedPoly":
+        return cls({(): ONE}, legs)
 
     @classmethod
-    def from_letter(cls, letter: Letter) -> "GradedPoly":
-        return cls({(letter,): ONE})
+    def from_letter(cls, letter: Letter, legs=1) -> "GradedPoly":
+        return cls({(letter,): ONE}, legs)
 
     @classmethod
-    def from_scalar(cls, c) -> "GradedPoly":
-        return cls({(): _as_scalar(c)})
+    def from_scalar(cls, c, legs=1) -> "GradedPoly":
+        return cls({(): c}, legs)
 
     @classmethod
-    def from_word(cls, word: Word, coeff=ONE) -> "GradedPoly":
-        return cls({tuple(word): _as_scalar(coeff)})
+    def from_word(cls, word: Word, coeff=ONE, legs=1) -> "GradedPoly":
+        return cls({tuple(word): coeff}, legs)
 
     # -- structure --------------------------------------------------------
 
+    def _blocks(self, word: Word) -> list[Word]:
+        """The word cut into its blocks (a normal-form word is sorted by leg)."""
+        parts, start = [], 0
+        for bound in accumulate(self.legs):
+            end = start
+            while end < len(word) and word[end].leg <= bound:
+                end += 1
+            parts.append(word[start:end])
+            start = end
+        return parts
+
     def items(self):
-        return sorted(self._terms.items(), key=lambda kv: word_key(kv[0]))
+        if len(self.legs) == 1:
+            return sorted(self._terms.items(), key=lambda kv: word_key(kv[0]))
+        return sorted(
+            self._terms.items(),
+            key=lambda kv: tuple(word_key(part) for part in self._blocks(kv[0])),
+        )
 
     def coefficient(self, word: Word) -> Scalar:
         return self._terms.get(tuple(word), ZERO)
 
     def is_zero(self) -> bool:
         return not self._terms
+
+    def is_zero_under(self, spec) -> bool:
+        """True iff every coefficient vanishes once the phase is specialized (formal: is zero)."""
+        return all(c.specialize(spec).is_zero() for c in self._terms.values())
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -166,96 +296,101 @@ class GradedPoly:
 
     # -- algebra ------------------------------------------------------------
 
+    def _coerce(self, value) -> "GradedPoly":
+        if isinstance(value, GradedPoly):
+            if value.legs != self.legs:
+                raise LegMismatch(f"legs {self.legs} vs {value.legs}")
+            return value
+        if isinstance(value, Letter):
+            return GradedPoly({(value,): ONE}, self.legs)
+        if isinstance(value, (Scalar, int, Fraction)):
+            return GradedPoly({(): _as_scalar(value)}, self.legs)
+        raise TypeError(f"cannot interpret {value!r} as a polynomial")
+
     def __add__(self, other) -> "GradedPoly":
-        other = _as_poly(other)
-        terms = dict(self._terms)
-        for w, c in other._terms.items():
-            new = terms.get(w, ZERO) + c
-            if new.is_zero():
-                terms.pop(w, None)
-            else:
-                terms[w] = new
-        out = GradedPoly.__new__(GradedPoly)
-        out._terms = terms
-        return out
+        other = self._coerce(other)
+        return self._make(_collect(other._terms.items(), None, dict(self._terms)), self.legs)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GradedPoly":
-        out = GradedPoly.__new__(GradedPoly)
-        out._terms = {w: -c for w, c in self._terms.items()}
-        return out
+        return self._make({w: -c for w, c in self._terms.items()}, self.legs)
 
     def __sub__(self, other) -> "GradedPoly":
-        return self + (-_as_poly(other))
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other) -> "GradedPoly":
-        return _as_poly(other) + (-self)
+        return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "GradedPoly":
         if isinstance(other, (Scalar, int, Fraction)):
             c = _as_scalar(other)
-            return GradedPoly({w: cc * c for w, cc in self._terms.items()})
-        other = _as_poly(other)
-        terms: dict[Word, Scalar] = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                w = w1 + w2
-                new = terms.get(w, ZERO) + c1 * c2
-                if new.is_zero():
-                    terms.pop(w, None)
-                else:
-                    terms[w] = new
-        out = GradedPoly.__new__(GradedPoly)
-        out._terms = terms
-        return out
+            return self._make({w: cc * c for w, cc in self._terms.items()} if c else {}, self.legs)
+        other = self._coerce(other)
+        right = other._terms.items()
+        products = ((w1 + w2, c1 * c2) for w1, c1 in self._terms.items() for w2, c2 in right)
+        return self._make(_collect(products, _block_of(self.legs)), self.legs)
 
     def __rmul__(self, other) -> "GradedPoly":
         if isinstance(other, (Scalar, int, Fraction)):
             return self * other
-        return _as_poly(other) * self
+        return self._coerce(other) * self
 
     def star(self) -> "GradedPoly":
         """Antimultiplicative star: words reversed, letters and scalars conjugated."""
-        return GradedPoly(
-            {tuple(l.star() for l in reversed(w)): c.star() for w, c in self._terms.items()}
+        starred = (
+            (tuple(l.star() for l in reversed(w)), c.star()) for w, c in self._terms.items()
         )
+        return self._make(_collect(starred, _block_of(self.legs)), self.legs)
 
     def specialize(self, spec) -> "GradedPoly":
-        return GradedPoly({w: c.specialize(spec) for w, c in self._terms.items()})
+        return self._make(_collect((w, c.specialize(spec)) for w, c in self._terms.items()), self.legs)
+
+    def tensor(self, other: "GradedPoly") -> "GradedPoly":
+        """Plain tensor product: other's legs follow self's, with no phase between them."""
+        shift = sum(self.legs)
+        terms = {}
+        for w2, c2 in other._terms.items():
+            moved = tuple(l.on_leg(l.leg + shift) for l in w2)
+            for w1, c1 in self._terms.items():
+                terms[w1 + moved] = c1 * c2
+        return self._make(terms, self.legs + other.legs)
 
     # -- comparison / rendering -------------------------------------------
 
     def __eq__(self, other) -> bool:
-        try:
-            other = _as_poly(other)
-        except TypeError:
-            return NotImplemented
-        return self._terms == other._terms
+        if not isinstance(other, GradedPoly):
+            if not isinstance(other, (Scalar, int, Fraction, Letter)):
+                return NotImplemented
+            other = self._coerce(other)
+        return self.legs == other.legs and self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((self.legs, frozenset(self._terms.items())))
 
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        parts = []
-        for w, c in self.items():
-            parts.append(_term_str(w, c))
-        return " + ".join(parts)
+        return " + ".join(self._term_str(w, c) for w, c in self.items())
+
+    def _term_str(self, word: Word, coeff: Scalar) -> str:
+        if len(self.legs) > 1:
+            offsets = (0,) + tuple(accumulate(self.legs))
+            body = " (x) ".join(
+                lword_str(part, offset) for part, offset in zip(self._blocks(word), offsets)
+            )
+            return body if coeff.is_one() else f"({coeff})*{body}"
+        body = word_str(word) if self.legs == (1,) else lword_str(word)
+        if coeff.is_one():
+            return body
+        c = f"{coeff}"
+        if not (coeff.is_single_term() and "z" not in c and "sqrt" not in c):
+            c = f"({c})"
+        return c if not word else f"{c}*{body}"
 
     def __repr__(self) -> str:
-        return f"GradedPoly({self})"
-
-
-def _term_str(word, coeff) -> str:
-    body = word_str(word)
-    if coeff.is_one():
-        return body
-    c = f"{coeff}"
-    if not (coeff.is_single_term() and "z" not in c and "sqrt" not in c):
-        c = f"({c})"
-    return c if not word else f"{c}*{body}"
+        legs = "" if self.legs == (1,) else f"[{','.join(map(str, self.legs))}]"
+        return f"GradedPoly{legs}({self})"
 
 
 def _as_scalar(value) -> Scalar:
@@ -264,29 +399,9 @@ def _as_scalar(value) -> Scalar:
     return Scalar.from_fraction(value)
 
 
-def _as_poly(value) -> GradedPoly:
-    if isinstance(value, GradedPoly):
-        return value
-    if isinstance(value, Letter):
-        return GradedPoly.from_letter(value)
-    if isinstance(value, (Scalar, int, Fraction)):
-        return GradedPoly.from_scalar(value)
-    raise TypeError(f"cannot interpret {value!r} as a polynomial")
+# -- matrices ----------------------------------------------------------------
 
-
-def poly_star(p: GradedPoly) -> GradedPoly:
-    """Antimultiplicative star: (ab)* = b* a*, scalars conjugated."""
-    return p.star()
-
-
-def degree_of(p: GradedPoly):
-    """The common degree if homogeneous, the NOT_HOMOGENEOUS marker otherwise."""
-    return p.degree()
-
-
-# -- matrices over the polynomial ring ---------------------------------------
-
-Matrix = list  # list[list[GradedPoly]]
+Matrix = list  # list[list[GradedPoly | Scalar]]
 
 
 def mat_identity(n: int) -> Matrix:
@@ -294,22 +409,23 @@ def mat_identity(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, m, p = len(a), len(b), len(b[0])
+    """Matrix product; entries may be scalars or polynomials (of one leg structure), in any mix."""
+    m = len(b)
     assert all(len(row) == m for row in a)
     out = []
-    for i in range(n):
-        row = []
-        for j in range(p):
-            acc = GradedPoly.zero()
-            for k in range(m):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            acc = row[0] * b[0][j]
+            for k in range(1, m):
+                acc = acc + row[k] * b[k][j]
+            out_row.append(acc)
+        out.append(out_row)
     return out
 
 
 def conjugate_matrix(u: Matrix, d: list[int]) -> Matrix:
-    """Entry (i,j) of the result is z^{d_i (d_j - d_i)} * u[i][j]^*.
+    """Entry (i,j) of the result is z^{d_i (d_j - d_i)} * u[i][j]^*, on any leg structure.
 
     Requires entry (i,j) homogeneous of degree d_j - d_i; raises
     DegreeMismatch otherwise.
@@ -328,17 +444,6 @@ def conjugate_matrix(u: Matrix, d: list[int]) -> Matrix:
             row.append(entry.star() * zeta(d[i] * (d[j] - d[i])))
         out.append(row)
     return out
-
-
-# -- matrices over the scalar ring --------------------------------------------
-
-
-def scalar_mat_mul(a: list[list[Scalar]], b: list[list[Scalar]]) -> list[list[Scalar]]:
-    n, m, p = len(a), len(b), len(b[0])
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(m)), ZERO) for j in range(p)]
-        for i in range(n)
-    ]
 
 
 def scalar_mat_inverse(mat: list[list[Scalar]]) -> list[list[Scalar]]:
@@ -458,10 +563,8 @@ def parse_poly(text: str, alphabet: dict[tuple[str, tuple[int, ...]], Letter]) -
     scalar (phase z allowed inside), or a letter like u[1,2], u*[1,2], S[3],
     z, z*, optionally with a positive power ^k.
     """
-    from .scalars import parse_scalar
-
     total = GradedPoly.zero()
-    for sign, body in _split_terms(text):
+    for sign, body in split_terms(text):
         term = GradedPoly.from_scalar(sign)
         for factor in _split_factors(body):
             if factor.startswith("("):
@@ -491,30 +594,6 @@ def parse_poly(text: str, alphabet: dict[tuple[str, tuple[int, ...]], Letter]) -
             raise ValueError(f"cannot parse factor {factor!r}")
         total = total + term
     return total
-
-
-def _split_terms(text: str) -> list[tuple[int, str]]:
-    out = []
-    depth = 0
-    sign = 1
-    start = 0
-    i = 0
-    text = text.strip()
-    if text.startswith("-"):
-        sign, start, i = -1, 1, 1
-    while i < len(text):
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and ch in "+-" and text[i - 1] == " " and i + 1 < len(text) and text[i + 1] == " ":
-            out.append((sign, text[start:i].strip()))
-            sign = 1 if ch == "+" else -1
-            start = i + 1
-        i += 1
-    out.append((sign, text[start:].strip()))
-    return [(s, b) for s, b in out if b]
 
 
 def _split_factors(body: str) -> list[str]:

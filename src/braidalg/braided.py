@@ -1,507 +1,94 @@
-"""Iterated braided tensor products as leg-indexed words.
+"""Moving polynomials between leg structures of iterated braided products.
 
-Elements of an n-fold braided product are represented by words whose letters
-carry a leg index.  The normal form keeps leg indices nondecreasing left to
-right; commuting two letters on different legs costs the phase
-``z^(deg * deg)``, so the total phase of sorting a word is determined by its
-inversions and is independent of the swap order.
+An element of an n-fold braided product is a :class:`GradedPoly` on ``n``
+legs: its letters carry leg indices and its words stay leg-sorted, each
+cross-leg swap costing ``z^(deg * deg)`` (see :mod:`braidalg.algebra`).  This
+module puts a one-leg polynomial on a leg (``embed``), relabels legs
+(``lift_legs``), evaluates a functional on leg 1 (``apply_state_leg1``), and
+parses the rendered leg notation back (``parse_legged``).
 
 ``psi_flatten`` implements the flattening used by the bosonization: a
 three-leg word over (circle, X, Y) maps into an ordinary (phase-free) tensor
-product of two two-leg words.
+product of two two-leg words, the leg structure ``(2, 2)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
-from .algebra import GradedPoly, Letter, NOT_HOMOGENEOUS, word_degree
-from .scalars import ONE, ZERO, Scalar, zeta
+from .algebra import BadLeg, GradedPoly, LegMismatch, Letter, _split_factors, parse_poly
+from .scalars import ONE, ZERO, Scalar, parse_scalar, split_terms
 
 __all__ = [
-    "LeggedLetter",
-    "LeggedPoly",
-    "TensorPoly",
     "BadLeg",
     "LegMismatch",
     "BadShape",
     "embed",
-    "braided_mul",
-    "degree_of_legged",
     "psi_flatten",
     "apply_state_leg1",
     "parse_legged",
     "lift_legs",
-    "to_graded",
-    "from_graded",
 ]
-
-
-class BadLeg(Exception):
-    """Leg index out of range."""
-
-
-class LegMismatch(Exception):
-    """Operands live in braided products with different numbers of legs."""
 
 
 class BadShape(Exception):
     """Input does not have the leg structure an operation requires."""
 
 
-@dataclass(frozen=True)
-class LeggedLetter:
-    leg: int
-    letter: Letter
-
-    @property
-    def degree(self) -> int:
-        return self.letter.degree
-
-    @property
-    def sort_key(self):
-        return (self.leg,) + self.letter.sort_key
-
-    def star(self) -> "LeggedLetter":
-        return LeggedLetter(self.leg, self.letter.star())
-
-    def __str__(self) -> str:
-        return f"j{self.leg}({self.letter})"
-
-
-LWord = tuple[LeggedLetter, ...]
-
-
-def _sort_word(word: LWord) -> tuple[LWord, int]:
-    """Stable-sort by leg; return sorted word and the phase exponent.
-
-    Every inverted pair (leg_i > leg_j with i < j) contributes
-    deg_i * deg_j to the exponent, which is independent of the order in
-    which adjacent swaps are performed.
-    """
-    exponent = 0
-    n = len(word)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if word[i].leg > word[j].leg:
-                exponent += word[i].degree * word[j].degree
-    ordered = tuple(sorted(word, key=lambda l: l.leg))  # stable within a leg
-    return ordered, exponent
-
-
-def lword_key(word: LWord):
-    return (len(word), tuple(l.sort_key for l in word))
-
-
-def lword_str(word: LWord) -> str:
-    if not word:
-        return "1"
-    parts = []
-    current_leg = None
-    current: list[str] = []
-    for l in word:
-        if l.leg != current_leg:
-            if current:
-                parts.append(f"j{current_leg}({'*'.join(current)})")
-            current_leg, current = l.leg, []
-        current.append(str(l.letter))
-    parts.append(f"j{current_leg}({'*'.join(current)})")
-    return "*".join(parts)
-
-
-class LeggedPoly:
-    """Linear combination of leg-sorted words with Scalar coefficients."""
-
-    __slots__ = ("num_legs", "_terms")
-
-    def __init__(self, num_legs: int, terms: dict[LWord, Scalar] | None = None, *, normalized: bool = False):
-        if num_legs < 1:
-            raise BadLeg(f"need at least one leg, got {num_legs}")
-        self.num_legs = num_legs
-        cleaned: dict[LWord, Scalar] = {}
-        if terms:
-            for w, c in terms.items():
-                c = c if isinstance(c, Scalar) else Scalar.from_fraction(c)
-                if c.is_zero():
-                    continue
-                if not normalized:
-                    w, exp = _sort_word(tuple(w))
-                    if exp:
-                        c = c * zeta(exp)
-                for l in w:
-                    if not 1 <= l.leg <= num_legs:
-                        raise BadLeg(f"letter {l} outside 1..{num_legs}")
-                new = cleaned.get(w, ZERO) + c
-                if new.is_zero():
-                    cleaned.pop(w, None)
-                else:
-                    cleaned[w] = new
-        self._terms = cleaned
-
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def one(cls, num_legs: int) -> "LeggedPoly":
-        return cls(num_legs, {(): ONE}, normalized=True)
-
-    @classmethod
-    def zero(cls, num_legs: int) -> "LeggedPoly":
-        return cls(num_legs)
-
-    @classmethod
-    def from_scalar(cls, num_legs: int, c) -> "LeggedPoly":
-        return cls(num_legs, {(): c if isinstance(c, Scalar) else Scalar.from_fraction(c)}, normalized=True)
-
-    # -- structure --------------------------------------------------------
-
-    def items(self):
-        return sorted(self._terms.items(), key=lambda kv: lword_key(kv[0]))
-
-    def coefficient(self, word: LWord) -> Scalar:
-        return self._terms.get(tuple(word), ZERO)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def is_zero_under(self, spec) -> bool:
-        return all(c.specialize(spec).is_zero() for c in self._terms.values())
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def degree(self):
-        degs = {word_degree(tuple(l.letter for l in w)) for w in self._terms}
-        if not degs:
-            return 0
-        if len(degs) > 1:
-            return NOT_HOMOGENEOUS
-        return degs.pop()
-
-    def leg_word(self, word: LWord, leg: int) -> tuple[Letter, ...]:
-        return tuple(l.letter for l in word if l.leg == leg)
-
-    # -- algebra ------------------------------------------------------------
-
-    def _check(self, other: "LeggedPoly"):
-        if self.num_legs != other.num_legs:
-            raise LegMismatch(f"{self.num_legs} legs vs {other.num_legs}")
-
-    def __add__(self, other) -> "LeggedPoly":
-        other = self._coerce(other)
-        self._check(other)
-        terms = dict(self._terms)
-        for w, c in other._terms.items():
-            new = terms.get(w, ZERO) + c
-            if new.is_zero():
-                terms.pop(w, None)
-            else:
-                terms[w] = new
-        return LeggedPoly(self.num_legs, terms, normalized=True)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LeggedPoly":
-        return LeggedPoly(self.num_legs, {w: -c for w, c in self._terms.items()}, normalized=True)
-
-    def __sub__(self, other) -> "LeggedPoly":
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other) -> "LeggedPoly":
-        if isinstance(other, (Scalar, int, Fraction)):
-            c = other if isinstance(other, Scalar) else Scalar.from_fraction(other)
-            return LeggedPoly(self.num_legs, {w: cc * c for w, cc in self._terms.items()}, normalized=True)
-        other = self._coerce(other)
-        self._check(other)
-        terms: dict[LWord, Scalar] = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                w, exp = _sort_word(w1 + w2)
-                c = c1 * c2
-                if exp:
-                    c = c * zeta(exp)
-                new = terms.get(w, ZERO) + c
-                if new.is_zero():
-                    terms.pop(w, None)
-                else:
-                    terms[w] = new
-        return LeggedPoly(self.num_legs, terms, normalized=True)
-
-    def __rmul__(self, other) -> "LeggedPoly":
-        if isinstance(other, (Scalar, int, Fraction)):
-            return self * other
-        return self._coerce(other) * self
-
-    def star(self) -> "LeggedPoly":
-        terms: dict[LWord, Scalar] = {}
-        for w, c in self._terms.items():
-            rev = tuple(l.star() for l in reversed(w))
-            sw, exp = _sort_word(rev)
-            cc = c.star()
-            if exp:
-                cc = cc * zeta(exp)
-            new = terms.get(sw, ZERO) + cc
-            if new.is_zero():
-                terms.pop(sw, None)
-            else:
-                terms[sw] = new
-        return LeggedPoly(self.num_legs, terms, normalized=True)
-
-    def specialize(self, spec) -> "LeggedPoly":
-        return LeggedPoly(
-            self.num_legs, {w: c.specialize(spec) for w, c in self._terms.items()}, normalized=True
-        )
-
-    def _coerce(self, value) -> "LeggedPoly":
-        if isinstance(value, LeggedPoly):
-            return value
-        if isinstance(value, (Scalar, int, Fraction)):
-            return LeggedPoly.from_scalar(self.num_legs, value)
-        raise TypeError(f"cannot interpret {value!r} as a legged polynomial")
-
-    # -- comparison / rendering -------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LeggedPoly):
-            try:
-                other = self._coerce(other)
-            except TypeError:
-                return NotImplemented
-        return self.num_legs == other.num_legs and self._terms == other._terms
-
-    def __hash__(self):
-        return hash((self.num_legs, frozenset(self._terms.items())))
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for w, c in self.items():
-            body = lword_str(w)
-            if c.is_one():
-                parts.append(body)
-            else:
-                cs = f"{c}"
-                if not (c.is_single_term() and "z" not in cs and "sqrt" not in cs):
-                    cs = f"({cs})"
-                parts.append(cs if not w else f"{cs}*{body}")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"LeggedPoly[{self.num_legs}]({self})"
-
-
-# -- module-level operations ----------------------------------------------
-
-
-def embed(k: int, p: GradedPoly, num_legs: int) -> LeggedPoly:
-    """Tag every letter of p with leg k; a degree-preserving homomorphism."""
+def embed(k: int, p: GradedPoly, num_legs: int) -> GradedPoly:
+    """Put every letter of a one-leg p on leg k; a degree-preserving homomorphism."""
     if not 1 <= k <= num_legs:
         raise BadLeg(f"leg {k} outside 1..{num_legs}")
-    return LeggedPoly(
-        num_legs,
-        {tuple(LeggedLetter(k, l) for l in w): c for w, c in p.items()},
-        normalized=True,
+    return GradedPoly._make(
+        {tuple(l.on_leg(k) for l in w): c for w, c in p._terms.items()}, (num_legs,)
     )
 
 
-def braided_mul(p: LeggedPoly, q: LeggedPoly) -> LeggedPoly:
-    """Concatenate and leg-sort; each out-of-order cross-leg swap costs z^(deg*deg)."""
-    return p * q
-
-
-def degree_of_legged(p: LeggedPoly):
-    return p.degree()
-
-
-def lift_legs(p: LeggedPoly, mapping: dict[int, int], num_legs: int) -> LeggedPoly:
+def lift_legs(p: GradedPoly, mapping: dict[int, int], num_legs: int) -> GradedPoly:
     """Relabel legs through a strictly increasing map (normal form is preserved)."""
-    items = sorted(mapping.items())
-    values = [v for _, v in items]
+    values = [v for _, v in sorted(mapping.items())]
     if values != sorted(set(values)):
         raise BadLeg("leg relabeling must be strictly increasing")
-    terms = {}
-    for w, c in p._terms.items():
-        terms[tuple(LeggedLetter(mapping[l.leg], l.letter) for l in w)] = c
-    return LeggedPoly(num_legs, terms, normalized=True)
+    return GradedPoly._make(
+        {tuple(l.on_leg(mapping[l.leg]) for l in w): c for w, c in p._terms.items()},
+        (num_legs,),
+    )
 
 
-def to_graded(p: LeggedPoly) -> GradedPoly:
-    """Forget legs (valid for single-leg polynomials)."""
-    if p.num_legs != 1:
-        raise BadShape(f"expected a single-leg polynomial, got {p.num_legs} legs")
-    return GradedPoly({tuple(l.letter for l in w): c for w, c in p._terms.items()})
-
-
-def from_graded(p: GradedPoly, num_legs: int = 1, leg: int = 1) -> LeggedPoly:
-    return embed(leg, p, num_legs)
-
-
-# -- plain tensor of two braided products ------------------------------------
-
-
-class TensorPoly:
-    """Ordinary tensor product of two legged algebras: no cross-factor phase."""
-
-    __slots__ = ("left_legs", "right_legs", "_terms")
-
-    def __init__(self, left_legs: int, right_legs: int, terms: dict[tuple[LWord, LWord], Scalar] | None = None, *, normalized: bool = False):
-        self.left_legs = left_legs
-        self.right_legs = right_legs
-        cleaned: dict[tuple[LWord, LWord], Scalar] = {}
-        if terms:
-            for (wl, wr), c in terms.items():
-                c = c if isinstance(c, Scalar) else Scalar.from_fraction(c)
-                if c.is_zero():
-                    continue
-                if not normalized:
-                    wl, el = _sort_word(tuple(wl))
-                    wr, er = _sort_word(tuple(wr))
-                    if el or er:
-                        c = c * zeta(el + er)
-                key = (wl, wr)
-                new = cleaned.get(key, ZERO) + c
-                if new.is_zero():
-                    cleaned.pop(key, None)
-                else:
-                    cleaned[key] = new
-        self._terms = cleaned
-
-    @classmethod
-    def one(cls, left_legs: int, right_legs: int) -> "TensorPoly":
-        return cls(left_legs, right_legs, {((), ()): ONE}, normalized=True)
-
-    @classmethod
-    def tensor(cls, p: LeggedPoly, q: LeggedPoly) -> "TensorPoly":
-        terms = {}
-        for wl, cl in p._terms.items():
-            for wr, cr in q._terms.items():
-                terms[(wl, wr)] = cl * cr
-        return cls(p.num_legs, q.num_legs, terms, normalized=True)
-
-    def items(self):
-        return sorted(self._terms.items(), key=lambda kv: (lword_key(kv[0][0]), lword_key(kv[0][1])))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __len__(self):
-        return len(self._terms)
-
-    def __add__(self, other: "TensorPoly") -> "TensorPoly":
-        terms = dict(self._terms)
-        for k, c in other._terms.items():
-            new = terms.get(k, ZERO) + c
-            if new.is_zero():
-                terms.pop(k, None)
-            else:
-                terms[k] = new
-        return TensorPoly(self.left_legs, self.right_legs, terms, normalized=True)
-
-    def __neg__(self) -> "TensorPoly":
-        return TensorPoly(self.left_legs, self.right_legs, {k: -c for k, c in self._terms.items()}, normalized=True)
-
-    def __sub__(self, other: "TensorPoly") -> "TensorPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "TensorPoly":
-        if isinstance(other, (Scalar, int, Fraction)):
-            c = other if isinstance(other, Scalar) else Scalar.from_fraction(other)
-            return TensorPoly(self.left_legs, self.right_legs, {k: cc * c for k, cc in self._terms.items()}, normalized=True)
-        terms: dict[tuple[LWord, LWord], Scalar] = {}
-        for (al, ar), ca in self._terms.items():
-            for (bl, br), cb in other._terms.items():
-                wl, el = _sort_word(al + bl)
-                wr, er = _sort_word(ar + br)
-                c = ca * cb
-                if el or er:
-                    c = c * zeta(el + er)
-                key = (wl, wr)
-                new = terms.get(key, ZERO) + c
-                if new.is_zero():
-                    terms.pop(key, None)
-                else:
-                    terms[key] = new
-        return TensorPoly(self.left_legs, self.right_legs, terms, normalized=True)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorPoly)
-            and self.left_legs == other.left_legs
-            and self.right_legs == other.right_legs
-            and self._terms == other._terms
-        )
-
-    def __hash__(self):
-        return hash((self.left_legs, self.right_legs, frozenset(self._terms.items())))
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for (wl, wr), c in self.items():
-            body = f"{lword_str(wl)} (x) {lword_str(wr)}"
-            if c.is_one():
-                parts.append(body)
-            else:
-                parts.append(f"({c})*{body}")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"TensorPoly({self})"
-
-
-def psi_flatten(p: LeggedPoly, z_letter: Letter = Letter("z", (), 1)) -> TensorPoly:
+def psi_flatten(p: GradedPoly, z_letter: Letter = Letter("z", (), 1)) -> GradedPoly:
     """Flatten a three-leg word over (circle, X, Y) into (circle x X) (x) (circle x Y).
 
     Letterwise: j1(z) -> z (x) z, j2(a) -> a (x) z^deg(a), j3(b) -> 1 (x) b,
     extended multiplicatively.  Leg 1 must carry only the circle generator.
+    The result has legs (2, 2): legs 3 and 4 are the right factor's legs 1 and 2.
     """
-    if p.num_legs != 3:
-        raise BadShape(f"psi_flatten expects 3 legs, got {p.num_legs}")
-    out = TensorPoly(2, 2)
-    z_name = z_letter.name
+    if p.legs != (3,):
+        raise BadShape(f"psi_flatten expects 3 legs, got {p.legs}")
+    out = GradedPoly.zero((2, 2))
     for w, c in p._terms.items():
-        acc = TensorPoly.one(2, 2) * c
+        acc = GradedPoly.one((2, 2)) * c
         for l in w:
             if l.leg == 1:
-                if l.letter.name != z_name:
-                    raise BadShape(f"leg 1 must carry only {z_name}, found {l.letter}")
-                piece = TensorPoly(
-                    2, 2,
-                    {((LeggedLetter(1, l.letter),), (LeggedLetter(1, l.letter),)): ONE},
-                    normalized=True,
-                )
+                if l.name != z_letter.name:
+                    raise BadShape(f"leg 1 must carry only {z_letter.name}, found {l}")
+                word = (l, l.on_leg(3))
             elif l.leg == 2:
-                zw = _z_power_word(z_letter, l.degree)
-                piece = TensorPoly(2, 2, {((LeggedLetter(2, l.letter),), zw): ONE}, normalized=True)
+                z = z_letter if l.degree >= 0 else z_letter.star()
+                word = (l,) + (z.on_leg(3),) * abs(l.degree)
             else:
-                piece = TensorPoly(2, 2, {((), (LeggedLetter(2, l.letter),)): ONE}, normalized=True)
-            acc = acc * piece
+                word = (l.on_leg(4),)
+            acc = acc * GradedPoly._make({word: ONE}, (2, 2))
         out = out + acc
     return out
 
 
-def _z_power_word(z_letter: Letter, power: int) -> LWord:
-    if power >= 0:
-        return tuple(LeggedLetter(1, z_letter) for _ in range(power))
-    return tuple(LeggedLetter(1, z_letter.star()) for _ in range(-power))
-
-
-def parse_legged(text: str, alphabet, num_legs: int) -> LeggedPoly:
+def parse_legged(text: str, alphabet, num_legs: int) -> GradedPoly:
     """Parse the rendered leg notation back: `j1(u[1,2]*u[1,1])*j2(S[1])`.
 
     Coefficient factors are rationals or parenthesized scalars, as in the
     plain polynomial grammar; the alphabet maps (name, index) to letters.
     """
-    from .algebra import _split_factors, _split_terms, parse_poly
-    from .scalars import parse_scalar
-
-    total = LeggedPoly.zero(num_legs)
-    for sign, body in _split_terms(text):
-        term = LeggedPoly.from_scalar(num_legs, Scalar.from_fraction(sign))
+    total = GradedPoly.zero(num_legs)
+    for sign, body in split_terms(text):
+        term = GradedPoly.from_scalar(sign, num_legs)
         for factor in _split_factors(body):
             if factor.startswith("j") and "(" in factor:
                 head, inner = factor.split("(", 1)
@@ -510,34 +97,32 @@ def parse_legged(text: str, alphabet, num_legs: int) -> LeggedPoly:
                     raise ValueError(f"unbalanced leg factor {factor!r}")
                 term = term * embed(leg, parse_poly(inner[:-1], alphabet), num_legs)
             elif factor.startswith("("):
-                term = term * LeggedPoly.from_scalar(num_legs, parse_scalar(factor[1:-1]))
-            elif factor == "1":
-                pass
-            else:
-                term = term * LeggedPoly.from_scalar(num_legs, parse_scalar(factor))
+                term = term * parse_scalar(factor[1:-1])
+            elif factor != "1":
+                term = term * parse_scalar(factor)
         total = total + term
     return total
 
 
-def apply_state_leg1(p: LeggedPoly, state) -> LeggedPoly:
+def apply_state_leg1(p: GradedPoly, state) -> GradedPoly:
     """Evaluate a functional on the leg-1 prefix of every normal-form monomial.
 
     ``state`` maps a tuple of letters (the leg-1 word) to a Scalar, Fraction
     or int.  The remaining letters are shifted down one leg.
     """
-    if p.num_legs < 2:
-        raise BadShape("need at least two legs to apply a leg-1 state")
-    terms: dict[LWord, Scalar] = {}
+    if len(p.legs) != 1 or p.legs[0] < 2:
+        raise BadShape("need at least two braided legs to apply a leg-1 state")
+    terms: dict = {}
     for w, c in p._terms.items():
-        prefix = tuple(l.letter for l in w if l.leg == 1)
-        rest = tuple(LeggedLetter(l.leg - 1, l.letter) for l in w if l.leg != 1)
-        value = state(prefix)
-        value = value if isinstance(value, Scalar) else Scalar.from_fraction(value)
+        value = state(tuple(l for l in w if l.leg == 1))
+        if not isinstance(value, Scalar):
+            value = Scalar.from_fraction(value)
         if value.is_zero():
             continue
+        rest = tuple(l.on_leg(l.leg - 1) for l in w if l.leg != 1)
         new = terms.get(rest, ZERO) + c * value
         if new.is_zero():
             terms.pop(rest, None)
         else:
             terms[rest] = new
-    return LeggedPoly(p.num_legs - 1, terms, normalized=True)
+    return GradedPoly._make(terms, (p.legs[0] - 1,))

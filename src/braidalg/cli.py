@@ -251,12 +251,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite `--d -1,2` as `--d=-1,2`; argparse takes a bare `-1,2` for an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--d" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"--d={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv=None, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

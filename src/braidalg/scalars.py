@@ -36,9 +36,6 @@ __all__ = [
     "zeta",
     "sqrt",
     "rational",
-    "scalar_mul",
-    "scalar_star",
-    "specialize",
     "cyclotomic",
     "parse_scalar",
 ]
@@ -351,19 +348,6 @@ def zeta(k: int = 1) -> Scalar:
     return Scalar.zeta_power(k)
 
 
-def scalar_mul(a: Scalar, b: Scalar, spec: ZetaSpec = FORMAL) -> Scalar:
-    """Exact product, reduced modulo the cyclotomic polynomial in root mode."""
-    return (a * b).specialize(spec)
-
-
-def scalar_star(a: Scalar) -> Scalar:
-    return a.star()
-
-
-def specialize(a: Scalar, spec: ZetaSpec) -> Scalar:
-    return a.specialize(spec)
-
-
 def sqrt(value) -> Scalar:
     return Scalar.sqrt_of(value)
 
@@ -391,8 +375,7 @@ def parse_scalar(text: str) -> Scalar:
     if text == "0":
         return ZERO
     total = ZERO
-    for signed in _split_sum(text):
-        sign, body = signed
+    for sign, body in split_terms(text):
         term = Scalar.from_fraction(sign)
         pos = 0
         first = True
@@ -426,13 +409,17 @@ def parse_scalar(text: str) -> Scalar:
     return total
 
 
-def _split_sum(text: str) -> list[tuple[int, str]]:
-    """Split 'a + b - c' into [(+1,'a'), (+1,'b'), (-1,'c')], paren-aware."""
+def split_terms(text: str) -> list[tuple[int, str]]:
+    """Split 'a + b - c' into [(+1,'a'), (+1,'b'), (-1,'c')], paren-aware.
+
+    A term separator is a '+' or '-' with a space on each side, outside
+    parentheses; a leading '-' negates the first term.
+    """
     out: list[tuple[int, str]] = []
     depth = 0
     sign = 1
-    start = 0
-    i = 0
+    start = i = 0
+    text = text.strip()
     if text.startswith("-"):
         sign = -1
         start = i = 1

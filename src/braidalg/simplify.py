@@ -28,8 +28,10 @@ from .algebra import (
     Letter,
     PhaseCommutationRel,
     UnitaryMatrixRel,
+    Word,
+    lword_str,
+    word_key,
 )
-from .braided import LWord, LeggedPoly, from_graded, lword_key, lword_str, to_graded
 from .scalars import FORMAL, ONE, ZERO, Scalar, ZetaSpec
 
 __all__ = [
@@ -37,7 +39,6 @@ __all__ = [
     "PairFamily",
     "VerificationReport",
     "cuntz_reduce",
-    "contract_sums",
     "verify_identity",
     "reduce_poly",
 ]
@@ -53,22 +54,28 @@ class PairFamily:
 
 
 class RelationSet:
-    """Declared relations, compiled into local rules and contraction families."""
+    """Declared relations, compiled into local rules and contraction families.
+
+    Rules are keyed by pairs of letter symbols (``Letter.symbol``), so they
+    apply on every leg.  A commutation ``(a, b, phase)`` declares
+    ``a*b = phase*b*a``; the engine reads it as directed swaps that move a and
+    a* left past b and b*.
+    """
 
     def __init__(self, cuntz_families=(), unitary_matrices=(), commutation_pairs=()):
         self.cuntz_families = list(cuntz_families)
         self.unitary_matrices = list(unitary_matrices)
         self.commutation_pairs = list(commutation_pairs)
 
-        self.local_rules: dict[tuple[Letter, Letter], Scalar] = {}
-        self.swap_rules: dict[tuple[Letter, Letter], Scalar] = {}
+        self.local_rules: dict[tuple, Scalar] = {}
+        self.swap_rules: dict[tuple, Scalar] = {}
         self.families: list[PairFamily] = []
 
         for rel in self.cuntz_families:
             letters = tuple(rel.letters) if isinstance(rel, CuntzFamilyRel) else tuple(rel)
             for a in letters:
                 for b in letters:
-                    self.local_rules[(a.star(), b)] = ONE if a == b else ZERO
+                    self.local_rules[(a.star().symbol, b.symbol)] = ONE if a == b else ZERO
             self.families.append(
                 PairFamily(
                     name=f"cuntz-sum({letters[0].name})",
@@ -84,13 +91,27 @@ class RelationSet:
         for rel in self.commutation_pairs:
             pairs = rel.pairs if isinstance(rel, PhaseCommutationRel) else rel
             for a, b, phase in pairs:
-                self.swap_rules[(a, b)] = phase
+                inverse = ONE / phase
+                self.swap_rules[(b.symbol, a.symbol)] = inverse
+                self.swap_rules[(b.star().symbol, a.star().symbol)] = inverse
+                self.swap_rules[(b.symbol, a.star().symbol)] = phase
+                self.swap_rules[(b.star().symbol, a.symbol)] = phase
 
-        # fast lookup: (left letter, right letter) -> [(family index, member index)]
-        self.pair_index: dict[tuple[Letter, Letter], list[tuple[int, int]]] = {}
+        # fast lookup: (left symbol, right symbol) -> [(family index, member index)]
+        self.pair_index: dict[tuple, list[tuple[int, int]]] = {}
         for fi, fam in enumerate(self.families):
             for mi, (a, b, _) in enumerate(fam.members):
-                self.pair_index.setdefault((a, b), []).append((fi, mi))
+                self.pair_index.setdefault((a.symbol, b.symbol), []).append((fi, mi))
+
+    @classmethod
+    def from_relations(cls, relations) -> "RelationSet":
+        """Compile declared relations, as listed in ``Presentation.relations``."""
+        kinds = {CuntzFamilyRel: [], UnitaryMatrixRel: [], PhaseCommutationRel: []}
+        for rel in relations:
+            if type(rel) not in kinds:
+                raise TypeError(f"the reduction engine cannot use relation {rel!r}")
+            kinds[type(rel)].append(rel)
+        return cls(kinds[CuntzFamilyRel], kinds[UnitaryMatrixRel], kinds[PhaseCommutationRel])
 
     def _compile_unitary(self, name: str, matrix) -> None:
         n = len(matrix)
@@ -112,8 +133,8 @@ class RelationSet:
             c, l = entries[0][0]
             # x x* -> 1 / (c c*), x* x -> same: a unitary single letter
             inv = ONE / (c * c.star())
-            self.local_rules[(l, l.star())] = inv
-            self.local_rules[(l.star(), l)] = inv
+            self.local_rules[(l.symbol, l.star().symbol)] = inv
+            self.local_rules[(l.star().symbol, l.symbol)] = inv
             return
 
         for i in range(n):
@@ -134,11 +155,11 @@ class RelationSet:
 # -- reduction passes -----------------------------------------------------------
 
 
-def _local_pass(terms: dict[LWord, Scalar], rels: RelationSet, trace: list[str]) -> tuple[dict, bool]:
+def _local_pass(terms: dict[Word, Scalar], local_rules, swap_rules, trace: list[str]) -> tuple[dict, bool]:
     """Exhaustively apply local pair rules and directed swaps, per monomial."""
     changed = False
-    out: dict[LWord, Scalar] = {}
-    for word in sorted(terms, key=lword_key):
+    out: dict[Word, Scalar] = {}
+    for word in sorted(terms, key=word_key):
         coeff = terms[word]
         word = list(word)
         rewriting = True
@@ -148,19 +169,18 @@ def _local_pass(terms: dict[LWord, Scalar], rels: RelationSet, trace: list[str])
                 a, b = word[t], word[t + 1]
                 if a.leg != b.leg:
                     continue
-                rule = rels.local_rules.get((a.letter, b.letter))
+                pair = (a.symbol, b.symbol)
+                rule = local_rules.get(pair)
                 if rule is not None:
-                    trace.append(
-                        f"rule local {a.letter}{b.letter}->({rule}) at {lword_str(tuple(word))}"
-                    )
+                    trace.append(f"rule local {a}{b}->({rule}) at {lword_str(tuple(word))}")
                     coeff = coeff * rule
                     del word[t : t + 2]
                     changed = rewriting = True
                     break
-                swap = rels.swap_rules.get((a.letter, b.letter))
+                swap = swap_rules.get(pair)
                 if swap is not None:
                     trace.append(
-                        f"rule swap {a.letter}{b.letter}->({swap})*{b.letter}{a.letter} at {lword_str(tuple(word))}"
+                        f"rule swap {a}{b}->({swap})*{b}{a} at {lword_str(tuple(word))}"
                     )
                     coeff = coeff * swap
                     word[t], word[t + 1] = b, a
@@ -181,15 +201,15 @@ def _local_pass(terms: dict[LWord, Scalar], rels: RelationSet, trace: list[str])
     return out, changed
 
 
-def _contraction_step(terms: dict[LWord, Scalar], rels: RelationSet, trace: list[str]) -> tuple[dict, bool]:
+def _contraction_step(terms: dict[Word, Scalar], rels: RelationSet, trace: list[str]) -> tuple[dict, bool]:
     """Find and apply one complete contraction; deterministic candidate order."""
-    buckets: dict[tuple[LWord, LWord, int], dict[int, tuple[LWord, Scalar]]] = {}
+    buckets: dict[tuple[Word, Word, int], dict[int, tuple[Word, Scalar]]] = {}
     for word, coeff in terms.items():
         for t in range(len(word) - 1):
             a, b = word[t], word[t + 1]
             if a.leg != b.leg:
                 continue
-            for fi, mi in rels.pair_index.get((a.letter, b.letter), ()):
+            for fi, mi in rels.pair_index.get((a.symbol, b.symbol), ()):
                 c_mem = rels.families[fi].members[mi][2]
                 key = (word[:t], word[t + 2 :], fi)
                 buckets.setdefault(key, {})[mi] = (word, coeff / c_mem)
@@ -202,7 +222,7 @@ def _contraction_step(terms: dict[LWord, Scalar], rels: RelationSet, trace: list
         ratios = [found[mi][1] for mi in range(len(fam.members))]
         if any(r != ratios[0] for r in ratios[1:]):
             continue
-        candidates.append((-len(fam.members), fi, lword_key(prefix), lword_key(suffix), prefix, suffix))
+        candidates.append((-len(fam.members), fi, word_key(prefix), word_key(suffix), prefix, suffix))
 
     if not candidates:
         return terms, False
@@ -230,47 +250,27 @@ def _contraction_step(terms: dict[LWord, Scalar], rels: RelationSet, trace: list
     return out, True
 
 
-def reduce_poly(p, rels: RelationSet):
+def reduce_poly(p: GradedPoly, rels: RelationSet):
     """Alternate local rewriting and contraction to a fixpoint.
 
-    Accepts a GradedPoly or LeggedPoly; returns (reduced poly of the same
-    kind, trace lines).
+    Returns (reduced polynomial on the same legs, trace lines).
     """
-    graded = isinstance(p, GradedPoly)
-    lp = from_graded(p) if graded else p
     trace: list[str] = []
-    terms = dict(lp._terms)
+    terms = p._terms
     while True:
-        terms, ch1 = _local_pass(terms, rels, trace)
+        terms, ch1 = _local_pass(terms, rels.local_rules, rels.swap_rules, trace)
         terms, ch2 = _contraction_step(terms, rels, trace)
         if not (ch1 or ch2):
             break
-    out = LeggedPoly(lp.num_legs, terms, normalized=True)
-    return (to_graded(out) if graded else out), trace
+    return GradedPoly._make(terms, p.legs), trace
 
 
-def cuntz_reduce(p, families=None, rels: RelationSet | None = None):
-    """Rewrite S*[i]S[j] -> delta_ij exhaustively (per leg for legged input)."""
+def cuntz_reduce(p: GradedPoly, families=None, rels: RelationSet | None = None) -> GradedPoly:
+    """Apply only the local pair rules (S*[i]S[j] -> delta_ij, x x* -> 1), per leg."""
     if rels is None:
         rels = RelationSet(cuntz_families=[CuntzFamilyRel(tuple(f)) for f in (families or [])])
-    graded = isinstance(p, GradedPoly)
-    lp = from_graded(p) if graded else p
-    trace: list[str] = []
-    # only the local rules, no contractions
-    local_only = RelationSet.__new__(RelationSet)
-    local_only.local_rules = rels.local_rules
-    local_only.swap_rules = {}
-    local_only.families = []
-    local_only.pair_index = {}
-    terms, _ = _local_pass(dict(lp._terms), local_only, trace)
-    out = LeggedPoly(lp.num_legs, terms, normalized=True)
-    return to_graded(out) if graded else out
-
-
-def contract_sums(p, rels: RelationSet):
-    """Apply complete-contraction detection (plus local rules) to a fixpoint."""
-    reduced, _ = reduce_poly(p, rels)
-    return reduced
+    terms, _ = _local_pass(p._terms, rels.local_rules, {}, [])
+    return GradedPoly._make(terms, p.legs)
 
 
 # -- verification reports ---------------------------------------------------
@@ -290,6 +290,8 @@ class VerificationReport:
 
     @classmethod
     def merge(cls, name: str, reports: list["VerificationReport"]) -> "VerificationReport":
+        if not reports:
+            raise ValueError(f"{name}: the suite has no checks to run")
         verdict = "Verified" if all(r.verified for r in reports) else "Unverified"
         residual = next((r.residual for r in reports if not r.verified), None)
         trace: list[str] = []
@@ -321,12 +323,6 @@ def verify_identity(lhs, rhs, rels: RelationSet, spec: ZetaSpec = FORMAL, name: 
     Unverified is not a refutation; the trace and residual are returned so a
     human can extend the rule set.
     """
-    if isinstance(lhs, GradedPoly) != isinstance(rhs, GradedPoly):
-        raise TypeError("lhs and rhs must be the same kind of polynomial")
-    diff = lhs - rhs
-    residual, trace = reduce_poly(diff, rels)
-    if isinstance(residual, GradedPoly):
-        ok = residual.specialize(spec).is_zero() if not spec.is_formal else residual.is_zero()
-    else:
-        ok = residual.is_zero_under(spec) if not spec.is_formal else residual.is_zero()
+    residual, trace = reduce_poly(lhs - rhs, rels)
+    ok = residual.is_zero_under(spec)
     return VerificationReport(name, "Verified" if ok else "Unverified", residual, trace)

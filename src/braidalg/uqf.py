@@ -20,25 +20,15 @@ from .algebra import (
     Letter,
     PhaseCommutationRel,
     Presentation,
-    SingularMatrix,
     UnitaryMatrixRel,
     conjugate_matrix,
     mat_mul,
     scalar_mat_inverse,
 )
-from .braided import (
-    LeggedLetter,
-    LeggedPoly,
-    TensorPoly,
-    apply_state_leg1,
-    embed,
-    lift_legs,
-    psi_flatten,
-    to_graded,
-)
+from .braided import apply_state_leg1, embed, lift_legs, psi_flatten
 from .graphalg import GraphData, KmsData, normalized_ftilde
 from .scalars import FORMAL, ONE, ZERO, Scalar, ZetaSpec, rational, zeta
-from .simplify import RelationSet, VerificationReport, verify_identity
+from .simplify import RelationSet, VerificationReport, cuntz_reduce, verify_identity
 
 __all__ = [
     "AdmissibilityDatum",
@@ -155,38 +145,10 @@ def z_word(power: int) -> tuple[Letter, ...]:
     return (Z_LETTER.star(),) * (-power)
 
 
-def scalar_times_poly_matrix(F, M) -> list[list[GradedPoly]]:
-    n = len(F)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = GradedPoly.zero()
-            for k in range(n):
-                acc = acc + M[k][j] * F[i][k]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def poly_matrix_times_scalar(M, F) -> list[list[GradedPoly]]:
-    n = len(F)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = GradedPoly.zero()
-            for k in range(n):
-                acc = acc + M[i][k] * F[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 def conjugated_unitary(datum: AdmissibilityDatum, letters) -> list[list[GradedPoly]]:
     """F u-conj F^-1 over the generator matrix."""
     ubar = conjugate_matrix(u_matrix(letters), list(datum.d))
-    return poly_matrix_times_scalar(scalar_times_poly_matrix(datum.F, ubar), datum.F_inv)
+    return mat_mul(mat_mul(datum.F, ubar), datum.F_inv)
 
 
 # -- the braided free unitary presentation ----------------------------------------
@@ -221,63 +183,45 @@ def build_uqf(datum: AdmissibilityDatum, name: str = "u") -> UqfPresentation:
                     f"conjugated entry ({i + 1},{j + 1}) has degree {deg}, "
                     f"expected {datum.d_prime[j] - datum.d_prime[i]}"
                 )
-    rels = RelationSet(
-        unitary_matrices=[
-            UnitaryMatrixRel(name, tuple(tuple(r) for r in u)),
-            UnitaryMatrixRel(f"{name}'", tuple(tuple(r) for r in u_prime)),
-        ]
-    )
     pres = Presentation(
         generators=[l for row in letters for l in row],
         degree_tuples={"d": datum.d, "d'": datum.d_prime, "d0": datum.d0},
-        relations=[
-            UnitaryMatrixRel(name, tuple(tuple(r) for r in u)),
-            UnitaryMatrixRel(f"{name}'", tuple(tuple(r) for r in u_prime)),
-        ],
+        relations=[UnitaryMatrixRel(name, _rows(u)), UnitaryMatrixRel(f"{name}'", _rows(u_prime))],
     )
-    return UqfPresentation(datum, letters, u, u_prime, rels, pres)
+    return UqfPresentation(datum, letters, u, u_prime, RelationSet.from_relations(pres.relations), pres)
 
 
-# -- legged matrix helpers --------------------------------------------------------
+def _rows(matrix) -> tuple:
+    return tuple(tuple(row) for row in matrix)
 
 
-def _lmat(n, builder) -> list[list[LeggedPoly]]:
+# -- two-leg helpers ----------------------------------------------------------------
+
+
+def _lmat(n, builder) -> list[list[GradedPoly]]:
     return [[builder(i, j) for j in range(n)] for i in range(n)]
 
 
-def _l_conjugate(M, d) -> list[list[LeggedPoly]]:
-    n = len(d)
-    return [[M[i][j].star() * zeta(d[i] * (d[j] - d[i])) for j in range(n)] for i in range(n)]
-
-
-def _l_scalar_mul_left(F, M):
-    n = len(F)
-    legs = M[0][0].num_legs
+def _linear_action(S, letters) -> list[GradedPoly]:
+    """The action on n isometries: S'_j = sum_i j1(S_i) j2(letters_ij), one per j."""
+    n = len(S)
     return [
-        [sum((M[k][j] * F[i][k] for k in range(n)), LeggedPoly.zero(legs)) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def _l_scalar_mul_right(M, F):
-    n = len(F)
-    legs = M[0][0].num_legs
-    return [
-        [sum((M[i][k] * F[k][j] for k in range(n)), LeggedPoly.zero(legs)) for j in range(n)]
-        for i in range(n)
+        GradedPoly({(S[i], letters[i][j].on_leg(2)): ONE for i in range(n)}, 2)
+        for j in range(n)
     ]
 
 
 def _unitarity_checks(M, rels, spec, tag) -> list[VerificationReport]:
     n = len(M)
     reports = []
-    one = LeggedPoly.one(M[0][0].num_legs)
+    zero = GradedPoly.zero(M[0][0].legs)
+    one = GradedPoly.one(M[0][0].legs)
     for i in range(n):
         for j in range(n):
-            delta = one if i == j else LeggedPoly.zero(M[0][0].num_legs)
-            col = sum((M[k][i].star() * M[k][j] for k in range(n)), LeggedPoly.zero(M[0][0].num_legs))
+            delta = one if i == j else zero
+            col = sum((M[k][i].star() * M[k][j] for k in range(n)), zero)
             reports.append(verify_identity(col, delta, rels, spec, f"{tag}: col({i + 1},{j + 1})"))
-            row = sum((M[i][k] * M[j][k].star() for k in range(n)), LeggedPoly.zero(M[0][0].num_legs))
+            row = sum((M[i][k] * M[j][k].star() for k in range(n)), zero)
             reports.append(verify_identity(row, delta, rels, spec, f"{tag}: row({i + 1},{j + 1})"))
     return reports
 
@@ -299,7 +243,7 @@ def verify_coproduct(pres: UqfPresentation, spec: ZetaSpec = FORMAL) -> Verifica
                 embed(1, pres.u[i][k], 2) * embed(2, pres.u[k][j], 2)
                 for k in range(n)
             ),
-            LeggedPoly.zero(2),
+            GradedPoly.zero(2),
         ),
     )
     reports = _unitarity_checks(U, pres.relations, spec, "U unitary")
@@ -307,8 +251,8 @@ def verify_coproduct(pres: UqfPresentation, spec: ZetaSpec = FORMAL) -> Verifica
     # coassociativity: (Delta x id) Delta and (id x Delta) Delta agree on u_ij
     for i in range(n):
         for j in range(n):
-            left = LeggedPoly.zero(3)
-            right = LeggedPoly.zero(3)
+            left = GradedPoly.zero(3)
+            right = GradedPoly.zero(3)
             for k in range(n):
                 left = left + lift_legs(U[i][k], {1: 1, 2: 2}, 3) * embed(
                     3, pres.u[k][j], 3
@@ -325,15 +269,14 @@ def verify_coproduct(pres: UqfPresentation, spec: ZetaSpec = FORMAL) -> Verifica
         for k in range(n):
             lhs = sum(
                 (U[i][j] * embed(2, pres.u[k][j].star(), 2) for j in range(n)),
-                LeggedPoly.zero(2),
+                GradedPoly.zero(2),
             )
             rhs = embed(1, pres.u[i][k], 2)
             reports.append(
                 verify_identity(lhs, rhs, pres.relations, spec, f"cancel({i + 1},{k + 1})")
             )
 
-    U_conj = _l_conjugate(U, d)
-    U_prime = _l_scalar_mul_right(_l_scalar_mul_left(pres.datum.F, U_conj), pres.datum.F_inv)
+    U_prime = mat_mul(mat_mul(pres.datum.F, conjugate_matrix(U, d)), pres.datum.F_inv)
     U_prime_expected = _lmat(
         n,
         lambda i, j: sum(
@@ -341,7 +284,7 @@ def verify_coproduct(pres: UqfPresentation, spec: ZetaSpec = FORMAL) -> Verifica
                 embed(1, pres.u_prime[i][l], 2) * embed(2, pres.u_prime[l][j], 2)
                 for l in range(n)
             ),
-            LeggedPoly.zero(2),
+            GradedPoly.zero(2),
         ),
     )
     for i in range(n):
@@ -369,77 +312,49 @@ class BosoPresentation:
     letters: list
     relations: RelationSet
     presentation: Presentation
-    coproduct: dict  # generator -> TensorPoly over two (circle x algebra) legs
+    coproduct: dict  # generator -> polynomial on legs (2, 2): two (circle x algebra) factors
 
 
 def build_bosonization(datum: AdmissibilityDatum, name: str = "u") -> BosoPresentation:
     base = build_uqf(datum, name)
     n = datum.n
     d = datum.d
-    z_poly = GradedPoly.from_letter(Z_LETTER)
-    commutations = []
-    swap_pairs = []
-    for i in range(n):
-        for j in range(n):
-            l = base.letters[i][j]
-            commutations.append((Z_LETTER, l, zeta(d[i] - d[j])))
-            # engine direction: move z (and z*) left past u-type letters
-            for letter in (l, l.star()):
-                for zl in (Z_LETTER, Z_LETTER.star()):
-                    swap_pairs.append((letter, zl, zeta(letter.degree * zl.degree)))
-    rels = RelationSet(
-        unitary_matrices=[
-            UnitaryMatrixRel("z", ((z_poly,),)),
-            UnitaryMatrixRel(name, tuple(tuple(r) for r in base.u)),
-            UnitaryMatrixRel(f"{name}'", tuple(tuple(r) for r in base.u_prime)),
-        ],
-        commutation_pairs=[PhaseCommutationRel(tuple(swap_pairs))],
+    commutations = tuple(
+        (Z_LETTER, base.letters[i][j], zeta(d[i] - d[j])) for i in range(n) for j in range(n)
     )
     pres = Presentation(
         generators=[Z_LETTER] + [l for row in base.letters for l in row],
         degree_tuples={"d": d, "d'": datum.d_prime, "d0": datum.d0},
         relations=[
-            UnitaryMatrixRel("z", ((z_poly,),)),
-            PhaseCommutationRel(tuple(commutations)),
-            UnitaryMatrixRel(name, tuple(tuple(r) for r in base.u)),
-            UnitaryMatrixRel(f"{name}'", tuple(tuple(r) for r in base.u_prime)),
-        ],
+            UnitaryMatrixRel("z", ((GradedPoly.from_letter(Z_LETTER),),)),
+            PhaseCommutationRel(commutations),
+        ]
+        + base.presentation.relations,
     )
     coproduct = {Z_LETTER: _closed_coproduct_z()}
     for i in range(n):
         for j in range(n):
             coproduct[base.letters[i][j]] = _closed_coproduct_u(base.letters, d, i, j)
+    rels = RelationSet.from_relations(pres.relations)
     return BosoPresentation(datum, Z_LETTER, base.letters, rels, pres, coproduct)
 
 
-def _boso_leg(letter: Letter, power: int = 1) -> LeggedPoly:
-    """A word in the two-leg picture of the bosonization: leg 1 circle, leg 2 algebra."""
-    if letter.name == "z":
-        word = tuple(LeggedLetter(1, l) for l in z_word(power if not letter.starred else -power))
-    else:
-        word = (LeggedLetter(2, letter),)
-    return LeggedPoly(2, {word: ONE}, normalized=True)
+def _two_leg(circle: tuple[Letter, ...], letter: Letter | None = None) -> GradedPoly:
+    """The two-leg word j1(circle word)*j2(letter) of the bosonization picture."""
+    return GradedPoly.from_word(circle + ((letter.on_leg(2),) if letter else ()), legs=2)
 
 
-def _closed_coproduct_z() -> TensorPoly:
-    zz = LeggedPoly(2, {(LeggedLetter(1, Z_LETTER),): ONE}, normalized=True)
-    return TensorPoly.tensor(zz, zz)
+def _closed_coproduct_z() -> GradedPoly:
+    zz = _two_leg((Z_LETTER,))
+    return zz.tensor(zz)
 
 
-def _closed_coproduct_u(letters, d, i, j) -> TensorPoly:
-    n = len(d)
-    total = TensorPoly(2, 2)
-    for k in range(n):
-        left = LeggedPoly(2, {(LeggedLetter(2, letters[i][k]),): ONE}, normalized=True)
-        right = LeggedPoly(
-            2,
-            {
-                tuple(LeggedLetter(1, l) for l in z_word(d[k] - d[i]))
-                + (LeggedLetter(2, letters[k][j]),): ONE
-            },
-            normalized=True,
-        )
-        total = total + TensorPoly.tensor(left, right)
+def _closed_coproduct_u(letters, d, i, j) -> GradedPoly:
+    total = GradedPoly.zero((2, 2))
+    for k in range(len(d)):
+        left = _two_leg((), letters[i][k])
+        right = _two_leg(z_word(d[k] - d[i]), letters[k][j])
+        total = total + left.tensor(right)
     return total
 
 
@@ -451,71 +366,27 @@ def derive_boso_coproduct(datum: AdmissibilityDatum, spec: ZetaSpec = FORMAL) ->
     """
     boso = build_bosonization(datum)
     n = datum.n
-    reports = []
-
-    three_z = LeggedPoly(3, {(LeggedLetter(1, Z_LETTER),): ONE}, normalized=True)
-    got = psi_flatten(three_z, Z_LETTER)
-    want = boso.coproduct[Z_LETTER]
-    reports.append(
-        VerificationReport(
-            "Delta(z)",
-            "Verified" if _tensor_eq(got, want, spec) else "Unverified",
-            None if _tensor_eq(got, want, spec) else got - want,
-        )
-    )
-
+    plain = RelationSet()
+    three_z = GradedPoly.from_letter(Z_LETTER, legs=3)
+    reports = [
+        verify_identity(psi_flatten(three_z, Z_LETTER), boso.coproduct[Z_LETTER], plain, spec, "Delta(z)")
+    ]
     for i in range(n):
         for j in range(n):
-            expanded = LeggedPoly(3)
-            for k in range(n):
-                expanded = expanded + LeggedPoly(
-                    3,
-                    {
-                        (
-                            LeggedLetter(2, boso.letters[i][k]),
-                            LeggedLetter(3, boso.letters[k][j]),
-                        ): ONE
-                    },
-                    normalized=True,
-                )
-            got = psi_flatten(expanded, Z_LETTER)
-            want = boso.coproduct[boso.letters[i][j]]
-            ok = _tensor_eq(got, want, spec)
+            expanded = GradedPoly(
+                {(boso.letters[i][k].on_leg(2), boso.letters[k][j].on_leg(3)): ONE for k in range(n)},
+                3,
+            )
             reports.append(
-                VerificationReport(
+                verify_identity(
+                    psi_flatten(expanded, Z_LETTER),
+                    boso.coproduct[boso.letters[i][j]],
+                    plain,
+                    spec,
                     f"Delta(u[{i + 1},{j + 1}])",
-                    "Verified" if ok else "Unverified",
-                    None if ok else got - want,
                 )
             )
     return VerificationReport.merge("boso-coproduct", reports)
-
-
-def _tensor_eq(a: TensorPoly, b: TensorPoly, spec: ZetaSpec) -> bool:
-    diff = a - b
-    if spec.is_formal:
-        return diff.is_zero()
-    return all(c.specialize(spec).is_zero() for _, c in diff.items())
-
-
-def _tensor_local_reduce(tp: TensorPoly, rels: RelationSet) -> TensorPoly:
-    """Apply local rules (z-cancellation) independently on each tensor factor."""
-    from .simplify import _local_pass
-
-    terms = {}
-    for (wl, wr), c in tp._terms.items():
-        left, _ = _local_pass({wl: ONE}, rels, [])
-        right, _ = _local_pass({wr: ONE}, rels, [])
-        for lw, lc in left.items():
-            for rw, rc in right.items():
-                key = (lw, rw)
-                add = c * lc * rc
-                new = terms.get(key, ZERO) + add
-                if new.is_zero():
-                    terms.pop(key, None)
-                else:
-                    terms[key] = new
-    return TensorPoly(tp.left_legs, tp.right_legs, terms, normalized=True)
 
 
 def verify_fundamental_rep(datum: AdmissibilityDatum, spec: ZetaSpec = FORMAL) -> VerificationReport:
@@ -528,42 +399,29 @@ def verify_fundamental_rep(datum: AdmissibilityDatum, spec: ZetaSpec = FORMAL) -
     boso = build_bosonization(datum)
     n = datum.n
     d = datum.d
-    t = _lmat(
-        n,
-        lambda i, j: LeggedPoly(
-            2,
-            {
-                tuple(LeggedLetter(1, l) for l in z_word(d[i]))
-                + (LeggedLetter(2, boso.letters[i][j]),): ONE
-            },
-            normalized=True,
-        ),
-    )
+    t = _lmat(n, lambda i, j: _two_leg(z_word(d[i]), boso.letters[i][j]))
     reports = _unitarity_checks(t, boso.relations, spec, "t unitary")
 
     # Delta(t_ij) = (z (x) z)^{d_i} * Delta(u_ij), compared with sum_k t_ik (x) t_kj
+    # after cancelling z z* on each leg
+    plain = RelationSet()
     dz = boso.coproduct[Z_LETTER]
-    dz_star = TensorPoly.tensor(
-        LeggedPoly(2, {(LeggedLetter(1, Z_LETTER.star()),): ONE}, normalized=True),
-        LeggedPoly(2, {(LeggedLetter(1, Z_LETTER.star()),): ONE}, normalized=True),
-    )
+    z_star = _two_leg((Z_LETTER.star(),))
+    dz_star = z_star.tensor(z_star)
     for i in range(n):
         for j in range(n):
-            lhs = TensorPoly.one(2, 2)
+            lhs = GradedPoly.one((2, 2))
             for _ in range(abs(d[i])):
                 lhs = lhs * (dz if d[i] >= 0 else dz_star)
             lhs = lhs * boso.coproduct[boso.letters[i][j]]
-            rhs = TensorPoly(2, 2)
-            for k in range(n):
-                rhs = rhs + TensorPoly.tensor(t[i][k], t[k][j])
-            lhs = _tensor_local_reduce(lhs, boso.relations)
-            rhs = _tensor_local_reduce(rhs, boso.relations)
-            ok = _tensor_eq(lhs, rhs, spec)
+            rhs = sum((t[i][k].tensor(t[k][j]) for k in range(1, n)), t[i][0].tensor(t[0][j]))
             reports.append(
-                VerificationReport(
+                verify_identity(
+                    cuntz_reduce(lhs, rels=boso.relations),
+                    cuntz_reduce(rhs, rels=boso.relations),
+                    plain,
+                    spec,
                     f"Delta(t[{i + 1},{j + 1}])",
-                    "Verified" if ok else "Unverified",
-                    None if ok else lhs - rhs,
                 )
             )
 
@@ -571,15 +429,7 @@ def verify_fundamental_rep(datum: AdmissibilityDatum, spec: ZetaSpec = FORMAL) -
     for i in range(n):
         for j in range(n):
             lhs = t[i][j].star()
-            rhs = (
-                LeggedPoly(
-                    2,
-                    {tuple(LeggedLetter(1, l) for l in z_word(-d[i])): ONE},
-                    normalized=True,
-                )
-                * _boso_leg(boso.letters[i][j].star())
-                * zeta(d[i] * (d[j] - d[i]))
-            )
+            rhs = _two_leg(z_word(-d[i]), boso.letters[i][j].star()) * zeta(d[i] * (d[j] - d[i]))
             reports.append(
                 verify_identity(lhs, rhs, boso.relations, spec, f"t-bar({i + 1},{j + 1})")
             )
@@ -603,31 +453,19 @@ def cuntz_action(n: int, d, spec: ZetaSpec = FORMAL, letters=None):
     datum = make_datum([[1 if i == j else 0 for j in range(n)] for i in range(n)], d)
     base = build_uqf(datum)
     S = letters or cuntz_letters(n, d)
-    rels = RelationSet(
-        cuntz_families=[CuntzFamilyRel(tuple(S))],
-        unitary_matrices=list(base.relations.unitary_matrices),
-    )
-    action = [
-        sum(
-            (
-                LeggedPoly(2, {(LeggedLetter(1, S[i]), LeggedLetter(2, base.letters[i][j])): ONE}, normalized=True)
-                for i in range(n)
-            ),
-            LeggedPoly.zero(2),
-        )
-        for j in range(n)
-    ]
+    rels = RelationSet.from_relations([CuntzFamilyRel(tuple(S))] + base.presentation.relations)
+    action = _linear_action(S, base.letters)
     reports = []
-    one = LeggedPoly.one(2)
+    zero, one = GradedPoly.zero(2), GradedPoly.one(2)
     for i in range(n):
         for j in range(n):
-            delta = one if i == j else LeggedPoly.zero(2)
+            delta = one if i == j else zero
             reports.append(
                 verify_identity(
                     action[i].star() * action[j], delta, rels, spec, f"S'*S'({i + 1},{j + 1})"
                 )
             )
-    total = sum((action[j] * action[j].star() for j in range(n)), LeggedPoly.zero(2))
+    total = sum((action[j] * action[j].star() for j in range(n)), zero)
     reports.append(verify_identity(total, one, rels, spec, "sum S'S'* = 1"))
 
     ubar = conjugate_matrix(u_matrix(base.letters), list(d))
@@ -637,7 +475,7 @@ def cuntz_action(n: int, d, spec: ZetaSpec = FORMAL, letters=None):
                 embed(1, GradedPoly.from_letter(S[i].star()), 2) * embed(2, ubar[i][j], 2)
                 for i in range(n)
             ),
-            LeggedPoly.zero(2),
+            zero,
         )
         reports.append(
             verify_identity(action[j].star(), expected, rels, spec, f"star formula j={j + 1}")
@@ -648,12 +486,12 @@ def cuntz_action(n: int, d, spec: ZetaSpec = FORMAL, letters=None):
         n,
         lambda i, j: sum(
             (embed(1, base.u[i][k], 2) * embed(2, base.u[k][j], 2) for k in range(n)),
-            LeggedPoly.zero(2),
+            zero,
         ),
     )
     for j in range(n):
-        left = LeggedPoly.zero(3)
-        right = LeggedPoly.zero(3)
+        left = GradedPoly.zero(3)
+        right = GradedPoly.zero(3)
         for i in range(n):
             left = left + lift_legs(action[i], {1: 1, 2: 2}, 3) * embed(
                 3, base.u[i][j], 3
@@ -686,20 +524,7 @@ def verify_kms_preservation(n: int, d, L: int, spec: ZetaSpec = FORMAL) -> Verif
     rels = base.relations
     tau = _cuntz_tau(n)
 
-    eta = [
-        sum(
-            (
-                LeggedPoly(
-                    2,
-                    {(LeggedLetter(1, S[i]), LeggedLetter(2, base.letters[i][j])): ONE},
-                    normalized=True,
-                )
-                for i in range(n)
-            ),
-            LeggedPoly.zero(2),
-        )
-        for j in range(n)
-    ]
+    eta = _linear_action(S, base.letters)
     eta_star = [p.star() for p in eta]
 
     reports = []
@@ -708,12 +533,12 @@ def verify_kms_preservation(n: int, d, L: int, spec: ZetaSpec = FORMAL) -> Verif
         indices.extend(itertools.product(range(n), repeat=length))
     for alpha in indices:
         for beta in indices:
-            image = LeggedPoly.one(2)
+            image = GradedPoly.one(2)
             for a in alpha:
                 image = image * eta[a]
             for b in reversed(beta):
                 image = image * eta_star[b]
-            applied = to_graded(apply_state_leg1(image, tau))
+            applied = apply_state_leg1(image, tau)
             expected_value = (
                 Fraction(1, n ** len(alpha)) if alpha == beta else Fraction(0)
             )
@@ -750,16 +575,7 @@ def derive_action_constraints(ftilde, d, spec: ZetaSpec = FORMAL):
     q = u_letters(d, "q")
     S = cuntz_letters(n, d)
 
-    eta = [
-        sum(
-            (
-                LeggedPoly(2, {(LeggedLetter(1, S[i]), LeggedLetter(2, q[i][j])): ONE}, normalized=True)
-                for i in range(n)
-            ),
-            LeggedPoly.zero(2),
-        )
-        for j in range(n)
-    ]
+    eta = _linear_action(S, q)
     eta_star = [p.star() for p in eta]
 
     def tau_pairs(word):
@@ -777,49 +593,33 @@ def derive_action_constraints(ftilde, d, spec: ZetaSpec = FORMAL):
 
     relations = {}
     reports = []
+    plain = RelationSet()
     for i in range(n):
         for j in range(n):
-            computed1 = to_graded(apply_state_leg1(eta[i] * eta_star[j], tau_pairs))
+            computed1 = apply_state_leg1(eta[i] * eta_star[j], tau_pairs)
             display1 = GradedPoly.zero()
             for k in range(n):
                 display1 = display1 + GradedPoly.from_word(
                     (q[k][i], q[k][j].star()), zeta(d[k] * (d[j] - d[i]))
                 )
-            ok1 = _graded_eq(computed1, display1, spec)
             reports.append(
-                VerificationReport(
-                    f"display1({i + 1},{j + 1})",
-                    "Verified" if ok1 else "Unverified",
-                    None if ok1 else computed1 - display1,
-                )
+                verify_identity(computed1, display1, plain, spec, f"display1({i + 1},{j + 1})")
             )
 
-            computed2 = to_graded(apply_state_leg1(eta_star[i] * eta[j], tau_pairs))
+            computed2 = apply_state_leg1(eta_star[i] * eta[j], tau_pairs)
             display2 = GradedPoly.zero()
             for k in range(n):
                 display2 = display2 + GradedPoly.from_word(
                     (q[k][i].star(), q[k][j]), rational(ftilde[k])
                 )
-            ok2 = _graded_eq(computed2, display2, spec)
             reports.append(
-                VerificationReport(
-                    f"display2({i + 1},{j + 1})",
-                    "Verified" if ok2 else "Unverified",
-                    None if ok2 else computed2 - display2,
-                )
+                verify_identity(computed2, display2, plain, spec, f"display2({i + 1},{j + 1})")
             )
 
             rhs1 = GradedPoly.from_scalar(ONE if i == j else ZERO)
             rhs2 = GradedPoly.from_scalar(rational(ftilde[i]) if i == j else ZERO)
             relations[(i + 1, j + 1)] = ((display1, rhs1), (display2, rhs2))
     return relations, VerificationReport.merge("action-constraints", reports)
-
-
-def _graded_eq(a: GradedPoly, b: GradedPoly, spec: ZetaSpec) -> bool:
-    diff = a - b
-    if spec.is_formal:
-        return diff.is_zero()
-    return diff.specialize(spec).is_zero()
 
 
 # -- quotient identities and the graph presentation ----------------------------------
@@ -875,11 +675,11 @@ def verify_quotient_identities(F_diag, d, spec: ZetaSpec = FORMAL) -> Verificati
             reports.append(verify_identity(lhs_b[i][j], rhs, empty, spec, f"(b)({i + 1},{j + 1})"))
 
     # (c)
-    q_prime = poly_matrix_times_scalar(scalar_times_poly_matrix(F, qm), F_inv)
+    q_prime = mat_mul(mat_mul(F, qm), F_inv)
     qp_star = [[q_prime[j][i].star() for j in range(n)] for i in range(n)]
     rhs_c = mat_mul(qp_star, q_prime)
     fstar_inv = F_inv  # F real diagonal
-    lhs_c = poly_matrix_times_scalar(scalar_times_poly_matrix(fstar_inv, lhs_b), F_inv)
+    lhs_c = mat_mul(mat_mul(fstar_inv, lhs_b), F_inv)
     for i in range(n):
         for j in range(n):
             reports.append(
@@ -888,7 +688,7 @@ def verify_quotient_identities(F_diag, d, spec: ZetaSpec = FORMAL) -> Verificati
 
     # (d)
     qp_bar = conjugate_matrix(q_prime, list(d))
-    lhs_d = poly_matrix_times_scalar(scalar_times_poly_matrix(F_inv, qp_bar), F)
+    lhs_d = mat_mul(mat_mul(F_inv, qp_bar), F)
     for i in range(n):
         for j in range(n):
             reports.append(
@@ -911,21 +711,12 @@ def graph_universal_presentation(g: GraphData, k: KmsData, spec: ZetaSpec = FORM
     tm = u_matrix(t)
     F = _as_scalar_matrix([[(F_diag[i] if i == j else ZERO) for j in range(n)] for i in range(n)])
     F_inv = scalar_mat_inverse([list(r) for r in F])
-    FtF = poly_matrix_times_scalar(scalar_times_poly_matrix(F, tm), F_inv)
+    FtF = mat_mul(mat_mul(F, tm), F_inv)
     tbar = conjugate_matrix(tm, list(d))
-    rels = RelationSet(
-        unitary_matrices=[
-            UnitaryMatrixRel("FtF^-1", tuple(tuple(r) for r in FtF)),
-            UnitaryMatrixRel("t-conj", tuple(tuple(r) for r in tbar)),
-        ]
-    )
     pres = Presentation(
         generators=[l for row in t for l in row],
         degree_tuples={"d": d},
-        relations=[
-            UnitaryMatrixRel("FtF^-1", tuple(tuple(r) for r in FtF)),
-            UnitaryMatrixRel("t-conj", tuple(tuple(r) for r in tbar)),
-        ],
+        relations=[UnitaryMatrixRel("FtF^-1", _rows(FtF)), UnitaryMatrixRel("t-conj", _rows(tbar))],
     )
     report = verify_quotient_identities(F_diag, d, spec)
-    return pres, rels, report
+    return pres, RelationSet.from_relations(pres.relations), report

@@ -120,6 +120,23 @@ def test_usage_error_exit_one():
     assert "error" in err
 
 
+def test_empty_suite_is_an_input_error():
+    # --len -1 leaves no (alpha, beta) pair to check: no verdict may be printed
+    code, out, err = invoke(
+        ["verify", "--prop", "kms-preserve", "--n", "2", "--d", "0,1", "--len", "-1"]
+    )
+    assert code == 1
+    assert "Verified" not in out
+    assert "no checks" in err
+
+
+def test_negative_degree_list_after_a_space():
+    spaced = invoke(["verify", "--prop", "matricial", "--n", "2", "--d", "-1,2"])
+    attached = invoke(["verify", "--prop", "matricial", "--n", "2", "--d=-1,2"])
+    assert attached[0] == 0
+    assert spaced == attached
+
+
 def test_unknown_command_exit_one():
     code, _, _ = invoke(["no-such-command"])
     assert code == 1

@@ -11,7 +11,6 @@ from braidalg.algebra import (
     UnitaryMatrixRel,
     conjugate_matrix,
 )
-from braidalg.braided import LeggedLetter, LeggedPoly
 from braidalg.graphalg import GraphData, check_dagger, cuntz_graph, cycle_graph
 from braidalg.scalars import ONE, Scalar, ZetaSpec, rational, zeta
 from braidalg.uqf import (
@@ -208,10 +207,13 @@ def test_boso_coproduct_closed_form_n2():
     d = (0, 1)
     boso = build_bosonization(make_datum(ident(2), d))
     # Delta(u_12) = sum_k u_1k (x) z^{d_k - d_1} u_k2: the k=2 term carries one z
+    # the two factors live on legs (1, 2) and (3, 4) of one word
     table = boso.coproduct[boso.letters[0][1]]
-    words = {(tuple(str(l) for l in wl), tuple(str(l) for l in wr)) for (wl, wr), _ in table.items()}
-    assert (("j2(u[1,1])",), ("j2(u[1,2])",)) in words
-    assert (("j2(u[1,2])",), ("j1(z)", "j2(u[2,2])")) in words
+    assert table.legs == (2, 2)
+    u, z = boso.letters, boso.z
+    words = {w for w, _ in table.items()}
+    assert (u[0][0].on_leg(2), u[0][1].on_leg(4)) in words
+    assert (u[0][1].on_leg(2), z.on_leg(3), u[1][1].on_leg(4)) in words
 
 
 @pytest.mark.parametrize(
@@ -392,7 +394,6 @@ def test_graph_presentation_unequal_weights():
 
 def test_boso_commutation_rules_reduce_conjugation():
     # z u_ij z* = z^{d_i - d_j} u_ij inside the crossed-product presentation
-    from braidalg.braided import from_graded, to_graded
     from braidalg.simplify import reduce_poly
     from braidalg.uqf import Z_LETTER
 
