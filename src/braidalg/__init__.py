@@ -3,13 +3,16 @@
 Subpackages:
 
 * ``scalars``  - Laurent ring in a formal unit-modulus phase over the
-  rationals with formal square roots, optional root-of-unity specialization;
+  rationals with formal square roots, optional root-of-unity specialization,
+  and the term/factor tokenizers of the expression grammars;
 * ``algebra``  - graded letters on tensor legs and the one sparse word
   polynomial: one leg (graded), n braided legs, or a plain tensor of blocks
-  of braided legs; matrix helpers;
+  of braided legs; matrices: ``mat_mul``, ``adjoint``, ``diag_matrix``,
+  ``mat_identity`` and the phase-dressed ``conjugate_matrix``;
 * ``braided``  - moving polynomials between leg structures: leg embeddings,
   relabeling, the flattening map, leg-1 state application;
 * ``simplify`` - the relation-driven reduction and verification engine;
+  ``RelationSet(relations)`` compiles declared relation objects;
 * ``graphalg`` - finite graphs, spectral radius, the equilibrium state;
 * ``uqf``      - the braided unitary presentation, its bosonization, the
   one-vertex-graph action and the proposition-level suites;
@@ -18,7 +21,7 @@ Subpackages:
 """
 
 from .scalars import FORMAL, Scalar, ZetaSpec, zeta, sqrt, rational
-from .algebra import GradedPoly, Letter, NOT_HOMOGENEOUS, conjugate_matrix, mat_mul
+from .algebra import GradedPoly, Letter, NOT_HOMOGENEOUS, adjoint, conjugate_matrix, diag_matrix, mat_mul
 from .braided import apply_state_leg1, embed, lift_legs, psi_flatten
 from .simplify import RelationSet, VerificationReport, verify_identity
 from .graphalg import GraphData, KmsData, check_dagger, kms_eval, vertex_matrix

@@ -17,7 +17,8 @@ different blocks commute without a phase.
 
 The star is antimultiplicative and conjugates coefficients.  Matrices of
 polynomials or scalars are plain lists of lists, composed with ordinary
-matrix algebra.  ``conjugate_matrix`` builds the phase-dressed entrywise
+matrix algebra: ``mat_mul``, the star-transpose ``adjoint``, ``diag_matrix``
+and ``mat_identity``.  ``conjugate_matrix`` builds the phase-dressed entrywise
 adjoint used for braided conjugate representations.
 """
 
@@ -28,7 +29,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import attrgetter
 
-from .scalars import ONE, ZERO, Scalar, parse_scalar, split_terms, zeta
+from .scalars import ONE, ZERO, Scalar, parse_scalar, split_factors, split_terms, zeta
 
 __all__ = [
     "Letter",
@@ -38,7 +39,9 @@ __all__ = [
     "LegMismatch",
     "DegreeMismatch",
     "SingularMatrix",
+    "adjoint",
     "conjugate_matrix",
+    "diag_matrix",
     "mat_mul",
     "mat_identity",
     "scalar_mat_inverse",
@@ -404,8 +407,21 @@ def _as_scalar(value) -> Scalar:
 Matrix = list  # list[list[GradedPoly | Scalar]]
 
 
-def mat_identity(n: int) -> Matrix:
-    return [[GradedPoly.one() if i == j else GradedPoly.zero() for j in range(n)] for i in range(n)]
+def diag_matrix(entries) -> Matrix:
+    """The diagonal matrix of these entries: scalars, or polynomials on one leg structure."""
+    entries = list(entries)
+    polys = [e for e in entries if isinstance(e, GradedPoly)]
+    zero = GradedPoly.zero(polys[0].legs) if polys else ZERO
+    return [[e if i == j else zero for j in range(len(entries))] for i, e in enumerate(entries)]
+
+
+def mat_identity(n: int, legs=1) -> Matrix:
+    return diag_matrix([GradedPoly.one(legs)] * n)
+
+
+def adjoint(m: Matrix) -> Matrix:
+    """The star-transpose: entry (i,j) of the result is m[j][i]^*."""
+    return [[row[i].star() for row in m] for i in range(len(m[0]))]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -450,7 +466,7 @@ def scalar_mat_inverse(mat: list[list[Scalar]]) -> list[list[Scalar]]:
     """Gauss-Jordan over the scalar ring; pivots must be single-term units."""
     n = len(mat)
     work = [list(row) for row in mat]
-    inv = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    inv = diag_matrix([ONE] * n)
     for col in range(n):
         pivot_row = None
         for r in range(col, n):
@@ -485,9 +501,6 @@ def scalar_mat_inverse(mat: list[list[Scalar]]) -> list[list[Scalar]]:
 class UnitaryMatrixRel:
     name: str
     matrix: tuple  # tuple of tuples of GradedPoly
-
-    def entries(self):
-        return self.matrix
 
 
 @dataclass(frozen=True)
@@ -566,7 +579,7 @@ def parse_poly(text: str, alphabet: dict[tuple[str, tuple[int, ...]], Letter]) -
     total = GradedPoly.zero()
     for sign, body in split_terms(text):
         term = GradedPoly.from_scalar(sign)
-        for factor in _split_factors(body):
+        for factor in split_factors(body):
             if factor.startswith("("):
                 term = term * GradedPoly.from_scalar(parse_scalar(factor[1:-1]))
                 continue
@@ -595,28 +608,3 @@ def parse_poly(text: str, alphabet: dict[tuple[str, tuple[int, ...]], Letter]) -
         total = total + term
     return total
 
-
-def _split_factors(body: str) -> list[str]:
-    factors = []
-    depth = 0
-    start = 0
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "*" and depth == 0:
-            # star marker only when glued to a letter and followed by [, ^, * or end
-            prev = body[i - 1] if i else ""
-            nxt = body[i + 1] if i + 1 < len(body) else ""
-            is_marker = prev.isalnum() and (nxt in "[^*" or i + 1 == len(body))
-            if is_marker and not (prev.isdigit() and nxt == ""):
-                i += 1
-                continue
-            factors.append(body[start:i].strip())
-            start = i + 1
-        i += 1
-    factors.append(body[start:].strip())
-    return [f for f in factors if f]

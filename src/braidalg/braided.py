@@ -14,8 +14,8 @@ product of two two-leg words, the leg structure ``(2, 2)``.
 
 from __future__ import annotations
 
-from .algebra import BadLeg, GradedPoly, LegMismatch, Letter, _split_factors, parse_poly
-from .scalars import ONE, ZERO, Scalar, parse_scalar, split_terms
+from .algebra import BadLeg, GradedPoly, LegMismatch, Letter, parse_poly
+from .scalars import ONE, ZERO, Scalar, parse_scalar, split_factors, split_terms
 
 __all__ = [
     "BadLeg",
@@ -89,7 +89,7 @@ def parse_legged(text: str, alphabet, num_legs: int) -> GradedPoly:
     total = GradedPoly.zero(num_legs)
     for sign, body in split_terms(text):
         term = GradedPoly.from_scalar(sign, num_legs)
-        for factor in _split_factors(body):
+        for factor in split_factors(body):
             if factor.startswith("j") and "(" in factor:
                 head, inner = factor.split("(", 1)
                 leg = int(head[1:])

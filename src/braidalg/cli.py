@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import algebra as algebra_errors
+from .algebra import diag_matrix
 from . import fusion as fusion_mod
 from . import graphalg, uqf
 from .scalars import FORMAL, Scalar, ZetaSpec, parse_scalar
@@ -51,16 +52,10 @@ def _load_F(spec_text: str | None, n: int | None) -> list[list[Scalar]]:
     if spec_text is None or spec_text == "I":
         if n is None:
             raise ValueError("need --n to build an identity matrix")
-        return [
-            [Scalar.from_fraction(1 if i == j else 0) for j in range(n)] for i in range(n)
-        ]
+        return diag_matrix([Scalar.from_fraction(1)] * n)
     if spec_text.startswith("diag:"):
         entries = [Fraction(tok) for tok in spec_text[5:].split(",")]
-        m = len(entries)
-        return [
-            [Scalar.from_fraction(entries[i] if i == j else 0) for j in range(m)]
-            for i in range(m)
-        ]
+        return diag_matrix([Scalar.from_fraction(e) for e in entries])
     with open(spec_text, "r", encoding="utf-8") as fh:
         return _parse_matrix_text(fh.read())
 
@@ -120,6 +115,8 @@ def _cmd_bosonize(args, out) -> int:
 
 
 def _cmd_kms(args, out) -> int:
+    if args.len < 0:
+        raise ValueError("--len must be >= 0")
     with open(args.graph, "r", encoding="utf-8") as fh:
         g = graphalg.parse_graph(fh.read())
     k = graphalg.check_dagger(g)
@@ -175,7 +172,7 @@ def _cmd_fusion(args, out) -> int:
     result = fusion_mod.fuse(left, right)
     for irrep, mult in result.items():
         out.write(f"{mult} x {irrep}\n")
-    if args.n:
+    if args.n is not None:
         dims = " + ".join(
             str(m * fusion_mod.dimension(r.w, args.n)) for r, m in result.items()
         )
@@ -185,6 +182,8 @@ def _cmd_fusion(args, out) -> int:
 
 
 def _cmd_dims(args, out) -> int:
+    if args.maxlen < 0:
+        raise ValueError("--maxlen must be >= 0")
     for word in fusion_mod.all_words(args.maxlen):
         out.write(f"{word}\t{fusion_mod.dimension(word, args.n)}\n")
     return 0

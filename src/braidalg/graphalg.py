@@ -101,9 +101,9 @@ class GraphData:
         return self.edges[e][1]
 
     def is_path(self, path: tuple[int, ...]) -> bool:
-        return all(
+        return all(0 <= e < self.num_edges for e in path) and all(
             self.range(path[i]) == self.source(path[i + 1]) for i in range(len(path) - 1)
-        ) and all(0 <= e < self.num_edges for e in path)
+        )
 
     def paths(self, length: int):
         """All paths of exactly the given length, lexicographic in edge ids."""
@@ -204,38 +204,25 @@ def _poly_normalize(p: list[Fraction]) -> list[Fraction]:
     return p
 
 
-def _poly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = list(a)
-    while len(a) >= len(b) and _poly_normalize(a):
-        a = _poly_normalize(a)
-        if len(a) < len(b):
-            break
+def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Long division a = q*b + r by a normalized nonzero b; returns (q, r), r normalized."""
+    a = _poly_normalize(list(a))
+    q = [Fraction(0)] * (len(a) - len(b) + 1)
+    while len(a) >= len(b):
         f = a[-1] / b[-1]
         shift = len(a) - len(b)
+        q[shift] = f
         for i, c in enumerate(b):
             a[shift + i] -= f * c
-        a = a[:-1]
-    return _poly_normalize(a)
+        a = _poly_normalize(a[:-1])
+    return q, a
 
 
 def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     a, b = _poly_normalize(list(a)), _poly_normalize(list(b))
     while b:
-        a, b = b, _poly_rem(a, b)
+        a, b = b, _poly_divmod(a, b)[1]
     return a
-
-
-def _poly_div_exact(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = _poly_normalize(list(a))
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
-    while len(a) >= len(b) and a:
-        f = a[-1] / b[-1]
-        q[len(a) - len(b)] = f
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] -= f * c
-        a = _poly_normalize(a[:-1])
-    return q
 
 
 def _count_real_roots_above(p: list[Fraction], bound: Fraction, upper: Fraction) -> int:
@@ -247,10 +234,10 @@ def _count_real_roots_above(p: list[Fraction], bound: Fraction, upper: Fraction)
         return 0
     g = _poly_gcd(p, deriv)
     if len(g) > 1:
-        p = _poly_div_exact(p, g)
+        p = _poly_divmod(p, g)[0]
     chain = [p, _poly_normalize([i * c for i, c in enumerate(p)][1:])]
     while chain[-1]:
-        rem = _poly_rem(chain[-2], chain[-1])
+        rem = _poly_divmod(chain[-2], chain[-1])[1]
         if not rem:
             break
         chain.append([-c for c in rem])
@@ -375,10 +362,7 @@ def kms_eval(g: GraphData, k: KmsData, alpha: tuple[int, ...], beta: tuple[int, 
         return Fraction(0) if k.exact else 0.0
     if not alpha:
         return Fraction(1) if k.exact else 1.0
-    w = k.vertex_weights[g.range(alpha[-1])]
-    if k.exact:
-        return w / k.rho ** len(alpha)
-    return w / k.rho ** len(alpha)
+    return k.vertex_weights[g.range(alpha[-1])] / k.rho ** len(alpha)
 
 
 def check_gauge_equivariance(g: GraphData, k: KmsData, max_len: int = 2) -> VerificationReport:
@@ -458,7 +442,6 @@ def kms_state(g: GraphData, k: KmsData, name: str = "S"):
 
     def evaluate(word) -> Scalar:
         letters = list(word)
-        coeff = Fraction(1)
         changed = True
         while changed:
             changed = False
@@ -498,9 +481,9 @@ def kms_state(g: GraphData, k: KmsData, name: str = "S"):
         if gamma_t != delta_t:
             return Scalar.from_fraction(0)
         if not gamma_t:
-            return Scalar.from_fraction(coeff)
-        value = coeff * k.vertex_weights[g.range(gamma_t[-1])] / k.rho ** len(gamma_t)
-        return Scalar.from_fraction(value)
+            return Scalar.from_fraction(1)
+        w = k.vertex_weights[g.range(gamma_t[-1])]
+        return Scalar.from_fraction(w / k.rho ** len(gamma_t))
 
     return evaluate
 
@@ -513,7 +496,10 @@ def parse_graph(text: str) -> GraphData:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         data = json.loads(text)
-        edges = sorted(data["edges"], key=lambda e: e["id"])
+        edges = data["edges"]
+        if not isinstance(edges, list) or not all(isinstance(e, dict) for e in edges):
+            raise ValueError("JSON graph: 'edges' must be a list of edge objects")
+        edges = sorted(edges, key=lambda e: e["id"])
         return GraphData(
             int(data["vertices"]),
             tuple((int(e["src"]) - 1, int(e["dst"]) - 1) for e in edges),

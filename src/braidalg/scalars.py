@@ -377,16 +377,10 @@ def parse_scalar(text: str) -> Scalar:
     total = ZERO
     for sign, body in split_terms(text):
         term = Scalar.from_fraction(sign)
-        pos = 0
-        first = True
-        while pos < len(body):
-            if not first:
-                if body[pos] != "*":
-                    raise ValueError(f"expected '*' in scalar term {body!r} at {pos}")
-                pos += 1
-            m = _TERM_TOKEN.match(body, pos)
-            if not m or m.start() != pos:
-                raise ValueError(f"bad scalar factor in {body!r} at {pos}")
+        for factor in split_factors(body):
+            m = _TERM_TOKEN.fullmatch(factor)
+            if not m:
+                raise ValueError(f"bad scalar factor {factor!r} in {body!r}")
             if m.group("rad") is not None:
                 rad = int(m.group("rad"))
                 if rad < 1:
@@ -403,8 +397,6 @@ def parse_scalar(text: str) -> Scalar:
                 term = term * Scalar.from_fraction(
                     Fraction(int(num), int(den) if den else 1)
                 )
-            pos = m.end()
-            first = False
         total = total + term
     return total
 
@@ -437,3 +429,29 @@ def split_terms(text: str) -> list[tuple[int, str]]:
         i += 1
     out.append((sign, text[start:].strip()))
     return [(s, b) for s, b in out if b]
+
+
+def split_factors(body: str) -> list[str]:
+    """Split one term 'a*b*(c)' at its top-level '*' separators, paren-aware.
+
+    A '*' glued to a letter or digit and followed by '[', '^', '*' or the end
+    is a star marker (``u*[1,2]``, ``z*``), not a separator; a digit before
+    the end is a separator (``2*``).  An empty factor is an error.
+    """
+    factors = []
+    depth = start = 0
+    for i, ch in enumerate(body):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "*" and depth == 0:
+            prev, nxt = body[i - 1 : i], body[i + 1 : i + 2]
+            if prev.isalnum() and nxt in "[^*" and not (prev.isdigit() and not nxt):
+                continue
+            factors.append(body[start:i].strip())
+            start = i + 1
+    factors.append(body[start:].strip())
+    if not all(factors):
+        raise ValueError(f"empty factor in {body!r}")
+    return factors

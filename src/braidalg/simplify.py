@@ -56,46 +56,31 @@ class PairFamily:
 class RelationSet:
     """Declared relations, compiled into local rules and contraction families.
 
+    ``relations`` are the declaration objects of ``Presentation.relations``:
+    Cuntz families, unitary matrices and phase commutations, compiled in
+    the order given.
+
     Rules are keyed by pairs of letter symbols (``Letter.symbol``), so they
     apply on every leg.  A commutation ``(a, b, phase)`` declares
     ``a*b = phase*b*a``; the engine reads it as directed swaps that move a and
     a* left past b and b*.
     """
 
-    def __init__(self, cuntz_families=(), unitary_matrices=(), commutation_pairs=()):
-        self.cuntz_families = list(cuntz_families)
-        self.unitary_matrices = list(unitary_matrices)
-        self.commutation_pairs = list(commutation_pairs)
-
+    def __init__(self, relations=()):
+        self.relations = tuple(relations)
         self.local_rules: dict[tuple, Scalar] = {}
         self.swap_rules: dict[tuple, Scalar] = {}
         self.families: list[PairFamily] = []
 
-        for rel in self.cuntz_families:
-            letters = tuple(rel.letters) if isinstance(rel, CuntzFamilyRel) else tuple(rel)
-            for a in letters:
-                for b in letters:
-                    self.local_rules[(a.star().symbol, b.symbol)] = ONE if a == b else ZERO
-            self.families.append(
-                PairFamily(
-                    name=f"cuntz-sum({letters[0].name})",
-                    members=tuple((a, a.star(), ONE) for a in letters),
-                    rhs=ONE,
-                )
-            )
-
-        for rel in self.unitary_matrices:
-            name, matrix = (rel.name, rel.matrix) if isinstance(rel, UnitaryMatrixRel) else rel
-            self._compile_unitary(name, matrix)
-
-        for rel in self.commutation_pairs:
-            pairs = rel.pairs if isinstance(rel, PhaseCommutationRel) else rel
-            for a, b, phase in pairs:
-                inverse = ONE / phase
-                self.swap_rules[(b.symbol, a.symbol)] = inverse
-                self.swap_rules[(b.star().symbol, a.star().symbol)] = inverse
-                self.swap_rules[(b.symbol, a.star().symbol)] = phase
-                self.swap_rules[(b.star().symbol, a.symbol)] = phase
+        for rel in self.relations:
+            if isinstance(rel, CuntzFamilyRel):
+                self._compile_cuntz(rel.letters)
+            elif isinstance(rel, UnitaryMatrixRel):
+                self._compile_unitary(rel.name, rel.matrix)
+            elif isinstance(rel, PhaseCommutationRel):
+                self._compile_commutations(rel.pairs)
+            else:
+                raise TypeError(f"the reduction engine cannot use relation {rel!r}")
 
         # fast lookup: (left symbol, right symbol) -> [(family index, member index)]
         self.pair_index: dict[tuple, list[tuple[int, int]]] = {}
@@ -103,15 +88,25 @@ class RelationSet:
             for mi, (a, b, _) in enumerate(fam.members):
                 self.pair_index.setdefault((a.symbol, b.symbol), []).append((fi, mi))
 
-    @classmethod
-    def from_relations(cls, relations) -> "RelationSet":
-        """Compile declared relations, as listed in ``Presentation.relations``."""
-        kinds = {CuntzFamilyRel: [], UnitaryMatrixRel: [], PhaseCommutationRel: []}
-        for rel in relations:
-            if type(rel) not in kinds:
-                raise TypeError(f"the reduction engine cannot use relation {rel!r}")
-            kinds[type(rel)].append(rel)
-        return cls(kinds[CuntzFamilyRel], kinds[UnitaryMatrixRel], kinds[PhaseCommutationRel])
+    def _compile_cuntz(self, letters) -> None:
+        for a in letters:
+            for b in letters:
+                self.local_rules[(a.star().symbol, b.symbol)] = ONE if a == b else ZERO
+        self.families.append(
+            PairFamily(
+                name=f"cuntz-sum({letters[0].name})",
+                members=tuple((a, a.star(), ONE) for a in letters),
+                rhs=ONE,
+            )
+        )
+
+    def _compile_commutations(self, pairs) -> None:
+        for a, b, phase in pairs:
+            inverse = ONE / phase
+            self.swap_rules[(b.symbol, a.symbol)] = inverse
+            self.swap_rules[(b.star().symbol, a.star().symbol)] = inverse
+            self.swap_rules[(b.symbol, a.star().symbol)] = phase
+            self.swap_rules[(b.star().symbol, a.symbol)] = phase
 
     def _compile_unitary(self, name: str, matrix) -> None:
         n = len(matrix)
@@ -119,7 +114,7 @@ class RelationSet:
         for row in matrix:
             out_row = []
             for poly in row:
-                items = list(poly.items()) if isinstance(poly, GradedPoly) else [((poly,), ONE)]
+                items = list(poly.items())
                 if len(items) != 1 or len(items[0][0]) != 1:
                     raise ValueError(
                         f"unitary matrix {name!r} must have monomial entries to be "
@@ -265,10 +260,8 @@ def reduce_poly(p: GradedPoly, rels: RelationSet):
     return GradedPoly._make(terms, p.legs), trace
 
 
-def cuntz_reduce(p: GradedPoly, families=None, rels: RelationSet | None = None) -> GradedPoly:
+def cuntz_reduce(p: GradedPoly, rels: RelationSet) -> GradedPoly:
     """Apply only the local pair rules (S*[i]S[j] -> delta_ij, x x* -> 1), per leg."""
-    if rels is None:
-        rels = RelationSet(cuntz_families=[CuntzFamilyRel(tuple(f)) for f in (families or [])])
     terms, _ = _local_pass(p._terms, rels.local_rules, {}, [])
     return GradedPoly._make(terms, p.legs)
 

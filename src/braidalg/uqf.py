@@ -21,13 +21,16 @@ from .algebra import (
     PhaseCommutationRel,
     Presentation,
     UnitaryMatrixRel,
+    adjoint,
     conjugate_matrix,
+    diag_matrix,
+    mat_identity,
     mat_mul,
     scalar_mat_inverse,
 )
 from .braided import apply_state_leg1, embed, lift_legs, psi_flatten
 from .graphalg import GraphData, KmsData, normalized_ftilde
-from .scalars import FORMAL, ONE, ZERO, Scalar, ZetaSpec, rational, zeta
+from .scalars import FORMAL, ONE, ZERO, Scalar, ZetaSpec, zeta
 from .simplify import RelationSet, VerificationReport, cuntz_reduce, verify_identity
 
 __all__ = [
@@ -80,7 +83,7 @@ def _as_scalar_matrix(F) -> tuple:
 def check_admissible(F, d, d_prime, d0: int) -> bool:
     """True iff F_ij = 0 = (F^-1)_ji whenever -d_j + d0 != d'_i."""
     F = _as_scalar_matrix(F)
-    F_inv = scalar_mat_inverse([list(r) for r in F])
+    F_inv = scalar_mat_inverse(F)
     n = len(F)
     for i in range(n):
         for j in range(n):
@@ -99,7 +102,7 @@ def solve_admissible(F, d):
     if len(F) < 1 or len(F) != len(d):
         raise ValueError("need a nonempty square matrix and matching degrees")
     F = _as_scalar_matrix(F)
-    F_inv = scalar_mat_inverse([list(r) for r in F])
+    F_inv = scalar_mat_inverse(F)
     n = len(F)
     forced: list[set[int]] = [set() for _ in range(n)]
     for i in range(n):
@@ -145,10 +148,9 @@ def z_word(power: int) -> tuple[Letter, ...]:
     return (Z_LETTER.star(),) * (-power)
 
 
-def conjugated_unitary(datum: AdmissibilityDatum, letters) -> list[list[GradedPoly]]:
-    """F u-conj F^-1 over the generator matrix."""
-    ubar = conjugate_matrix(u_matrix(letters), list(datum.d))
-    return mat_mul(mat_mul(datum.F, ubar), datum.F_inv)
+def conjugated_unitary(datum: AdmissibilityDatum, u) -> list[list[GradedPoly]]:
+    """F u-conj F^-1, for a matrix u over any leg structure."""
+    return mat_mul(mat_mul(datum.F, conjugate_matrix(u, list(datum.d))), datum.F_inv)
 
 
 # -- the braided free unitary presentation ----------------------------------------
@@ -173,7 +175,7 @@ def build_uqf(datum: AdmissibilityDatum, name: str = "u") -> UqfPresentation:
         raise NotAdmissible("datum fails the vanishing condition")
     letters = u_letters(datum.d, name)
     u = u_matrix(letters)
-    u_prime = conjugated_unitary(datum, letters)
+    u_prime = conjugated_unitary(datum, u)
     # homogeneity: entry (i,j) of u' must have degree d'_j - d'_i
     for i in range(datum.n):
         for j in range(datum.n):
@@ -188,18 +190,39 @@ def build_uqf(datum: AdmissibilityDatum, name: str = "u") -> UqfPresentation:
         degree_tuples={"d": datum.d, "d'": datum.d_prime, "d0": datum.d0},
         relations=[UnitaryMatrixRel(name, _rows(u)), UnitaryMatrixRel(f"{name}'", _rows(u_prime))],
     )
-    return UqfPresentation(datum, letters, u, u_prime, RelationSet.from_relations(pres.relations), pres)
+    return UqfPresentation(datum, letters, u, u_prime, RelationSet(pres.relations), pres)
 
 
 def _rows(matrix) -> tuple:
     return tuple(tuple(row) for row in matrix)
 
 
-# -- two-leg helpers ----------------------------------------------------------------
+# -- matrix identities --------------------------------------------------------------
 
 
-def _lmat(n, builder) -> list[list[GradedPoly]]:
-    return [[builder(i, j) for j in range(n)] for i in range(n)]
+def _map(f, M) -> list[list]:
+    return [[f(x) for x in row] for row in M]
+
+
+def _leg(k: int, M, num_legs: int) -> list[list[GradedPoly]]:
+    """j_k(M): every one-leg entry of M put on leg k of num_legs."""
+    return _map(lambda p: embed(k, p, num_legs), M)
+
+
+def _lift(M, first: int) -> list[list[GradedPoly]]:
+    """A matrix of two-leg entries moved onto legs first, first + 1 of three."""
+    return _map(lambda p: lift_legs(p, {1: first, 2: first + 1}, 3), M)
+
+
+def _coproduct(u) -> list[list[GradedPoly]]:
+    """Delta(u) = j1(u) j2(u): entry (i,j) is sum_k j1(u_ik) j2(u_kj)."""
+    return mat_mul(_leg(1, u, 2), _leg(2, u, 2))
+
+
+def _coassociativity(x, X, u, U) -> tuple[list, list]:
+    """Both routes for X = j1(x) j2(u), in three legs: (X x id) X = X_12 j3(u)
+    and (id x Delta) X = j1(x) Delta(u)_23, where U = Delta(u)."""
+    return mat_mul(_lift(X, 1), _leg(3, u, 3)), mat_mul(_leg(1, x, 3), _lift(U, 2))
 
 
 def _linear_action(S, letters) -> list[GradedPoly]:
@@ -211,94 +234,48 @@ def _linear_action(S, letters) -> list[GradedPoly]:
     ]
 
 
+def _entrywise(rels, spec, *checks) -> list[VerificationReport]:
+    """Verify lhs = rhs entry by entry for each (name, lhs, rhs) of equal-shape matrices.
+
+    Entries go in row-major order, the checks interleaved at each entry;
+    ``name`` is formatted with the 1-based entry position ``i``, ``j``.
+    """
+    _, first, _ = checks[0]
+    return [
+        verify_identity(lhs[i][j], rhs[i][j], rels, spec, name.format(i=i + 1, j=j + 1))
+        for i in range(len(first))
+        for j in range(len(first[0]))
+        for name, lhs, rhs in checks
+    ]
+
+
 def _unitarity_checks(M, rels, spec, tag) -> list[VerificationReport]:
-    n = len(M)
-    reports = []
-    zero = GradedPoly.zero(M[0][0].legs)
-    one = GradedPoly.one(M[0][0].legs)
-    for i in range(n):
-        for j in range(n):
-            delta = one if i == j else zero
-            col = sum((M[k][i].star() * M[k][j] for k in range(n)), zero)
-            reports.append(verify_identity(col, delta, rels, spec, f"{tag}: col({i + 1},{j + 1})"))
-            row = sum((M[i][k] * M[j][k].star() for k in range(n)), zero)
-            reports.append(verify_identity(row, delta, rels, spec, f"{tag}: row({i + 1},{j + 1})"))
-    return reports
+    """M* M = 1 (columns) and M M* = 1 (rows), interleaved per entry."""
+    one = mat_identity(len(M), M[0][0].legs)
+    return _entrywise(
+        rels,
+        spec,
+        (tag + ": col({i},{j})", mat_mul(adjoint(M), M), one),
+        (tag + ": row({i},{j})", mat_mul(M, adjoint(M)), one),
+    )
 
 
 def verify_coproduct(pres: UqfPresentation, spec: ZetaSpec = FORMAL) -> VerificationReport:
     """The comultiplication lands in the braided square and respects both unitaries.
 
-    Builds U_ij = sum_k j1(u_ik) j2(u_kj), checks U is unitary, that
-    F U-conj F^-1 equals sum_l j1(u'_il) j2(u'_lj) and is unitary, that the
-    two coassociativity routes agree in three legs, and the cancellation
-    identity sum_j U_ij j2(u*_kj) = j1(u_ik).
+    Builds U = Delta(u) = j1(u) j2(u), checks U is unitary, that F U-conj F^-1
+    equals Delta(u') and is unitary, that the two coassociativity routes
+    agree in three legs, and the cancellation identity U j2(u)* = j1(u).
     """
-    n = pres.n
-    d = list(pres.datum.d)
-    U = _lmat(
-        n,
-        lambda i, j: sum(
-            (
-                embed(1, pres.u[i][k], 2) * embed(2, pres.u[k][j], 2)
-                for k in range(n)
-            ),
-            GradedPoly.zero(2),
-        ),
-    )
-    reports = _unitarity_checks(U, pres.relations, spec, "U unitary")
-
-    # coassociativity: (Delta x id) Delta and (id x Delta) Delta agree on u_ij
-    for i in range(n):
-        for j in range(n):
-            left = GradedPoly.zero(3)
-            right = GradedPoly.zero(3)
-            for k in range(n):
-                left = left + lift_legs(U[i][k], {1: 1, 2: 2}, 3) * embed(
-                    3, pres.u[k][j], 3
-                )
-                right = right + embed(1, pres.u[i][k], 3) * lift_legs(
-                    U[k][j], {1: 2, 2: 3}, 3
-                )
-            reports.append(
-                verify_identity(left, right, pres.relations, spec, f"coassoc({i + 1},{j + 1})")
-            )
-
-    # cancellation: sum_j Delta(u_ij) j2(u*_kj) = j1(u_ik)
-    for i in range(n):
-        for k in range(n):
-            lhs = sum(
-                (U[i][j] * embed(2, pres.u[k][j].star(), 2) for j in range(n)),
-                GradedPoly.zero(2),
-            )
-            rhs = embed(1, pres.u[i][k], 2)
-            reports.append(
-                verify_identity(lhs, rhs, pres.relations, spec, f"cancel({i + 1},{k + 1})")
-            )
-
-    U_prime = mat_mul(mat_mul(pres.datum.F, conjugate_matrix(U, d)), pres.datum.F_inv)
-    U_prime_expected = _lmat(
-        n,
-        lambda i, j: sum(
-            (
-                embed(1, pres.u_prime[i][l], 2) * embed(2, pres.u_prime[l][j], 2)
-                for l in range(n)
-            ),
-            GradedPoly.zero(2),
-        ),
-    )
-    for i in range(n):
-        for j in range(n):
-            reports.append(
-                verify_identity(
-                    U_prime[i][j],
-                    U_prime_expected[i][j],
-                    pres.relations,
-                    spec,
-                    f"U' split({i + 1},{j + 1})",
-                )
-            )
-    reports.extend(_unitarity_checks(U_prime, pres.relations, spec, "U' unitary"))
+    u, rels = pres.u, pres.relations
+    U = _coproduct(u)
+    U_prime = conjugated_unitary(pres.datum, U)
+    cancel = mat_mul(U, adjoint(_leg(2, u, 2)))
+    reports = _unitarity_checks(U, rels, spec, "U unitary")
+    reports += _entrywise(rels, spec, ("coassoc({i},{j})", *_coassociativity(u, U, u, U)))
+    reports += _entrywise(rels, spec, ("cancel({i},{j})", cancel, _leg(1, u, 2)))
+    reports += _entrywise(rels, spec, ("U' split({i},{j})", U_prime, _coproduct(pres.u_prime)))
+    reports += _unitarity_checks(U_prime, rels, spec, "U' unitary")
     return VerificationReport.merge("coproduct", reports)
 
 
@@ -331,11 +308,11 @@ def build_bosonization(datum: AdmissibilityDatum, name: str = "u") -> BosoPresen
         ]
         + base.presentation.relations,
     )
-    coproduct = {Z_LETTER: _closed_coproduct_z()}
+    coproduct = {Z_LETTER: _closed_coproduct_z(1)}
     for i in range(n):
         for j in range(n):
             coproduct[base.letters[i][j]] = _closed_coproduct_u(base.letters, d, i, j)
-    rels = RelationSet.from_relations(pres.relations)
+    rels = RelationSet(pres.relations)
     return BosoPresentation(datum, Z_LETTER, base.letters, rels, pres, coproduct)
 
 
@@ -344,8 +321,9 @@ def _two_leg(circle: tuple[Letter, ...], letter: Letter | None = None) -> Graded
     return GradedPoly.from_word(circle + ((letter.on_leg(2),) if letter else ()), legs=2)
 
 
-def _closed_coproduct_z() -> GradedPoly:
-    zz = _two_leg((Z_LETTER,))
+def _closed_coproduct_z(power: int) -> GradedPoly:
+    """Delta(z^power) = z^power (x) z^power."""
+    zz = _two_leg(z_word(power))
     return zz.tensor(zz)
 
 
@@ -365,27 +343,15 @@ def derive_boso_coproduct(datum: AdmissibilityDatum, spec: ZetaSpec = FORMAL) ->
     against the closed form on z and on every u_ij.
     """
     boso = build_bosonization(datum)
-    n = datum.n
     plain = RelationSet()
     three_z = GradedPoly.from_letter(Z_LETTER, legs=3)
+    flattened = _map(psi_flatten, _lift(_coproduct(u_matrix(boso.letters)), 2))
     reports = [
-        verify_identity(psi_flatten(three_z, Z_LETTER), boso.coproduct[Z_LETTER], plain, spec, "Delta(z)")
+        verify_identity(psi_flatten(three_z), boso.coproduct[Z_LETTER], plain, spec, "Delta(z)")
     ]
-    for i in range(n):
-        for j in range(n):
-            expanded = GradedPoly(
-                {(boso.letters[i][k].on_leg(2), boso.letters[k][j].on_leg(3)): ONE for k in range(n)},
-                3,
-            )
-            reports.append(
-                verify_identity(
-                    psi_flatten(expanded, Z_LETTER),
-                    boso.coproduct[boso.letters[i][j]],
-                    plain,
-                    spec,
-                    f"Delta(u[{i + 1},{j + 1}])",
-                )
-            )
+    reports += _entrywise(
+        plain, spec, ("Delta(u[{i},{j}])", flattened, _map(boso.coproduct.get, boso.letters))
+    )
     return VerificationReport.merge("boso-coproduct", reports)
 
 
@@ -397,42 +363,23 @@ def verify_fundamental_rep(datum: AdmissibilityDatum, spec: ZetaSpec = FORMAL) -
     t-bar = diag(z^{-d_1},...,z^{-d_n}) u-conj.
     """
     boso = build_bosonization(datum)
-    n = datum.n
-    d = datum.d
-    t = _lmat(n, lambda i, j: _two_leg(z_word(d[i]), boso.letters[i][j]))
-    reports = _unitarity_checks(t, boso.relations, spec, "t unitary")
+    d, rels = datum.d, boso.relations
+    t = [[_two_leg(z_word(d[i]), l) for l in row] for i, row in enumerate(boso.letters)]
+    reports = _unitarity_checks(t, rels, spec, "t unitary")
 
-    # Delta(t_ij) = (z (x) z)^{d_i} * Delta(u_ij), compared with sum_k t_ik (x) t_kj
-    # after cancelling z z* on each leg
-    plain = RelationSet()
-    dz = boso.coproduct[Z_LETTER]
-    z_star = _two_leg((Z_LETTER.star(),))
-    dz_star = z_star.tensor(z_star)
-    for i in range(n):
-        for j in range(n):
-            lhs = GradedPoly.one((2, 2))
-            for _ in range(abs(d[i])):
-                lhs = lhs * (dz if d[i] >= 0 else dz_star)
-            lhs = lhs * boso.coproduct[boso.letters[i][j]]
-            rhs = sum((t[i][k].tensor(t[k][j]) for k in range(1, n)), t[i][0].tensor(t[0][j]))
-            reports.append(
-                verify_identity(
-                    cuntz_reduce(lhs, rels=boso.relations),
-                    cuntz_reduce(rhs, rels=boso.relations),
-                    plain,
-                    spec,
-                    f"Delta(t[{i + 1},{j + 1}])",
-                )
-            )
+    # Delta(t) = diag(Delta(z^{d_i})) Delta(u), compared with the matrix of
+    # sum_k t_ik (x) t_kj after cancelling z z* on each leg
+    one = GradedPoly.one(2)
+    delta_u = _map(boso.coproduct.get, boso.letters)
+    delta_t = mat_mul(diag_matrix([_closed_coproduct_z(di) for di in d]), delta_u)
+    t_t = mat_mul(_map(lambda p: p.tensor(one), t), _map(one.tensor, t))
+    lhs, rhs = (_map(lambda p: cuntz_reduce(p, rels), m) for m in (delta_t, t_t))
+    reports += _entrywise(RelationSet(), spec, ("Delta(t[{i},{j}])", lhs, rhs))
 
-    # t-bar = diag(z^{-d_i}) * u-conj, entrywise in the two-leg picture
-    for i in range(n):
-        for j in range(n):
-            lhs = t[i][j].star()
-            rhs = _two_leg(z_word(-d[i]), boso.letters[i][j].star()) * zeta(d[i] * (d[j] - d[i]))
-            reports.append(
-                verify_identity(lhs, rhs, boso.relations, spec, f"t-bar({i + 1},{j + 1})")
-            )
+    # t-bar = diag(z^{-d_i}) u-conj, entrywise in the two-leg picture
+    ubar = conjugate_matrix(_leg(2, u_matrix(boso.letters), 2), list(d))
+    t_bar = mat_mul(diag_matrix([_two_leg(z_word(-di)) for di in d]), ubar)
+    reports += _entrywise(rels, spec, ("t-bar({i},{j})", _map(GradedPoly.star, t), t_bar))
     return VerificationReport.merge("fundamental-rep", reports)
 
 
@@ -450,56 +397,20 @@ def cuntz_action(n: int, d, spec: ZetaSpec = FORMAL, letters=None):
     S'*_j = sum_i j1(S*_i) j2(u-conj_ij).  Returns (action table, report).
     """
     d = tuple(d)
-    datum = make_datum([[1 if i == j else 0 for j in range(n)] for i in range(n)], d)
-    base = build_uqf(datum)
+    base = build_uqf(make_datum(diag_matrix([ONE] * n), d))
     S = letters or cuntz_letters(n, d)
-    rels = RelationSet.from_relations([CuntzFamilyRel(tuple(S))] + base.presentation.relations)
+    rels = RelationSet([CuntzFamilyRel(tuple(S))] + base.presentation.relations)
     action = _linear_action(S, base.letters)
-    reports = []
-    zero, one = GradedPoly.zero(2), GradedPoly.one(2)
-    for i in range(n):
-        for j in range(n):
-            delta = one if i == j else zero
-            reports.append(
-                verify_identity(
-                    action[i].star() * action[j], delta, rels, spec, f"S'*S'({i + 1},{j + 1})"
-                )
-            )
-    total = sum((action[j] * action[j].star() for j in range(n)), zero)
-    reports.append(verify_identity(total, one, rels, spec, "sum S'S'* = 1"))
-
-    ubar = conjugate_matrix(u_matrix(base.letters), list(d))
-    for j in range(n):
-        expected = sum(
-            (
-                embed(1, GradedPoly.from_letter(S[i].star()), 2) * embed(2, ubar[i][j], 2)
-                for i in range(n)
-            ),
-            zero,
-        )
-        reports.append(
-            verify_identity(action[j].star(), expected, rels, spec, f"star formula j={j + 1}")
-        )
-
-    # coassociativity of the action: (action x id) and (id x Delta) routes agree
-    U = _lmat(
-        n,
-        lambda i, j: sum(
-            (embed(1, base.u[i][k], 2) * embed(2, base.u[k][j], 2) for k in range(n)),
-            zero,
-        ),
-    )
-    for j in range(n):
-        left = GradedPoly.zero(3)
-        right = GradedPoly.zero(3)
-        for i in range(n):
-            left = left + lift_legs(action[i], {1: 1, 2: 2}, 3) * embed(
-                3, base.u[i][j], 3
-            )
-            right = right + embed(
-                1, GradedPoly.from_letter(S[i]), 3
-            ) * lift_legs(U[i][j], {1: 2, 2: 3}, 3)
-        reports.append(verify_identity(left, right, rels, spec, f"action coassoc j={j + 1}"))
+    # the action as a row: A = j1(S) j2(u), with S the row of isometries
+    A, S_row = [action], [[GradedPoly.from_letter(s) for s in S]]
+    ubar = conjugate_matrix(base.u, list(d))
+    A_star = _map(GradedPoly.star, A)
+    star_formula = mat_mul(_leg(1, _map(GradedPoly.star, S_row), 2), _leg(2, ubar, 2))
+    coassoc = _coassociativity(S_row, A, base.u, _coproduct(base.u))
+    reports = _entrywise(rels, spec, ("S'*S'({i},{j})", mat_mul(adjoint(A), A), mat_identity(n, 2)))
+    reports += _entrywise(rels, spec, ("sum S'S'* = 1", mat_mul(A, adjoint(A)), mat_identity(1, 2)))
+    reports += _entrywise(rels, spec, ("star formula j={j}", A_star, star_formula))
+    reports += _entrywise(rels, spec, ("action coassoc j={j}", *coassoc))
     return action, VerificationReport.merge("cuntz-action", reports)
 
 
@@ -518,8 +429,7 @@ def verify_kms_preservation(n: int, d, L: int, spec: ZetaSpec = FORMAL) -> Verif
     Exhaustive over pairs of multi-indices up to length L, exact arithmetic.
     """
     d = tuple(d)
-    datum = make_datum([[1 if i == j else 0 for j in range(n)] for i in range(n)], d)
-    base = build_uqf(datum)
+    base = build_uqf(make_datum(diag_matrix([ONE] * n), d))
     S = cuntz_letters(n, d)
     rels = base.relations
     tau = _cuntz_tau(n)
@@ -558,6 +468,23 @@ def verify_kms_preservation(n: int, d, L: int, spec: ZetaSpec = FORMAL) -> Verif
 # -- abstract state-preservation constraints ----------------------------------------
 
 
+def _displays(q, d, ftilde) -> tuple[list, list]:
+    """Displays (1) and (2) as written, entry (i,j), over the generator letters q:
+
+        (1)  sum_k z^{d_k (d_j - d_i)} q_ki q*_kj
+        (2)  sum_k q*_ki ftilde_k q_kj
+    """
+    ks = range(len(d))
+
+    def display(term):
+        return [[GradedPoly(dict(term(i, j, k) for k in ks)) for j in ks] for i in ks]
+
+    return (
+        display(lambda i, j, k: ((q[k][i], q[k][j].star()), zeta(d[k] * (d[j] - d[i])))),
+        display(lambda i, j, k: ((q[k][i].star(), q[k][j]), ftilde[k])),
+    )
+
+
 def derive_action_constraints(ftilde, d, spec: ZetaSpec = FORMAL):
     """Closed-form constraints forced on an abstract linear action by state
     preservation, derived symbolically and matched against their displays:
@@ -573,10 +500,7 @@ def derive_action_constraints(ftilde, d, spec: ZetaSpec = FORMAL):
     n = len(d)
     ftilde = [Fraction(x) for x in ftilde]
     q = u_letters(d, "q")
-    S = cuntz_letters(n, d)
-
-    eta = _linear_action(S, q)
-    eta_star = [p.star() for p in eta]
+    eta = _linear_action(cuntz_letters(n, d), q)
 
     def tau_pairs(word):
         if len(word) == 0:
@@ -591,34 +515,26 @@ def derive_action_constraints(ftilde, d, spec: ZetaSpec = FORMAL):
             return Scalar.from_fraction(ftilde[ia]) if ia == ib else ZERO
         return ZERO
 
-    relations = {}
-    reports = []
-    plain = RelationSet()
-    for i in range(n):
-        for j in range(n):
-            computed1 = apply_state_leg1(eta[i] * eta_star[j], tau_pairs)
-            display1 = GradedPoly.zero()
-            for k in range(n):
-                display1 = display1 + GradedPoly.from_word(
-                    (q[k][i], q[k][j].star()), zeta(d[k] * (d[j] - d[i]))
-                )
-            reports.append(
-                verify_identity(computed1, display1, plain, spec, f"display1({i + 1},{j + 1})")
-            )
-
-            computed2 = apply_state_leg1(eta_star[i] * eta[j], tau_pairs)
-            display2 = GradedPoly.zero()
-            for k in range(n):
-                display2 = display2 + GradedPoly.from_word(
-                    (q[k][i].star(), q[k][j]), rational(ftilde[k])
-                )
-            reports.append(
-                verify_identity(computed2, display2, plain, spec, f"display2({i + 1},{j + 1})")
-            )
-
-            rhs1 = GradedPoly.from_scalar(ONE if i == j else ZERO)
-            rhs2 = GradedPoly.from_scalar(rational(ftilde[i]) if i == j else ZERO)
-            relations[(i + 1, j + 1)] = ((display1, rhs1), (display2, rhs2))
+    # eta_i eta*_j is the outer product of the column eta with the row eta*,
+    # eta*_i eta_j the Gram matrix of the row eta
+    E = [eta]
+    outer = mat_mul([[e] for e in eta], _map(GradedPoly.star, E))
+    computed1 = _map(lambda p: apply_state_leg1(p, tau_pairs), outer)
+    computed2 = _map(lambda p: apply_state_leg1(p, tau_pairs), mat_mul(adjoint(E), E))
+    display1, display2 = _displays(q, d, ftilde)
+    reports = _entrywise(
+        RelationSet(),
+        spec,
+        ("display1({i},{j})", computed1, display1),
+        ("display2({i},{j})", computed2, display2),
+    )
+    rhs1 = mat_identity(n)
+    rhs2 = diag_matrix([GradedPoly.from_scalar(f) for f in ftilde])
+    relations = {
+        (i + 1, j + 1): ((display1[i][j], rhs1[i][j]), (display2[i][j], rhs2[i][j]))
+        for i in range(n)
+        for j in range(n)
+    }
     return relations, VerificationReport.merge("action-constraints", reports)
 
 
@@ -629,9 +545,8 @@ def verify_quotient_identities(F_diag, d, spec: ZetaSpec = FORMAL) -> Verificati
     """The matrix manipulations tying the abstract constraints to the
     universal presentation, for a positive diagonal F with F*F = ftilde:
 
-      (a) the phase-dressed conjugate satisfies
-          sum_k (q-conj* q-conj)_ij = sum_k z^{d_k(d_j-d_i)} q_ki q*_kj;
-      (b) (q* ftilde q)_ij = sum_k q*_ki ftilde_kk q_kj;
+      (a) the phase-dressed conjugate satisfies q-conj* q-conj = display (1);
+      (b) q* ftilde q = display (2);
       (c) (F*)^-1 (q* ftilde q) F^-1 = (F q F^-1)* (F q F^-1);
       (d) F^-1 (q'-conj) F = q-conj for q' = F q F^-1.
 
@@ -639,61 +554,22 @@ def verify_quotient_identities(F_diag, d, spec: ZetaSpec = FORMAL) -> Verificati
     relations are used.
     """
     d = tuple(d)
-    n = len(d)
-    F = [[(F_diag[i] if i == j else ZERO) for j in range(n)] for i in range(n)]
-    F = _as_scalar_matrix(F)
-    F_inv = scalar_mat_inverse([list(r) for r in F])
-    ftilde = [F_diag[i] * F_diag[i] for i in range(n)]  # diagonal, F real positive
-
+    F = _as_scalar_matrix(diag_matrix(F_diag))
+    F_inv = scalar_mat_inverse(F)
+    ftilde = [f * f for f in F_diag]  # diagonal, F real positive
     q = u_letters(d, "q")
     qm = u_matrix(q)
     qbar = conjugate_matrix(qm, list(d))
-    reports = []
-    empty = RelationSet()
-
-    # (a)
-    qbar_star = [[qbar[j][i].star() for j in range(n)] for i in range(n)]
-    lhs_a = mat_mul(qbar_star, qbar)
-    for i in range(n):
-        for j in range(n):
-            rhs = GradedPoly.zero()
-            for k in range(n):
-                rhs = rhs + GradedPoly.from_word((q[k][i],), ONE) * GradedPoly.from_word(
-                    (q[k][j].star(),), zeta(d[k] * (d[j] - d[i]))
-                )
-            reports.append(verify_identity(lhs_a[i][j], rhs, empty, spec, f"(a)({i + 1},{j + 1})"))
-
-    # (b)
-    q_star = [[qm[j][i].star() for j in range(n)] for i in range(n)]
-    ft_mat = [[GradedPoly.from_scalar(ftilde[i]) if i == j else GradedPoly.zero() for j in range(n)] for i in range(n)]
-    lhs_b = mat_mul(mat_mul(q_star, ft_mat), qm)
-    for i in range(n):
-        for j in range(n):
-            rhs = GradedPoly.zero()
-            for k in range(n):
-                rhs = rhs + GradedPoly.from_word((q[k][i].star(), q[k][j]), ftilde[k])
-            reports.append(verify_identity(lhs_b[i][j], rhs, empty, spec, f"(b)({i + 1},{j + 1})"))
-
-    # (c)
     q_prime = mat_mul(mat_mul(F, qm), F_inv)
-    qp_star = [[q_prime[j][i].star() for j in range(n)] for i in range(n)]
-    rhs_c = mat_mul(qp_star, q_prime)
-    fstar_inv = F_inv  # F real diagonal
-    lhs_c = mat_mul(mat_mul(fstar_inv, lhs_b), F_inv)
-    for i in range(n):
-        for j in range(n):
-            reports.append(
-                verify_identity(lhs_c[i][j], rhs_c[i][j], empty, spec, f"(c)({i + 1},{j + 1})")
-            )
-
-    # (d)
-    qp_bar = conjugate_matrix(q_prime, list(d))
-    lhs_d = mat_mul(mat_mul(F_inv, qp_bar), F)
-    for i in range(n):
-        for j in range(n):
-            reports.append(
-                verify_identity(lhs_d[i][j], qbar[i][j], empty, spec, f"(d)({i + 1},{j + 1})")
-            )
+    display1, display2 = _displays(q, d, ftilde)
+    lhs_b = mat_mul(mat_mul(adjoint(qm), diag_matrix(ftilde)), qm)
+    lhs_c = mat_mul(mat_mul(F_inv, lhs_b), F_inv)  # (F*)^-1 = F^-1: F is real diagonal
+    lhs_d = mat_mul(mat_mul(F_inv, conjugate_matrix(q_prime, list(d))), F)
+    empty = RelationSet()
+    reports = _entrywise(empty, spec, ("(a)({i},{j})", mat_mul(adjoint(qbar), qbar), display1))
+    reports += _entrywise(empty, spec, ("(b)({i},{j})", lhs_b, display2))
+    reports += _entrywise(empty, spec, ("(c)({i},{j})", lhs_c, mat_mul(adjoint(q_prime), q_prime)))
+    reports += _entrywise(empty, spec, ("(d)({i},{j})", lhs_d, qbar))
     return VerificationReport.merge("quotient-identities", reports)
 
 
@@ -703,15 +579,12 @@ def graph_universal_presentation(g: GraphData, k: KmsData, spec: ZetaSpec = FORM
     Returns (presentation, relation set, report); the report re-verifies the
     diagonal-F conjugation identity for the computed F.
     """
-    diag = normalized_ftilde(g, k)
-    F_diag = [Scalar.sqrt_of(w) for w in diag]
-    n = g.num_edges
+    F_diag = [Scalar.sqrt_of(w) for w in normalized_ftilde(g, k)]
     d = tuple(g.gauge_degrees)
     t = u_letters(d, "t")
     tm = u_matrix(t)
-    F = _as_scalar_matrix([[(F_diag[i] if i == j else ZERO) for j in range(n)] for i in range(n)])
-    F_inv = scalar_mat_inverse([list(r) for r in F])
-    FtF = mat_mul(mat_mul(F, tm), F_inv)
+    F = diag_matrix(F_diag)
+    FtF = mat_mul(mat_mul(F, tm), scalar_mat_inverse(F))
     tbar = conjugate_matrix(tm, list(d))
     pres = Presentation(
         generators=[l for row in t for l in row],
@@ -719,4 +592,4 @@ def graph_universal_presentation(g: GraphData, k: KmsData, spec: ZetaSpec = FORM
         relations=[UnitaryMatrixRel("FtF^-1", _rows(FtF)), UnitaryMatrixRel("t-conj", _rows(tbar))],
     )
     report = verify_quotient_identities(F_diag, d, spec)
-    return pres, RelationSet.from_relations(pres.relations), report
+    return pres, RelationSet(pres.relations), report

@@ -8,13 +8,15 @@ from braidalg.algebra import (
     GradedPoly,
     Letter,
     NOT_HOMOGENEOUS,
+    adjoint,
     conjugate_matrix,
+    diag_matrix,
     mat_identity,
     mat_mul,
     parse_poly,
     scalar_mat_inverse,
 )
-from braidalg.scalars import ONE, Scalar, rational, sqrt, zeta
+from braidalg.scalars import ONE, ZERO, Scalar, rational, sqrt, zeta
 
 
 def u(i, j, d):
@@ -118,6 +120,25 @@ def test_mat_mul_identity():
     d = (0, 1)
     m = _u_matrix(d)
     assert mat_mul(m, mat_identity(2))[0][1] == m[0][1]
+
+
+def test_adjoint_is_the_star_transpose():
+    d = (0, 1)
+    m = _u_matrix(d)
+    m[0][1] = m[0][1] * zeta(2)
+    adj = adjoint(m)
+    for i in range(2):
+        for j in range(2):
+            assert adj[i][j] == m[j][i].star()
+    assert adjoint([[zeta(1), sqrt(2)]]) == [[zeta(-1)], [sqrt(2)]]
+
+
+def test_diag_matrix_and_identity_on_legs():
+    assert diag_matrix([sqrt(2), rational(3)]) == [[sqrt(2), ZERO], [ZERO, rational(3)]]
+    one = mat_identity(2, legs=2)
+    assert one == [[GradedPoly.one(2), GradedPoly.zero(2)], [GradedPoly.zero(2), GradedPoly.one(2)]]
+    p = GradedPoly.from_letter(u(1, 1, (0,)), legs=(2, 2))
+    assert diag_matrix([p, p]) == [[p, GradedPoly.zero((2, 2))], [GradedPoly.zero((2, 2)), p]]
 
 
 def test_scalar_mat_inverse_radical_entries():

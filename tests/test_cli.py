@@ -137,6 +137,46 @@ def test_negative_degree_list_after_a_space():
     assert spaced == attached
 
 
+def test_fusion_zero_dimension_parameter_is_an_input_error():
+    code, out, err = invoke(["fusion", "--left", "(0; a)", "--right", "(0; b)", "--n", "0"])
+    assert code == 1
+    assert "dims:" not in out
+    assert "error" in err
+
+
+def test_dims_negative_maxlen_is_an_input_error():
+    code, out, err = invoke(["dims", "--n", "2", "--maxlen", "-1"])
+    assert code == 1
+    assert out == ""
+    assert "error" in err
+
+
+def test_kms_negative_len_is_an_input_error(tmp_path):
+    graph = tmp_path / "o2.graph"
+    graph.write_text("vertices 1\nedge 1 1 1 deg 1\nedge 2 1 1 deg 1\n")
+    code, out, err = invoke(["kms", "--graph", str(graph), "--len", "-2"])
+    assert code == 1
+    assert out == ""
+    assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"vertices": 1, "edges": 5}',
+        '{"vertices": 1, "edges": [{"id": 1, "src": 1, "dst": 1}, 7]}',
+    ],
+    ids=["edges-not-a-list", "edge-not-an-object"],
+)
+def test_kms_malformed_json_graph_is_an_input_error(tmp_path, text):
+    graph = tmp_path / "bad.json"
+    graph.write_text(text)
+    code, out, err = invoke(["kms", "--graph", str(graph)])
+    assert code == 1
+    assert out == ""
+    assert "error" in err
+
+
 def test_unknown_command_exit_one():
     code, _, _ = invoke(["no-such-command"])
     assert code == 1

@@ -28,6 +28,10 @@ VERIFY = {
     "quotient": ["--n", "2", "--d", "0,1"],
 }
 
+# the five grid props at n=3, where the suites' index loops are longest
+N3 = ["--n", "3", "--d", "1,2,3", "--F", "diag:1,2,3"]
+N3_PROPS = ("coproduct", "fundamental", "cuntz-action", "matricial", "quotient")
+
 # case name -> (argv, expected exit code); "{graph}" is a one-vertex graph file
 CASES = {
     "admissible": (["admissible", "--F", "I", "--n", "3", "--d", "1,2,3"], 0),
@@ -44,6 +48,10 @@ for _zeta in ("formal", "root:8"):
     for _prop, _args in VERIFY.items():
         CASES[f"verify-{_prop}-{_tag}"] = (
             ["verify", "--prop", _prop, *_args, "--zeta", _zeta, "--trace"], 0
+        )
+    for _prop in N3_PROPS:
+        CASES[f"verify-{_prop}-n3-{_tag}"] = (
+            ["verify", "--prop", _prop, *N3, "--zeta", _zeta], 0
         )
 
 

@@ -105,6 +105,13 @@ def test_kms_eval_invalid_path():
         kms_eval(g, k, (0, 0), (0, 0))  # edge 0 does not compose with itself
 
 
+def test_kms_eval_out_of_range_edge_is_invalid_path():
+    g = cycle_graph(2)
+    k = check_dagger(g)
+    with pytest.raises(InvalidPath):
+        kms_eval(g, k, (0, 5), (0, 5))  # edge 5 does not exist
+
+
 def test_state_normalization_by_length():
     # sum over length-L paths of tau(S_a S*_a) = 1 for L <= 3
     for g in (cuntz_graph(2), cuntz_graph(3), cycle_graph(2)):

@@ -129,6 +129,23 @@ def test_render_canonical_form():
     assert parse_scalar("3/2*z^-1 + (1/3)*sqrt(2)*z^4") == s
 
 
+def test_empty_factor_is_rejected_by_every_grammar():
+    from braidalg.algebra import Letter, parse_poly
+    from braidalg.braided import parse_legged
+
+    alphabet = {("u", (i, j)): Letter("u", (i, j), 0) for i in (1, 2) for j in (1, 2)}
+    for parse in (
+        lambda: parse_poly("u[1,1]**u[1,2]", alphabet),
+        lambda: parse_poly("u[1,1]*", alphabet),
+        lambda: parse_legged("j1(u[1,1])**j2(u[1,2])", alphabet, 2),
+        lambda: parse_scalar("2*"),
+        lambda: parse_scalar("*2"),
+        lambda: parse_scalar("2**3"),
+    ):
+        with pytest.raises(ValueError):
+            parse()
+
+
 def test_formal_spec_is_identity():
     s = zeta(5) + sqrt(2)
     assert s.specialize(FORMAL) == s

@@ -32,40 +32,39 @@ def word_poly(*letters, coeff=ONE):
 
 def cuntz_rels(n, d=None):
     d = d or (1,) * n
-    return RelationSet(cuntz_families=[CuntzFamilyRel(tuple(S(i + 1, d[i]) for i in range(n)))])
+    return RelationSet([CuntzFamilyRel(tuple(S(i + 1, d[i]) for i in range(n)))])
 
 
 def unitary_rels(d):
     n = len(d)
     mat = tuple(tuple(GradedPoly.from_letter(u(i + 1, j + 1, d)) for j in range(n)) for i in range(n))
-    return RelationSet(unitary_matrices=[UnitaryMatrixRel("u", mat)])
+    return RelationSet([UnitaryMatrixRel("u", mat)])
 
 
 # -- cuntz reduction ---------------------------------------------------------------
 
 
 def test_cuntz_star_same_index():
-    assert cuntz_reduce(word_poly(S(1).star(), S(1)), [[S(1), S(2)]]) == GradedPoly.one()
+    assert cuntz_reduce(word_poly(S(1).star(), S(1)), cuntz_rels(2)) == GradedPoly.one()
 
 
 def test_cuntz_star_different_index():
-    assert cuntz_reduce(word_poly(S(1).star(), S(2)), [[S(1), S(2)]]).is_zero()
+    assert cuntz_reduce(word_poly(S(1).star(), S(2)), cuntz_rels(2)).is_zero()
 
 
 def test_cuntz_inner_contraction():
     # S1 S*2 S2 S*3: one inner contraction leaves S1 S*3
     p = word_poly(S(1), S(2).star(), S(2), S(3).star())
-    got = cuntz_reduce(p, [[S(1), S(2), S(3)]])
+    got = cuntz_reduce(p, cuntz_rels(3))
     assert got == word_poly(S(1), S(3).star())
 
 
 def test_cuntz_reduction_redex_order_independent():
     # apply the relation at each redex order by hand on S*1 S1 S*2 S2
-    fam = [S(1), S(2)]
     p = word_poly(S(1).star(), S(1), S(2).star(), S(2))
     # left redex first: (S*1 S1) -> 1, then S*2 S2 -> 1
     # right redex first: S*2 S2 -> 1, then S*1 S1 -> 1; both give 1
-    assert cuntz_reduce(p, [fam]) == GradedPoly.one()
+    assert cuntz_reduce(p, cuntz_rels(2)) == GradedPoly.one()
 
 
 def _random_reduce(word, rng, n):
@@ -96,7 +95,7 @@ def test_cuntz_confluence_random_orders(seed):
         rng.choice(fam) if rng.random() < 0.5 else rng.choice(fam).star()
         for _ in range(rng.randint(0, 10))
     )
-    engine = cuntz_reduce(GradedPoly({word: ONE}), [fam])
+    engine = cuntz_reduce(GradedPoly({word: ONE}), cuntz_rels(n))
     ref_word, ref_coeff = _random_reduce(word, rng, n)
     if ref_coeff == 0:
         assert engine.is_zero()
@@ -255,12 +254,7 @@ def test_wrong_phase_sum_is_not_contracted():
         )
         for i in range(2)
     )
-    rels = RelationSet(
-        unitary_matrices=[
-            UnitaryMatrixRel("u", base.unitary_matrices[0].matrix),
-            UnitaryMatrixRel("ubar", ubar_mat),
-        ]
-    )
+    rels = RelationSet([base.relations[0], UnitaryMatrixRel("ubar", ubar_mat)])
     plain = GradedPoly.zero()
     dressed = GradedPoly.zero()
     for k in range(2):
@@ -334,7 +328,7 @@ def test_verify_under_root_of_unity_specialization():
 
 def test_unitary_letter_rules():
     z = Letter("z", (), 1)
-    rels = RelationSet(unitary_matrices=[UnitaryMatrixRel("z", ((GradedPoly.from_letter(z),),))])
+    rels = RelationSet([UnitaryMatrixRel("z", ((GradedPoly.from_letter(z),),))])
     p = word_poly(z, z.star(), z, z.star())
     reduced, _ = reduce_poly(p, rels)
     assert reduced == GradedPoly.one()
