@@ -26,6 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 __all__ = [
     "Scalar",
@@ -169,7 +170,7 @@ class Scalar:
         return not self._terms
 
     def is_one(self) -> bool:
-        return self._terms == {(0, 1): Fraction(1)}
+        return self._terms == ONE._terms
 
     def is_single_term(self) -> bool:
         return len(self._terms) == 1
@@ -222,8 +223,6 @@ class Scalar:
         for (k1, r1), c1 in self._terms.items():
             for (k2, r2), c2 in other._terms.items():
                 # sqrt(r1) * sqrt(r2) = g * sqrt(s) with r1*r2 = g^2 * s
-                from math import gcd
-
                 g = gcd(r1, r2)
                 key = (k1 + k2, (r1 // g) * (r2 // g))
                 new = terms.get(key, Fraction(0)) + c1 * c2 * g
@@ -242,11 +241,17 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if len(other._terms) != 1:
-            raise ValueError(f"can only divide by a single-term scalar, got {other}")
-        ((k, r), c), = other._terms.items()
-        # 1 / (c sqrt(r) z^k) = (1/(c r)) sqrt(r) z^-k
-        return self * Scalar({(-k, r): Fraction(1, 1) / (c * r)})
+        return self * other.inverse()
+
+    def inverse(self) -> "Scalar":
+        """1 / self, for a single-term scalar."""
+        if len(self._terms) != 1:
+            raise ValueError(f"can only divide by a single-term scalar, got {self}")
+        ((k, r), c), = self._terms.items()
+        # 1 / (c sqrt(r) z^k) = (1/(c r)) sqrt(r) z^-k; r is already square-free
+        out = Scalar.__new__(Scalar)
+        object.__setattr__(out, "_terms", {(-k, r): 1 / (c * r)})
+        return out
 
     def __pow__(self, n: int) -> "Scalar":
         if n < 0:

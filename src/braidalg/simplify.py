@@ -13,9 +13,15 @@ compiled out of a :class:`RelationSet`:
 
 A contraction fires on a group of monomials that are identical except at one
 adjacent same-leg letter pair, where the pair runs over a complete family
-and the coefficients are proportional to the family's.  Reduction iterates
-to a fixpoint; a zero residual means Verified, anything else is Unverified
-(which is not a refutation).
+and the coefficients are proportional to the family's.  A complete group
+lies on one leg: members found on different legs never combine.
+
+Reduction rewrites every term locally once, then fires contractions to a
+fixpoint.  Candidates come from an index of the irreducible terms that each
+firing updates only for the words it deletes, creates or re-weights; the
+next one is the first in the canonical order (largest family, family, then
+prefix, suffix and leg).  A zero residual means Verified, anything else is
+Unverified (which is not a refutation).
 """
 
 from __future__ import annotations
@@ -82,11 +88,13 @@ class RelationSet:
             else:
                 raise TypeError(f"the reduction engine cannot use relation {rel!r}")
 
-        # fast lookup: (left symbol, right symbol) -> [(family index, member index)]
-        self.pair_index: dict[tuple, list[tuple[int, int]]] = {}
+        # fast lookup: (left symbol, right symbol) -> [(family, member, 1 / member
+        # coefficient, or None when the coefficient is one)]
+        self.pair_index: dict[tuple, list[tuple[int, int, Scalar | None]]] = {}
         for fi, fam in enumerate(self.families):
-            for mi, (a, b, _) in enumerate(fam.members):
-                self.pair_index.setdefault((a.symbol, b.symbol), []).append((fi, mi))
+            for mi, (a, b, c) in enumerate(fam.members):
+                inv = None if c.is_one() else c.inverse()
+                self.pair_index.setdefault((a.symbol, b.symbol), []).append((fi, mi, inv))
 
     def _compile_cuntz(self, letters) -> None:
         for a in letters:
@@ -150,120 +158,134 @@ class RelationSet:
 # -- reduction passes -----------------------------------------------------------
 
 
-def _local_pass(terms: dict[Word, Scalar], local_rules, swap_rules, trace: list[str]) -> tuple[dict, bool]:
-    """Exhaustively apply local pair rules and directed swaps, per monomial."""
-    changed = False
-    out: dict[Word, Scalar] = {}
-    for word in sorted(terms, key=word_key):
-        coeff = terms[word]
-        word = list(word)
-        rewriting = True
-        while rewriting:
-            rewriting = False
-            for t in range(len(word) - 1):
-                a, b = word[t], word[t + 1]
-                if a.leg != b.leg:
-                    continue
-                pair = (a.symbol, b.symbol)
-                rule = local_rules.get(pair)
-                if rule is not None:
-                    trace.append(f"rule local {a}{b}->({rule}) at {lword_str(tuple(word))}")
-                    coeff = coeff * rule
-                    del word[t : t + 2]
-                    changed = rewriting = True
-                    break
-                swap = swap_rules.get(pair)
-                if swap is not None:
-                    trace.append(
-                        f"rule swap {a}{b}->({swap})*{b}{a} at {lword_str(tuple(word))}"
-                    )
-                    coeff = coeff * swap
-                    word[t], word[t + 1] = b, a
-                    changed = rewriting = True
-                    break
-            if coeff.is_zero():
-                break
-        if coeff.is_zero():
-            changed = True
-            continue
-        key = tuple(word)
-        new = out.get(key, ZERO) + coeff
-        if new.is_zero():
-            out.pop(key, None)
-            changed = True
-        else:
-            out[key] = new
-    return out, changed
-
-
-def _contraction_step(terms: dict[Word, Scalar], rels: RelationSet, trace: list[str]) -> tuple[dict, bool]:
-    """Find and apply one complete contraction; deterministic candidate order."""
-    buckets: dict[tuple[Word, Word, int], dict[int, tuple[Word, Scalar]]] = {}
-    for word, coeff in terms.items():
+def _rewrite(word: Word, coeff: Scalar, local_rules, swap_rules, trace: list[str]) -> tuple[Word, Scalar]:
+    """Exhaustively apply local pair rules and directed swaps to one monomial."""
+    word = list(word)
+    rewriting = True
+    while rewriting:
+        rewriting = False
         for t in range(len(word) - 1):
             a, b = word[t], word[t + 1]
             if a.leg != b.leg:
                 continue
-            for fi, mi in rels.pair_index.get((a.symbol, b.symbol), ()):
-                c_mem = rels.families[fi].members[mi][2]
-                key = (word[:t], word[t + 2 :], fi)
-                buckets.setdefault(key, {})[mi] = (word, coeff / c_mem)
+            pair = (a.symbol, b.symbol)
+            rule = local_rules.get(pair)
+            if rule is not None:
+                trace.append(f"rule local {a}{b}->({rule}) at {lword_str(tuple(word))}")
+                coeff = coeff * rule
+                del word[t : t + 2]
+                rewriting = True
+                break
+            swap = swap_rules.get(pair)
+            if swap is not None:
+                trace.append(f"rule swap {a}{b}->({swap})*{b}{a} at {lword_str(tuple(word))}")
+                coeff = coeff * swap
+                word[t], word[t + 1] = b, a
+                rewriting = True
+                break
+        if coeff.is_zero():
+            break
+    return tuple(word), coeff
 
-    candidates = []
-    for (prefix, suffix, fi), found in buckets.items():
-        fam = rels.families[fi]
-        if len(found) != len(fam.members):
-            continue
-        ratios = [found[mi][1] for mi in range(len(fam.members))]
-        if any(r != ratios[0] for r in ratios[1:]):
-            continue
-        candidates.append((-len(fam.members), fi, word_key(prefix), word_key(suffix), prefix, suffix))
 
-    if not candidates:
-        return terms, False
-    candidates.sort(key=lambda c: c[:4])
-    _, fi, _, _, prefix, suffix = candidates[0]
-    fam = rels.families[fi]
-    found = buckets[(prefix, suffix, fi)]
-    ratio = found[0][1]
+def _local_pass(terms: dict[Word, Scalar], local_rules, swap_rules, trace: list[str]) -> dict:
+    """Rewrite every monomial, in canonical word order, and collect."""
+    out: dict[Word, Scalar] = {}
+    for word in sorted(terms, key=word_key):
+        word, coeff = _rewrite(word, terms[word], local_rules, swap_rules, trace)
+        if not coeff.is_zero():
+            new = out.get(word, ZERO) + coeff
+            if new.is_zero():
+                del out[word]
+            else:
+                out[word] = new
+    return out
 
-    out = dict(terms)
-    for mi in range(len(fam.members)):
-        word, _ = found[mi]
-        del out[word]
-    collapsed = prefix + suffix
-    trace.append(
-        f"rule contract {fam.name} at {lword_str(prefix)}|...|{lword_str(suffix)} -> ({fam.rhs})"
-    )
-    add = ratio * fam.rhs
-    if not add.is_zero():
-        new = out.get(collapsed, ZERO) + add
-        if new.is_zero():
-            out.pop(collapsed, None)
-        else:
-            out[collapsed] = new
-    return out, True
+
+class _ContractionIndex:
+    """Complete-family candidates among irreducible terms, kept up to date.
+
+    ``buckets`` maps ``(prefix, suffix, family, leg)`` to ``{member: (word,
+    coeff / member coeff)}``: a key and a member fix one word, so a group
+    never mixes legs.  ``ready`` holds the complete, proportional buckets
+    with their place in the canonical candidate order.
+    """
+
+    def __init__(self, rels: RelationSet):
+        self.rels = rels
+        self.buckets: dict[tuple, dict[int, tuple[Word, Scalar]]] = {}
+        self.ready: dict[tuple, tuple] = {}
+
+    def _slots(self, word: Word):
+        for t in range(len(word) - 1):
+            a, b = word[t], word[t + 1]
+            if a.leg == b.leg:
+                for fi, mi, inv in self.rels.pair_index.get((a.symbol, b.symbol), ()):
+                    yield (word[:t], word[t + 2 :], fi, a.leg), mi, inv
+
+    def add(self, word: Word, coeff: Scalar) -> None:
+        """Index a term; each slot it fills was empty, so only completion is new."""
+        for key, mi, inv in self._slots(word):
+            found = self.buckets.setdefault(key, {})
+            found[mi] = (word, coeff if inv is None else coeff * inv)
+            prefix, suffix, fi, leg = key
+            size = len(self.rels.families[fi].members)
+            if len(found) == size and all(found[m][1] == found[0][1] for m in range(1, size)):
+                self.ready[key] = (-size, fi, word_key(prefix), word_key(suffix), leg)
+
+    def remove(self, word: Word) -> None:
+        for key, mi, _ in self._slots(word):
+            found = self.buckets[key]
+            del found[mi]
+            self.ready.pop(key, None)
+            if not found:
+                del self.buckets[key]
 
 
 def reduce_poly(p: GradedPoly, rels: RelationSet):
-    """Alternate local rewriting and contraction to a fixpoint.
+    """Rewrite every term locally, then fire complete contractions to a fixpoint.
 
+    Local rules are pair rules, so after the first pass every term is
+    irreducible and a firing can only create a redex in its collapsed word.
     Returns (reduced polynomial on the same legs, trace lines).
     """
     trace: list[str] = []
-    terms = p._terms
-    while True:
-        terms, ch1 = _local_pass(terms, rels.local_rules, rels.swap_rules, trace)
-        terms, ch2 = _contraction_step(terms, rels, trace)
-        if not (ch1 or ch2):
-            break
+    local, swap = rels.local_rules, rels.swap_rules
+    terms = _local_pass(p._terms, local, swap, trace)
+    index = _ContractionIndex(rels)
+    for word, coeff in terms.items():
+        index.add(word, coeff)
+    while index.ready:
+        key = min(index.ready, key=index.ready.__getitem__)
+        prefix, suffix, fi, _ = key
+        fam = rels.families[fi]
+        found = index.buckets[key]
+        ratio = found[0][1]
+        for word, _ in list(found.values()):
+            del terms[word]
+            index.remove(word)
+        trace.append(
+            f"rule contract {fam.name} at {lword_str(prefix)}|...|{lword_str(suffix)} -> ({fam.rhs})"
+        )
+        add = ratio * fam.rhs
+        if add.is_zero():
+            continue
+        word, coeff = _rewrite(prefix + suffix, add, local, swap, trace)
+        if coeff.is_zero():
+            continue
+        old = terms.pop(word, None)
+        if old is not None:
+            index.remove(word)
+            coeff = old + coeff
+        if not coeff.is_zero():
+            terms[word] = coeff
+            index.add(word, coeff)
     return GradedPoly._make(terms, p.legs), trace
 
 
 def cuntz_reduce(p: GradedPoly, rels: RelationSet) -> GradedPoly:
     """Apply only the local pair rules (S*[i]S[j] -> delta_ij, x x* -> 1), per leg."""
-    terms, _ = _local_pass(p._terms, rels.local_rules, {}, [])
-    return GradedPoly._make(terms, p.legs)
+    return GradedPoly._make(_local_pass(p._terms, rels.local_rules, {}, []), p.legs)
 
 
 # -- verification reports ---------------------------------------------------

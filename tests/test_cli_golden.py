@@ -31,6 +31,8 @@ VERIFY = {
 # the five grid props at n=3, where the suites' index loops are longest
 N3 = ["--n", "3", "--d", "1,2,3", "--F", "diag:1,2,3"]
 N3_PROPS = ("coproduct", "fundamental", "cuntz-action", "matricial", "quotient")
+# n=3 props whose contraction traces are pinned step by step
+N3_TRACED = ("coproduct", "fundamental")
 
 # case name -> (argv, expected exit code); "{graph}" is a one-vertex graph file
 CASES = {
@@ -52,6 +54,10 @@ for _zeta in ("formal", "root:8"):
     for _prop in N3_PROPS:
         CASES[f"verify-{_prop}-n3-{_tag}"] = (
             ["verify", "--prop", _prop, *N3, "--zeta", _zeta], 0
+        )
+    for _prop in N3_TRACED:
+        CASES[f"verify-{_prop}-n3-trace-{_tag}"] = (
+            ["verify", "--prop", _prop, *N3, "--zeta", _zeta, "--trace"], 0
         )
 
 

@@ -67,6 +67,18 @@ def test_division_by_unit_terms():
     assert (rational(6) / (2 * sqrt(3))) * (2 * sqrt(3)) == rational(6)
 
 
+@given(st.integers(-4, 4), st.sampled_from([1, 2, 3, 5, 6]), st.integers(-6, 6).filter(bool), st.integers(1, 6))
+def test_inverse_of_a_unit_term(k, r, p, q):
+    x = Scalar({(k, r): Fraction(p, q)})
+    inv = x.inverse()
+    assert inv * x == ONE
+    # the same value and rendering as building 1/(c r) sqrt(r) z^-k through the constructor
+    assert inv == Scalar({(-k, r): 1 / (Fraction(p, q) * r)})
+    assert str(ONE / x) == str(inv)
+    with pytest.raises(ValueError):
+        ONE / (x + zeta(k + 1))
+
+
 def test_negative_power_of_unit():
     assert zeta(2) ** -1 == zeta(-2)
     with pytest.raises(ValueError):

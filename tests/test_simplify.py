@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidalg.algebra import CuntzFamilyRel, GradedPoly, Letter, UnitaryMatrixRel
+from braidalg.algebra import CuntzFamilyRel, GradedPoly, Letter, UnitaryMatrixRel, lword_str, word_key
 from braidalg.braided import embed
-from braidalg.scalars import FORMAL, ONE, Scalar, ZetaSpec, zeta
+from braidalg.scalars import FORMAL, ONE, ZERO, Scalar, ZetaSpec, sqrt, zeta
 from braidalg.simplify import (
     RelationSet,
     VerificationReport,
+    _local_pass,
     cuntz_reduce,
     reduce_poly,
     verify_identity,
 )
+from braidalg.uqf import build_uqf, make_datum
 
 
 def S(i, deg=1):
@@ -344,3 +346,140 @@ def test_report_merge_and_render():
     text = merged.render()
     assert "suite: Unverified" in text
     assert "a: Verified" in text
+
+
+# -- complete groups lie on one leg --------------------------------------------------
+
+
+def test_contraction_group_must_lie_on_one_leg():
+    # j1(u*[1,1] u[1,1]) + j2(u*[2,1] u[2,1]) matches u.col[1,1] member by
+    # member, but on two legs; it is not 1 in the braided square
+    pres = build_uqf(make_datum([[1, 0], [0, 1]], (0, 0)))
+    (u11, _), (u21, _) = pres.letters
+    lhs = embed(1, word_poly(u11.star(), u11), 2) + embed(2, word_poly(u21.star(), u21), 2)
+    report = verify_identity(lhs, GradedPoly.one(2), pres.relations)
+    assert report.verdict == "Unverified"
+    assert report.residual == lhs - GradedPoly.one(2)
+    assert report.trace == []
+
+
+# -- the incremental engine against a full-rescan oracle ----------------------------
+
+
+def rescan_reduce(p, rels):
+    """Reference engine: after a full local pass, rebuild every (prefix, suffix,
+    family, leg) bucket, dividing each coefficient by its member's, and fire
+    the first complete proportional group in canonical order."""
+    trace = []
+    terms = p._terms
+    while True:
+        terms = _local_pass(terms, rels.local_rules, rels.swap_rules, trace)
+        buckets = {}
+        for word, coeff in terms.items():
+            for t in range(len(word) - 1):
+                a, b = word[t], word[t + 1]
+                for fi, fam in enumerate(rels.families):
+                    for mi, (x, y, c) in enumerate(fam.members):
+                        if a.leg == b.leg and (a.symbol, b.symbol) == (x.symbol, y.symbol):
+                            key = (word[:t], word[t + 2 :], fi, a.leg)
+                            buckets.setdefault(key, {})[mi] = (word, coeff / c)
+        ready = [
+            (-len(rels.families[key[2]].members), key[2], word_key(key[0]), word_key(key[1]), key[3], key)
+            for key, found in buckets.items()
+            if len(found) == len(rels.families[key[2]].members)
+            and len({ratio for _, ratio in found.values()}) == 1
+        ]
+        if not ready:
+            return GradedPoly._make(terms, p.legs), trace
+        prefix, suffix, fi, leg = key = min(ready)[-1]
+        fam = rels.families[fi]
+        found = buckets[key]
+        terms = dict(terms)
+        for word, _ in found.values():
+            del terms[word]
+        trace.append(f"rule contract {fam.name} at {lword_str(prefix)}|...|{lword_str(suffix)} -> ({fam.rhs})")
+        add = found[0][1] * fam.rhs
+        if not add.is_zero():
+            new = terms.get(prefix + suffix, ZERO) + add
+            if new.is_zero():
+                del terms[prefix + suffix]
+            else:
+                terms[prefix + suffix] = new
+
+
+def test_contraction_rewrites_its_junction():
+    # S*[1] (u*[1,1] u[1,1] + u*[2,1] u[2,1]) S[2]: the contraction leaves the
+    # local redex S*[1] S[2] at its junction, which must still fire
+    d = (0, 1)
+    rels = RelationSet(cuntz_rels(2).relations + unitary_rels(d).relations)
+    p = GradedPoly.zero()
+    for k in (1, 2):
+        p = p + word_poly(S(1).star(), u(k, 1, d).star(), u(k, 1, d), S(2))
+    got, trace = reduce_poly(p, rels)
+    assert got.is_zero()
+    assert [line.split()[1] for line in trace] == ["contract", "local"]
+    assert (got, trace) == rescan_reduce(p, rels)
+
+
+def test_contraction_that_cancels_a_member_of_another_group():
+    # u[1,1] (sum_k u*[k,1] u[k,1]) u*[1,1] collapses onto u[1,1] u*[1,1],
+    # cancelling the first member of the row sum; that sum is then incomplete
+    d = (0, 1, 2)
+    rels = unitary_rels(d)
+    row = GradedPoly.zero()
+    for k in (1, 2, 3):
+        row = row + word_poly(u(1, k, d), u(1, k, d).star())
+    p = -row
+    for k in (1, 2, 3):
+        p = p + word_poly(u(1, 1, d), u(k, 1, d).star(), u(k, 1, d), u(1, 1, d).star())
+    got, trace = reduce_poly(p, rels)
+    assert got == word_poly(u(1, 1, d), u(1, 1, d).star()) - row
+    assert len(trace) == 1 and "u.col[1,1]" in trace[0]
+    assert (got, trace) == rescan_reduce(p, rels)
+
+
+# relation set and number of legs of each differential case.  "cuntz" adds a
+# unitary matrix to the Cuntz family, as the action on the Cuntz algebra does,
+# so that a contraction can leave a local redex S*[i] S[j] at its junction;
+# "diag" is the datum F = diag(1,2), d = (0,1), whose u' family has non-unit
+# member coefficients.
+_CASES = {
+    "unitary": (unitary_rels((0, 1, 2)), 1),
+    "cuntz": (RelationSet(cuntz_rels(2).relations + unitary_rels((0, 1)).relations), 1),
+    "diag": (build_uqf(make_datum([[1, 0], [0, 2]], (0, 1))).relations, 2),
+}
+_COEFFS = (ONE, ONE, -ONE, zeta(1), zeta(-2) * 3, sqrt(2), Scalar.from_fraction("1/2"))
+
+
+def _random_factor(rng, families, alphabet, legs):
+    """A complete family on one leg, sometimes broken, or a single letter."""
+    leg = rng.randint(1, legs)
+    if rng.random() < 0.3:
+        return GradedPoly({(rng.choice(alphabet).on_leg(leg),): rng.choice(_COEFFS)}, legs)
+    coeff = rng.choice(_COEFFS)
+    group = {(a.on_leg(leg), b.on_leg(leg)): c * coeff for a, b, c in rng.choice(families).members}
+    if rng.random() < 0.2:  # break the group: drop a member or bend its coefficient
+        word = rng.choice(sorted(group, key=word_key))
+        group[word] = ZERO if rng.random() < 0.5 else group[word] * zeta(1)
+    return GradedPoly(group, legs)
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+@given(st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_incremental_reduction_matches_rescan_oracle(case, seed):
+    rng = random.Random(seed)
+    rels, legs = _CASES[case]
+    # two families per example, so that products nest groups inside groups
+    families = rng.sample(rels.families, 2)
+    alphabet = sorted({l for a, b, _ in families[0].members + families[1].members for l in (a, b)}, key=str)
+    p = GradedPoly.zero(legs)
+    for _ in range(rng.randint(1, 3)):
+        chunk = GradedPoly.one(legs)
+        for _ in range(rng.randint(1, 3)):
+            chunk = chunk * _random_factor(rng, families, alphabet, legs)
+        p = p + chunk
+    got, got_trace = reduce_poly(p, rels)
+    want, want_trace = rescan_reduce(p, rels)
+    assert got == want
+    assert got_trace == want_trace
