@@ -14,8 +14,17 @@ product of two two-leg words, the leg structure ``(2, 2)``.
 
 from __future__ import annotations
 
-from .algebra import BadLeg, GradedPoly, LegMismatch, Letter, parse_poly
-from .scalars import ONE, ZERO, Scalar, parse_scalar, split_factors, split_terms
+from .algebra import (
+    BadLeg,
+    GradedPoly,
+    LegMismatch,
+    Letter,
+    _block_of,
+    _collect,
+    parse_poly,
+    word_degree,
+)
+from .scalars import ONE, Scalar, parse_scalar, split_factors, split_terms, zeta
 
 __all__ = [
     "BadLeg",
@@ -104,25 +113,50 @@ def parse_legged(text: str, alphabet, num_legs: int) -> GradedPoly:
     return total
 
 
-def apply_state_leg1(p: GradedPoly, state) -> GradedPoly:
-    """Evaluate a functional on the leg-1 prefix of every normal-form monomial.
+def _by_leg1_prefix(p: GradedPoly) -> dict:
+    """Group the terms of p by their leg-1 prefix: prefix -> [(rest, coeff)].
+
+    The rest is shifted down one leg; a normal-form word is sorted by leg, so
+    its leg-1 letters are a prefix.
+    """
+    groups: dict = {}
+    for w, c in p._terms.items():
+        k = 0
+        while k < len(w) and w[k].leg == 1:
+            k += 1
+        rest = tuple(l.on_leg(l.leg - 1) for l in w[k:])
+        groups.setdefault(w[:k], []).append((rest, c))
+    return groups
+
+
+def apply_state_leg1(p: GradedPoly, state, right: GradedPoly | None = None) -> GradedPoly:
+    """Evaluate a functional on the leg-1 prefix of every normal-form monomial of ``p * right``.
 
     ``state`` maps a tuple of letters (the leg-1 word) to a Scalar, Fraction
-    or int.  The remaining letters are shifted down one leg.
+    or int; ``right`` defaults to one.  The remaining letters are shifted down
+    one leg.  Both factors are grouped by leg-1 prefix and the state is
+    evaluated once per pair of prefixes, so a product word is leg-sorted and
+    phased only when its prefix pair has a nonzero value.  Moving the right
+    prefix left past the left rest costs ``z^(deg rest * deg prefix)``.
     """
     if len(p.legs) != 1 or p.legs[0] < 2:
         raise BadShape("need at least two braided legs to apply a leg-1 state")
-    terms: dict = {}
-    for w, c in p._terms.items():
-        value = state(tuple(l for l in w if l.leg == 1))
-        if not isinstance(value, Scalar):
-            value = Scalar.from_fraction(value)
-        if value.is_zero():
-            continue
-        rest = tuple(l.on_leg(l.leg - 1) for l in w if l.leg != 1)
-        new = terms.get(rest, ZERO) + c * value
-        if new.is_zero():
-            terms.pop(rest, None)
-        else:
-            terms[rest] = new
-    return GradedPoly._make(terms, (p.legs[0] - 1,))
+    left = _by_leg1_prefix(p)
+    other = {(): [((), ONE)]} if right is None else _by_leg1_prefix(p._coerce(right))
+    products = []
+    for head, rests in left.items():
+        for head_r, rests_r in other.items():
+            value = state(head + head_r)
+            if not isinstance(value, Scalar):
+                value = Scalar.from_fraction(value)
+            if value.is_zero():
+                continue
+            shift = word_degree(head_r)
+            scaled = [(rest_r, value * c_r) for rest_r, c_r in rests_r]
+            for rest, c in rests:
+                exponent = shift and shift * word_degree(rest)
+                if exponent:
+                    c = c * zeta(exponent)
+                products.extend((rest + rest_r, c * v) for rest_r, v in scaled)
+    legs = (p.legs[0] - 1,)
+    return GradedPoly._make(_collect(products, _block_of(legs)), legs)

@@ -10,6 +10,7 @@ a mechanical reduction and reports Verified or the surviving residual.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +30,14 @@ from .algebra import (
     scalar_mat_inverse,
 )
 from .braided import apply_state_leg1, embed, lift_legs, psi_flatten
-from .graphalg import GraphData, KmsData, normalized_ftilde
+from .graphalg import (
+    GraphData,
+    KmsData,
+    check_dagger,
+    cuntz_graph,
+    kms_state,
+    normalized_ftilde,
+)
 from .scalars import FORMAL, ONE, ZERO, Scalar, ZetaSpec, zeta
 from .simplify import RelationSet, VerificationReport, cuntz_reduce, verify_identity
 
@@ -162,12 +170,16 @@ class UqfPresentation:
     letters: list  # n x n Letter
     u: list  # n x n GradedPoly
     u_prime: list  # n x n GradedPoly
-    relations: RelationSet
     presentation: Presentation
 
     @property
     def n(self) -> int:
         return self.datum.n
+
+    @functools.cached_property
+    def relations(self) -> RelationSet:
+        """The engine rules of the presentation, compiled on first use."""
+        return RelationSet(self.presentation.relations)
 
 
 def build_uqf(datum: AdmissibilityDatum, name: str = "u") -> UqfPresentation:
@@ -190,7 +202,7 @@ def build_uqf(datum: AdmissibilityDatum, name: str = "u") -> UqfPresentation:
         degree_tuples={"d": datum.d, "d'": datum.d_prime, "d0": datum.d0},
         relations=[UnitaryMatrixRel(name, _rows(u)), UnitaryMatrixRel(f"{name}'", _rows(u_prime))],
     )
-    return UqfPresentation(datum, letters, u, u_prime, RelationSet(pres.relations), pres)
+    return UqfPresentation(datum, letters, u, u_prime, pres)
 
 
 def _rows(matrix) -> tuple:
@@ -416,47 +428,40 @@ def cuntz_action(n: int, d, spec: ZetaSpec = FORMAL, letters=None):
 
 def _cuntz_tau(n: int):
     """The equilibrium state on words in n isometries: delta(paths) n^-len."""
-    from .graphalg import cuntz_graph, check_dagger, kms_state
-
     g = cuntz_graph(n)
-    k = check_dagger(g)
-    return kms_state(g, k)
+    return kms_state(g, check_dagger(g))
 
 
 def verify_kms_preservation(n: int, d, L: int, spec: ZetaSpec = FORMAL) -> VerificationReport:
     """(state x id) applied to the action of a span element returns its state value.
 
-    Exhaustive over pairs of multi-indices up to length L, exact arithmetic.
+    Exhaustive over pairs of multi-indices up to length L, exact arithmetic:
+    for every (alpha, beta) the leg-1 state of P(alpha) P(beta)* must reduce
+    to tau(S_alpha S*_beta), where P(alpha) = eta_a1 ... eta_ak is the image
+    of S_alpha.  Each P(alpha) is built once from its prefix, each P(beta)*
+    is taken once, and the state is applied while they are multiplied.
     """
     d = tuple(d)
     base = build_uqf(make_datum(diag_matrix([ONE] * n), d))
-    S = cuntz_letters(n, d)
     rels = base.relations
-    tau = _cuntz_tau(n)
+    tau = functools.cache(_cuntz_tau(n))
+    eta = _linear_action(cuntz_letters(n, d), base.letters)
 
-    eta = _linear_action(S, base.letters)
-    eta_star = [p.star() for p in eta]
+    indices = [a for k in range(L + 1) for a in itertools.product(range(n), repeat=k)]
+    paths = {}
+    for alpha in indices:
+        paths[alpha] = paths[alpha[:-1]] * eta[alpha[-1]] if alpha else GradedPoly.one(2)
+    starred = {beta: paths[beta].star() for beta in indices}
 
     reports = []
-    indices = []
-    for length in range(L + 1):
-        indices.extend(itertools.product(range(n), repeat=length))
     for alpha in indices:
         for beta in indices:
-            image = GradedPoly.one(2)
-            for a in alpha:
-                image = image * eta[a]
-            for b in reversed(beta):
-                image = image * eta_star[b]
-            applied = apply_state_leg1(image, tau)
-            expected_value = (
-                Fraction(1, n ** len(alpha)) if alpha == beta else Fraction(0)
-            )
-            expected = GradedPoly.from_scalar(expected_value)
+            applied = apply_state_leg1(paths[alpha], tau, right=starred[beta])
+            expected_value = Fraction(1, n ** len(alpha)) if alpha == beta else Fraction(0)
             reports.append(
                 verify_identity(
                     applied,
-                    expected,
+                    GradedPoly.from_scalar(expected_value),
                     rels,
                     spec,
                     f"alpha={list(a + 1 for a in alpha)} beta={list(b + 1 for b in beta)}",

@@ -1,6 +1,8 @@
 """Leg-indexed words: commutation phases, sorting confluence, the flattening map."""
 
 import random
+import zlib
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from braidalg.braided import (
     embed,
     psi_flatten,
 )
+from braidalg.graphalg import check_dagger, cuntz_graph, kms_state
 from braidalg.scalars import ONE, Scalar, zeta
 
 Z = Letter("z", (), 1)
@@ -277,3 +280,72 @@ def test_apply_state_on_leg_one():
     p = one_term(2, (1, s1), (2, x)) + one_term(2, (1, s2), (2, x)) * 5
     out = apply_state_leg1(p, state)
     assert out == GradedPoly.from_letter(x)
+
+
+def state_then_shift(p, state):
+    """Reference: evaluate the state on each normal-form word's leg-1 letters, one word at a time."""
+    terms = {}
+    for w, c in p.items():
+        value = state(tuple(l for l in w if l.leg == 1))
+        rest = tuple(l.on_leg(l.leg - 1) for l in w if l.leg != 1)
+        terms[rest] = terms.get(rest, 0) + c * value
+    return GradedPoly(terms, p.legs[0] - 1)
+
+
+def sparse_state(seed):
+    """A word-to-scalar functional that is zero on most words and not diagonal."""
+
+    def state(word):
+        h = zlib.crc32(repr((seed, [(l.sort_key, l.degree) for l in word])).encode())
+        if h % 4:
+            return 0
+        if h & 16:
+            return Fraction(h % 5 - 2, 3)
+        return zeta(h % 7 - 3) * (h % 3 + 1)
+
+    return state
+
+
+def random_phased_poly(rng, num_legs, leg1_letters, other_letters):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        word = []
+        for _ in range(rng.randint(0, 4)):
+            leg = rng.randint(1, num_legs)
+            letter = rng.choice(leg1_letters if leg == 1 else other_letters)
+            word.append((letter.star() if rng.random() < 0.4 else letter).on_leg(leg))
+        terms[tuple(word)] = zeta(rng.randint(-2, 2)) * rng.choice([1, 2, -3])
+    return GradedPoly(terms, num_legs)
+
+
+@given(st.integers(0, 400), st.sampled_from([2, 3]))
+@settings(max_examples=80)
+def test_state_applied_while_multiplying_matches_the_product(seed, num_legs):
+    rng = random.Random(seed)
+    letters = [L("x", -1, 1), L("x", 2, 2), L("y", 1), L("w", 0)]
+    state = sparse_state(seed)
+    p = random_phased_poly(rng, num_legs, letters[:2], letters)
+    q = random_phased_poly(rng, num_legs, letters[:2], letters)
+    fused = apply_state_leg1(p, state, right=q)
+    assert fused == apply_state_leg1(p * q, state)
+    assert fused == state_then_shift(p * q, state)
+
+
+@given(st.integers(0, 400), st.sampled_from([2, 3]))
+@settings(max_examples=60)
+def test_kms_state_applied_while_multiplying_matches_the_product(seed, num_legs):
+    rng = random.Random(seed)
+    g = cuntz_graph(2)
+    state = kms_state(g, check_dagger(g))
+    S = [L("S", 1, 1), L("S", 1, 2)]
+    others = S + [L("u", -1, 1, 2), L("u", 1, 2, 1)]
+    p = random_phased_poly(rng, num_legs, S, others)
+    q = random_phased_poly(rng, num_legs, S, others)
+    fused = apply_state_leg1(p, state, right=q)
+    assert fused == apply_state_leg1(p * q, state)
+    assert fused == state_then_shift(p * q, state)
+
+
+def test_state_with_a_right_factor_checks_legs():
+    with pytest.raises(LegMismatch):
+        apply_state_leg1(GradedPoly.one(2), lambda word: 1, right=GradedPoly.one(3))

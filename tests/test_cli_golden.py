@@ -33,6 +33,8 @@ N3 = ["--n", "3", "--d", "1,2,3", "--F", "diag:1,2,3"]
 N3_PROPS = ("coproduct", "fundamental", "cuntz-action", "matricial", "quotient")
 # n=3 props whose contraction traces are pinned step by step
 N3_TRACED = ("coproduct", "fundamental")
+# kms-preserve at n=3, where pairs of unequal length and phased words meet the state
+KMS_N3 = ["--n", "3", "--d", "1,2,3", "--len", "2"]
 
 # case name -> (argv, expected exit code); "{graph}" is a one-vertex graph file
 CASES = {
@@ -59,6 +61,9 @@ for _zeta in ("formal", "root:8"):
         CASES[f"verify-{_prop}-n3-trace-{_tag}"] = (
             ["verify", "--prop", _prop, *N3, "--zeta", _zeta, "--trace"], 0
         )
+    CASES[f"verify-kms-preserve-n3-trace-{_tag}"] = (
+        ["verify", "--prop", "kms-preserve", *KMS_N3, "--zeta", _zeta, "--trace"], 0
+    )
 
 
 def invoke(argv, graph_path):

@@ -1,5 +1,6 @@
 """Admissibility, presentations, bosonization, and the proposition suites."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -268,6 +269,16 @@ def test_kms_preservation_mixed_lengths_vanish():
     report = verify_kms_preservation(2, (0, 1), 2)
     names = dict(report.checks)
     assert names["alpha=[1] beta=[1, 2]"] == "Verified"
+
+
+@pytest.mark.parametrize("n, d, L", [(2, (0, 1), 2), (3, (0, 1, 2), 1)])
+def test_kms_preservation_checks_every_pair_once(n, d, L):
+    report = verify_kms_preservation(n, d, L)
+    names = [name for name, _ in report.checks]
+    paths = [list(w) for k in range(L + 1) for w in itertools.product(range(1, n + 1), repeat=k)]
+    assert len(names) == sum(n**k for k in range(L + 1)) ** 2
+    assert len(set(names)) == len(names)
+    assert set(names) == {f"alpha={a} beta={b}" for a in paths for b in paths}
 
 
 # -- abstract constraints and quotient identities ---------------------------------------
