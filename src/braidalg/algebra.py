@@ -566,15 +566,15 @@ _LETTER_RE = _re.compile(
     r"\s*(?P<name>[A-Za-z][A-Za-z0-9_]*)(?P<star>\*(?=$|[\[\^\*\s]))?"
     r"(\[(?P<index>-?\d+(\s*,\s*-?\d+)*)\])?(\^(?P<pow>\d+))?\s*"
 )
-_RATIONAL_RE = _re.compile(r"\s*(?P<num>-?\d+)(\s*/\s*(?P<den>\d+))?\s*")
 
 
 def parse_poly(text: str, alphabet: dict[tuple[str, tuple[int, ...]], Letter]) -> GradedPoly:
     """Parse the CLI expression grammar over a known alphabet.
 
-    Factors are separated by '*'; a factor is a rational, a parenthesized
-    scalar (phase z allowed inside), or a letter like u[1,2], u*[1,2], S[3],
-    z, z*, optionally with a positive power ^k.
+    Factors are separated by '*'; a factor is a letter like u[1,2], u*[1,2],
+    S[3], z, z*, optionally with a positive power ^k, or else a scalar as
+    ``parse_scalar`` reads it: a rational, a bare sqrt(r), or a parenthesized
+    scalar (phase z allowed inside).
     """
     total = GradedPoly.zero()
     for sign, body in split_terms(text):
@@ -584,7 +584,7 @@ def parse_poly(text: str, alphabet: dict[tuple[str, tuple[int, ...]], Letter]) -
                 term = term * GradedPoly.from_scalar(parse_scalar(factor[1:-1]))
                 continue
             m = _LETTER_RE.fullmatch(factor)
-            if m and m.group("name") is not None and not factor.lstrip()[0].isdigit():
+            if m:
                 name = m.group("name")
                 index = tuple(int(t) for t in m.group("index").split(",")) if m.group("index") else ()
                 key = (name, index)
@@ -597,14 +597,9 @@ def parse_poly(text: str, alphabet: dict[tuple[str, tuple[int, ...]], Letter]) -
                 for _ in range(power):
                     term = term * letter
                 continue
-            m = _RATIONAL_RE.fullmatch(factor)
-            if m:
-                den = m.group("den")
-                term = term * GradedPoly.from_scalar(
-                    Fraction(int(m.group("num")), int(den) if den else 1)
-                )
-                continue
-            raise ValueError(f"cannot parse factor {factor!r}")
+            if factor.lstrip().startswith("z"):
+                raise ValueError(f"a phase factor must be parenthesized: {factor!r}")
+            term = term * GradedPoly.from_scalar(parse_scalar(factor))
         total = total + term
     return total
 

@@ -33,7 +33,7 @@ def _parse_zeta(text: str) -> ZetaSpec:
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
+    return tuple(int(tok) for tok in text.split(","))
 
 
 def _parse_matrix_text(text: str) -> list[list[Scalar]]:
@@ -167,6 +167,8 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_fusion(args, out) -> int:
+    if args.n is not None and args.n < 1:
+        raise ValueError("--n must be >= 1")
     left = fusion_mod.parse_irrep(args.left)
     right = fusion_mod.parse_irrep(args.right)
     result = fusion_mod.fuse(left, right)

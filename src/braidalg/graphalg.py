@@ -6,11 +6,13 @@ eigenvector (always the case for a nonnegative matrix, but checked
 honestly).  The state on a span element indexed by two paths is
 ``delta(alpha, beta) * rho^-|alpha| * weight(range of alpha)``.
 
-The spectral radius is found by power iteration and then certified exactly
-when possible: each small rational candidate near the float value is tested
-by an exact kernel solve, and on success every downstream value is an exact
-rational.  Graphs whose radius cannot be certified fall back to float mode;
-symbolic consumers reject those.
+The spectral radius is certified exactly when it is an integer: the largest
+integer root c of the characteristic polynomial is found by a scan up to the
+max row sum, and c is the radius exactly when every coefficient of the
+polynomial shifted to c is nonnegative (see ``check_dagger``).  The weights
+then come from an exact kernel solve, and every downstream value is an exact
+rational.  Otherwise the radius is irrational and is found by power
+iteration in float mode; symbolic consumers reject that mode.
 """
 
 from __future__ import annotations
@@ -121,6 +123,14 @@ class GraphData:
         for e in range(self.num_edges):
             yield from extend((e,))
 
+    def path_pairs(self, max_len: int):
+        """All pairs of paths of length at most max_len, ordered by (|alpha|, |beta|)."""
+        for la in range(max_len + 1):
+            for lb in range(max_len + 1):
+                for alpha in self.paths(la):
+                    for beta in self.paths(lb):
+                        yield alpha, beta
+
     def path_degree(self, path: tuple[int, ...]) -> int:
         return sum(self.gauge_degrees[e] for e in path)
 
@@ -198,59 +208,13 @@ def _poly_eval(p: list[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-def _poly_normalize(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Long division a = q*b + r by a normalized nonzero b; returns (q, r), r normalized."""
-    a = _poly_normalize(list(a))
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        f = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        q[shift] = f
-        for i, c in enumerate(b):
-            a[shift + i] -= f * c
-        a = _poly_normalize(a[:-1])
-    return q, a
-
-
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _poly_normalize(list(a)), _poly_normalize(list(b))
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    return a
-
-
-def _count_real_roots_above(p: list[Fraction], bound: Fraction, upper: Fraction) -> int:
-    """Distinct real roots of p in (bound, upper], by a Sturm chain on the
-    squarefree part."""
-    p = _poly_normalize(list(p))
-    deriv = _poly_normalize([i * c for i, c in enumerate(p)][1:])
-    if not deriv:
-        return 0
-    g = _poly_gcd(p, deriv)
-    if len(g) > 1:
-        p = _poly_divmod(p, g)[0]
-    chain = [p, _poly_normalize([i * c for i, c in enumerate(p)][1:])]
-    while chain[-1]:
-        rem = _poly_divmod(chain[-2], chain[-1])[1]
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-
-    def variations(x: Fraction) -> int:
-        signs = []
-        for q in chain:
-            v = _poly_eval(q, x)
-            if v != 0:
-                signs.append(1 if v > 0 else -1)
-        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
-
-    return variations(bound) - variations(upper)
+def _shifted(p: list[Fraction], c: int) -> list[Fraction]:
+    """Coefficients of p(x + c), ascending, by repeated synthetic division by x - c."""
+    q = list(p)
+    for i in range(len(q) - 1):
+        for j in range(len(q) - 2, i - 1, -1):
+            q[j] += c * q[j + 1]
+    return q
 
 
 def _rref_kernel(mat: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -309,33 +273,36 @@ def _nonnegative_kernel_vector(basis: list[list[Fraction]]) -> list[Fraction] | 
 def check_dagger(g: GraphData):
     """Spectral radius, eigenvalue test, nonnegative weights; exact when certifiable.
 
-    The radius of a nonnegative integer matrix is its largest real eigenvalue,
-    and a rational root of a monic integer polynomial is an integer.  So
-    certification is fully exact: scan the integer roots of the characteristic
-    polynomial up to the max row sum, take the largest, and confirm by a Sturm
-    count that no real root lies above it.  Otherwise the radius is irrational
-    and float mode applies.
+    A rational root of the monic integer characteristic polynomial chi is an
+    integer, so the radius rho is certified exactly when it is one: take the
+    largest integer root c of chi up to the max row sum, and accept it when
+    every coefficient of chi(x + c) is >= 0.  That holds exactly when c = rho:
+
+    - By Perron-Frobenius rho is an eigenvalue, and every eigenvalue lambda
+      has Re lambda <= |lambda| <= rho.  So if c = rho, chi(x + c) is a
+      product of factors x + a with a >= 0 and x^2 + 2 Re(c - lambda) x +
+      |c - lambda|^2, all with coefficients >= 0, and so is the product.
+    - Conversely, if every coefficient is >= 0, then chi(x + c) >= x^n > 0
+      for x > 0, so no real root lies above c, rho included.  Since c is a
+      real eigenvalue, c <= rho, hence c = rho.
+
+    Otherwise the radius is irrational and float mode applies.
     """
     mat = vertex_matrix(g)
     n = g.num_vertices
     chi = _char_poly(mat)
     row_bound = max(sum(row) for row in mat)
 
-    integer_roots = [c for c in range(row_bound + 1) if _poly_eval(chi, Fraction(c)) == 0]
-    if integer_roots:
-        cand = Fraction(max(integer_roots))
-        if _count_real_roots_above(chi, cand, Fraction(row_bound + 1)) == 0:
-            shifted = [
-                [Fraction(mat[i][j]) - (cand if i == j else 0) for j in range(n)]
-                for i in range(n)
-            ]
-            basis = _rref_kernel(shifted)
-            weights = _nonnegative_kernel_vector(basis)
-            if weights is None:
-                return NOT_SATISFIED
-            total = sum(weights)
-            weights = [w / total for w in weights]
-            return KmsData(cand, tuple(weights), True)
+    c = next((c for c in range(row_bound, -1, -1) if _poly_eval(chi, c) == 0), None)
+    if c is not None and min(_shifted(chi, c)) >= 0:
+        shifted = [
+            [Fraction(mat[i][j] - (c if i == j else 0)) for j in range(n)] for i in range(n)
+        ]
+        weights = _nonnegative_kernel_vector(_rref_kernel(shifted))
+        if weights is None:
+            return NOT_SATISFIED
+        total = sum(weights)
+        return KmsData(Fraction(c), tuple(w / total for w in weights), True)
 
     # irrational radius: float fallback
     rho_f, x_f = _power_iteration(mat)
@@ -374,20 +341,17 @@ def check_gauge_equivariance(g: GraphData, k: KmsData, max_len: int = 2) -> Veri
     """
     checks = []
     ok = True
-    for la in range(max_len + 1):
-        for lb in range(max_len + 1):
-            for alpha in g.paths(la):
-                for beta in g.paths(lb):
-                    value = kms_eval(g, k, alpha, beta)
-                    exponent = g.path_degree(alpha) - g.path_degree(beta)
-                    invariant = exponent == 0 or value == 0
-                    ok = ok and invariant
-                    checks.append(
-                        (
-                            f"alpha={list(alpha)} beta={list(beta)} z-exp={exponent}",
-                            "Verified" if invariant else "Unverified",
-                        )
-                    )
+    for alpha, beta in g.path_pairs(max_len):
+        value = kms_eval(g, k, alpha, beta)
+        exponent = g.path_degree(alpha) - g.path_degree(beta)
+        invariant = exponent == 0 or value == 0
+        ok = ok and invariant
+        checks.append(
+            (
+                f"alpha={list(alpha)} beta={list(beta)} z-exp={exponent}",
+                "Verified" if invariant else "Unverified",
+            )
+        )
     return VerificationReport(
         "gauge-equivariance", "Verified" if ok else "Unverified", None, [], checks
     )
@@ -410,9 +374,6 @@ def normalized_ftilde(g: GraphData, k: KmsData) -> list[Fraction]:
                 f"edge {e + 1} ranges at a zero-weight vertex; normalization undefined"
             )
         diag.append(w)
-    # consistency of the normalizers: each normalized diagonal product equals rho
-    for e, w in enumerate(diag):
-        assert (k.rho / w) * w == k.rho
     return diag
 
 
@@ -478,12 +439,7 @@ def kms_state(g: GraphData, k: KmsData, name: str = "S"):
         gamma_t, delta_t = tuple(gamma), tuple(delta)
         if not g.is_path(gamma_t) or not g.is_path(delta_t):
             return Scalar.from_fraction(0)
-        if gamma_t != delta_t:
-            return Scalar.from_fraction(0)
-        if not gamma_t:
-            return Scalar.from_fraction(1)
-        w = k.vertex_weights[g.range(gamma_t[-1])]
-        return Scalar.from_fraction(w / k.rho ** len(gamma_t))
+        return Scalar.from_fraction(kms_eval(g, k, gamma_t, delta_t))
 
     return evaluate
 
@@ -544,10 +500,7 @@ def kms_table(g: GraphData, k: KmsData, max_len: int) -> str:
         return str(v) if isinstance(v, Fraction) else repr(v)
 
     lines = ["alpha\tbeta\tvalue"]
-    for la in range(max_len + 1):
-        for lb in range(max_len + 1):
-            for alpha in g.paths(la):
-                for beta in g.paths(lb):
-                    value = kms_eval(g, k, alpha, beta)
-                    lines.append(f"{fmt_path(alpha)}\t{fmt_path(beta)}\t{fmt_value(value)}")
+    for alpha, beta in g.path_pairs(max_len):
+        value = kms_eval(g, k, alpha, beta)
+        lines.append(f"{fmt_path(alpha)}\t{fmt_path(beta)}\t{fmt_value(value)}")
     return "\n".join(lines) + "\n"

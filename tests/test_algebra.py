@@ -186,3 +186,13 @@ def test_parse_poly_grammar():
     q = parse_poly("(z^2)*z*^2", alphabet)
     z = Letter("z", (), 1)
     assert q == GradedPoly({(z.star(), z.star()): zeta(2)})
+
+
+def test_parse_poly_scalar_factors_go_through_parse_scalar():
+    alphabet = {("u", (1, 1)): u(1, 1, (0,))}
+    one = GradedPoly.from_letter(alphabet[("u", (1, 1))])
+    assert parse_poly("u[1,1]*sqrt(2)", alphabet) == one * sqrt(2)
+    assert parse_poly("-3/4*u[1,1]", alphabet) == one * rational("-3/4")
+    for text in ("u[1,1]*1/0", "u[1,1]*z^-1"):
+        with pytest.raises(ValueError):
+            parse_poly(text, alphabet)

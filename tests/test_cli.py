@@ -144,6 +144,22 @@ def test_fusion_zero_dimension_parameter_is_an_input_error():
     assert "error" in err
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_fusion_bad_dimension_parameter_prints_nothing(n):
+    code, out, err = invoke(["fusion", "--left", "(0; a)", "--right", "(0; b)", "--n", n])
+    assert code == 1
+    assert out == ""
+    assert "error" in err
+
+
+@pytest.mark.parametrize("degrees", ["0,,1", "0,1,", ",0,1"])
+def test_empty_degree_token_is_an_input_error(degrees):
+    code, out, err = invoke(["verify", "--prop", "coproduct", "--n", "2", "--d", degrees])
+    assert code == 1
+    assert out == ""
+    assert "error" in err
+
+
 def test_dims_negative_maxlen_is_an_input_error():
     code, out, err = invoke(["dims", "--n", "2", "--maxlen", "-1"])
     assert code == 1

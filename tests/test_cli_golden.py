@@ -17,7 +17,21 @@ from braidalg.cli import run
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-ONE_VERTEX_GRAPH = "vertices 1\nedge 1 1 1 deg 1\nedge 2 1 1 deg 1\n"
+# kms case name -> the graph text passed as its "{graph}" file
+GRAPHS = {
+    # one vertex, two loops: exact, rho = 2
+    "kms": "vertices 1\nedge 1 1 1 deg 1\nedge 2 1 1 deg 1\n",
+    # the 2-cycle: exact, rho = 1
+    "kms-two-cycle": "vertices 2\nedge 1 1 2 deg 1\nedge 2 2 1 deg 1\n",
+    # D = [[1,1],[0,1]], a Jordan block: exact, rho = 1, weights (1, 0)
+    "kms-defective": "vertices 2\nedge 1 1 1 deg 1\nedge 2 1 2 deg 1\nedge 3 2 2 deg 1\n",
+    # D = diag([2], [[1,2],[1,1]]): 2 is an eigenvalue but rho = 1 + sqrt(2),
+    # so the run is in float mode
+    "kms-irrational": (
+        "vertices 3\nedge 1 1 1 deg 1\nedge 2 1 1 deg 1\nedge 3 2 2 deg 1\n"
+        "edge 4 2 3 deg 1\nedge 5 2 3 deg 1\nedge 6 3 2 deg 1\nedge 7 3 3 deg 1\n"
+    ),
+}
 
 VERIFY = {
     "coproduct": ["--n", "2", "--d", "0,1"],
@@ -36,14 +50,15 @@ N3_TRACED = ("coproduct", "fundamental")
 # kms-preserve at n=3, where pairs of unequal length and phased words meet the state
 KMS_N3 = ["--n", "3", "--d", "1,2,3", "--len", "2"]
 
-# case name -> (argv, expected exit code); "{graph}" is a one-vertex graph file
+# case name -> (argv, expected exit code); "{graph}" is the file of GRAPHS[case]
 CASES = {
     "admissible": (["admissible", "--F", "I", "--n", "3", "--d", "1,2,3"], 0),
     "presentation": (["presentation", "--F", "diag:1,2", "--d", "0,1"], 0),
-    "kms": (["kms", "--graph", "{graph}", "--len", "2"], 0),
     "fusion": (["fusion", "--left", "(0; a)", "--right", "(0; b)", "--n", "2"], 0),
     "dims": (["dims", "--n", "2", "--maxlen", "4"], 0),
 }
+for _case in GRAPHS:
+    CASES[_case] = (["kms", "--graph", "{graph}", "--len", "2"], 0)
 for _zeta in ("formal", "root:8"):
     _tag = _zeta.replace(":", "")
     CASES[f"bosonize-{_tag}"] = (
@@ -66,8 +81,13 @@ for _zeta in ("formal", "root:8"):
     )
 
 
-def invoke(argv, graph_path):
-    argv = [graph_path if a == "{graph}" else a for a in argv]
+def invoke(case, tmp_dir):
+    """Run one case, writing its graph file into tmp_dir first."""
+    argv, _ = CASES[case]
+    if case in GRAPHS:
+        graph = Path(tmp_dir) / f"{case}.graph"
+        graph.write_text(GRAPHS[case])
+        argv = [str(graph) if a == "{graph}" else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     code = run(argv, out, err)
     return code, out.getvalue()
@@ -75,11 +95,8 @@ def invoke(argv, graph_path):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_golden(case, tmp_path):
-    graph = tmp_path / "o2.graph"
-    graph.write_text(ONE_VERTEX_GRAPH)
-    argv, expected_code = CASES[case]
-    code, out = invoke(argv, str(graph))
-    assert code == expected_code
+    code, out = invoke(case, tmp_path)
+    assert code == CASES[case][1]
     assert out == (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
 
 
@@ -88,10 +105,8 @@ if __name__ == "__main__":
 
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        graph = Path(tmp) / "o2.graph"
-        graph.write_text(ONE_VERTEX_GRAPH)
-        for case, (argv, expected_code) in sorted(CASES.items()):
-            code, out = invoke(argv, str(graph))
+        for case, (_, expected_code) in sorted(CASES.items()):
+            code, out = invoke(case, tmp)
             if code != expected_code:
                 sys.exit(f"{case}: exit code {code}, expected {expected_code}")
             (GOLDEN / f"{case}.out").write_text(out, encoding="utf-8")
