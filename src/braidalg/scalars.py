@@ -141,7 +141,14 @@ class Scalar:
                     cleaned.pop(key, None)
                 else:
                     cleaned[key] = new
-        object.__setattr__(self, "_terms", cleaned)
+        self._terms = cleaned
+
+    @classmethod
+    def _make(cls, terms: dict[tuple[int, int], Fraction]) -> "Scalar":
+        """Wrap terms that are already in normal form with nonzero coefficients."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
 
     # -- constructors -----------------------------------------------------
 
@@ -195,16 +202,12 @@ class Scalar:
                 terms.pop(key, None)
             else:
                 terms[key] = new
-        out = Scalar.__new__(Scalar)
-        object.__setattr__(out, "_terms", terms)
-        return out
+        return Scalar._make(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        out = Scalar.__new__(Scalar)
-        object.__setattr__(out, "_terms", {k: -c for k, c in self._terms.items()})
-        return out
+        return Scalar._make({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other) -> "Scalar":
         other = _coerce(other)
@@ -230,9 +233,7 @@ class Scalar:
                     terms.pop(key, None)
                 else:
                     terms[key] = new
-        out = Scalar.__new__(Scalar)
-        object.__setattr__(out, "_terms", terms)
-        return out
+        return Scalar._make(terms)
 
     __rmul__ = __mul__
 
@@ -249,9 +250,7 @@ class Scalar:
             raise ValueError(f"can only divide by a single-term scalar, got {self}")
         ((k, r), c), = self._terms.items()
         # 1 / (c sqrt(r) z^k) = (1/(c r)) sqrt(r) z^-k; r is already square-free
-        out = Scalar.__new__(Scalar)
-        object.__setattr__(out, "_terms", {(-k, r): 1 / (c * r)})
-        return out
+        return Scalar._make({(-k, r): 1 / (c * r)})
 
     def __pow__(self, n: int) -> "Scalar":
         if n < 0:
@@ -269,9 +268,7 @@ class Scalar:
 
     def star(self) -> "Scalar":
         """Complex conjugation: z^k -> z^-k, rationals and radicals fixed."""
-        out = Scalar.__new__(Scalar)
-        object.__setattr__(out, "_terms", {(-k, r): c for (k, r), c in self._terms.items()})
-        return out
+        return Scalar._make({(-k, r): c for (k, r), c in self._terms.items()})
 
     def specialize(self, spec: ZetaSpec) -> "Scalar":
         """Canonical residue modulo the cyclotomic polynomial of spec.order."""

@@ -49,6 +49,9 @@ N3_PROPS = ("coproduct", "fundamental", "cuntz-action", "matricial", "quotient")
 N3_TRACED = ("coproduct", "fundamental")
 # kms-preserve at n=3, where pairs of unequal length and phased words meet the state
 KMS_N3 = ["--n", "3", "--d", "1,2,3", "--len", "2"]
+# the two Hopf-structure props at n=5, the largest size the suites are timed at
+N5 = ["--n", "5", "--d", "0,1,2,3,4"]
+N5_PROPS = ("coproduct", "fundamental")
 
 # case name -> (argv, expected exit code); "{graph}" is the file of GRAPHS[case]
 CASES = {
@@ -75,6 +78,10 @@ for _zeta in ("formal", "root:8"):
     for _prop in N3_TRACED:
         CASES[f"verify-{_prop}-n3-trace-{_tag}"] = (
             ["verify", "--prop", _prop, *N3, "--zeta", _zeta, "--trace"], 0
+        )
+    for _prop in N5_PROPS:
+        CASES[f"verify-{_prop}-n5-{_tag}"] = (
+            ["verify", "--prop", _prop, *N5, "--zeta", _zeta], 0
         )
     CASES[f"verify-kms-preserve-n3-trace-{_tag}"] = (
         ["verify", "--prop", "kms-preserve", *KMS_N3, "--zeta", _zeta, "--trace"], 0

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from braidalg import fusion
 from braidalg.fusion import (
     FusionResult,
     Irrep,
@@ -142,3 +143,80 @@ def test_parse_irrep():
 def test_fusion_result_rendering():
     out = fuse(R(0, "a"), R(0, "b"))
     assert str(out) == "1 x (0; e)\n1 x (0; ab)"
+
+
+@pytest.mark.parametrize("n, max_len", [(0, 2), (-1, 1), (2, -1), (1, -3)])
+def test_check_fusion_ring_rejects_bad_bounds(n, max_len):
+    with pytest.raises(ValueError):
+        check_fusion_ring(n, max_len)
+
+
+# At n = 1 every class is one-dimensional, so dim(r x s) fails wherever the
+# product has more than one summand; recorded from the per-Irrep audit.
+N1_AUDIT = """\
+fusion-ring: Unverified
+  exhaustive over 7 words, n=1: Unverified
+  dim((0; a),(0; b)): Unverified
+  dim((0; a),(0; ba)): Unverified
+  dim((0; a),(0; bb)): Unverified
+  dim((0; b),(0; a)): Unverified
+  dim((0; b),(0; aa)): Unverified
+  dim((0; b),(0; ab)): Unverified
+  dim((0; aa),(0; b)): Unverified
+  dim((0; aa),(0; ba)): Unverified
+  dim((0; aa),(0; bb)): Unverified
+  dim((0; ab),(0; a)): Unverified
+  dim((0; ab),(0; aa)): Unverified
+  dim((0; ab),(0; ab)): Unverified
+  dim((0; ba),(0; b)): Unverified
+  dim((0; ba),(0; ba)): Unverified
+  dim((0; ba),(0; bb)): Unverified
+  dim((0; bb),(0; a)): Unverified
+  dim((0; bb),(0; aa)): Unverified
+  dim((0; bb),(0; ab)): Unverified
+"""
+
+
+def test_check_fusion_ring_n1_failure_report():
+    assert check_fusion_ring(1, 2).render() == N1_AUDIT
+
+
+def _first_failures(report):
+    first = {}
+    for name, verdict in report.checks[1:]:
+        assert verdict == "Unverified"
+        first.setdefault(name.split("(")[0], name)
+    return first
+
+
+def _break_kernel(monkeypatch, keep):
+    """Replace the product kernel by one that drops each summand u of
+    w x v for which keep(w, v, u) is false."""
+    real = fusion._fuse
+    monkeypatch.setattr(
+        fusion, "_fuse", lambda w, v: tuple(u for u in real(w, v) if keep(w, v, u))
+    )
+
+
+def test_audit_catches_a_kernel_without_the_empty_summand(monkeypatch):
+    # the dropped summand is fixed by conjugation, so no conj line fails
+    _break_kernel(monkeypatch, lambda w, v, u: u != "")
+    report = check_fusion_ring(2, 2)
+    assert report.verdict == "Unverified"
+    assert _first_failures(report) == {
+        "dim": "dim((0; e),(0; e))",
+        "assoc": "assoc((0; e),(0; e),(0; a))",
+        "frobenius": "frobenius((0; e))",
+    }
+
+
+def test_audit_catches_a_kernel_that_breaks_conjugation(monkeypatch):
+    # drop the full concatenation only when the left word is the longer one
+    _break_kernel(monkeypatch, lambda w, v, u: not (len(w) > len(v) and u == w + v))
+    report = check_fusion_ring(2, 2)
+    assert report.verdict == "Unverified"
+    first = _first_failures(report)
+    assert first["dim"] == "dim((0; a),(0; e))"
+    assert first["conj"] == "conj((0; e),(0; a))"
+    assert first["assoc"] == "assoc((0; a),(0; e),(0; a))"
+    assert "frobenius" not in first
