@@ -9,8 +9,8 @@ Subpackages:
   polynomial: one leg (graded), n braided legs, or a plain tensor of blocks
   of braided legs; matrices: ``mat_mul``, ``adjoint``, ``diag_matrix``,
   ``mat_identity`` and the phase-dressed ``conjugate_matrix``;
-* ``braided``  - moving polynomials between leg structures: leg embeddings,
-  relabeling, the flattening map, leg-1 state application;
+* ``braided``  - moving polynomials between leg structures: placing legs
+  in a larger product, the flattening map, leg-1 state application;
 * ``simplify`` - the relation-driven reduction and verification engine;
   ``RelationSet(relations)`` compiles declared relation objects;
 * ``graphalg`` - finite graphs, spectral radius, the equilibrium state;
@@ -22,7 +22,7 @@ Subpackages:
 
 from .scalars import FORMAL, Scalar, ZetaSpec, zeta, sqrt, rational
 from .algebra import GradedPoly, Letter, NOT_HOMOGENEOUS, adjoint, conjugate_matrix, diag_matrix, mat_mul
-from .braided import apply_state_leg1, embed, lift_legs, psi_flatten
+from .braided import apply_state_leg1, embed, psi_flatten
 from .simplify import RelationSet, VerificationReport, verify_identity
 from .graphalg import GraphData, KmsData, check_dagger, kms_eval, vertex_matrix
 from .fusion import Irrep, Word, conjugate_irrep, dimension, fuse, word_bar

@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import attrgetter
 
-from .scalars import ONE, ZERO, Scalar, parse_scalar, split_factors, split_terms, zeta
+from .scalars import ONE, ZERO, Scalar, as_scalar, parse_scalar, split_factors, split_terms, zeta
 
 __all__ = [
     "Letter",
@@ -221,7 +221,7 @@ class GradedPoly:
                     raise BadLeg(f"letter {l} on leg {l.leg}, outside 1..{total}")
         self.legs = legs
         self._terms = _collect(
-            ((tuple(w), _as_scalar(c)) for w, c in (terms or {}).items()), _block_of(legs)
+            ((tuple(w), as_scalar(c)) for w, c in (terms or {}).items()), _block_of(legs)
         )
 
     @classmethod
@@ -275,9 +275,6 @@ class GradedPoly:
             key=lambda kv: tuple(word_key(part) for part in self._blocks(kv[0])),
         )
 
-    def coefficient(self, word: Word) -> Scalar:
-        return self._terms.get(tuple(word), ZERO)
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -307,7 +304,7 @@ class GradedPoly:
         if isinstance(value, Letter):
             return GradedPoly({(value,): ONE}, self.legs)
         if isinstance(value, (Scalar, int, Fraction)):
-            return GradedPoly({(): _as_scalar(value)}, self.legs)
+            return GradedPoly({(): as_scalar(value)}, self.legs)
         raise TypeError(f"cannot interpret {value!r} as a polynomial")
 
     def __add__(self, other) -> "GradedPoly":
@@ -327,7 +324,7 @@ class GradedPoly:
 
     def __mul__(self, other) -> "GradedPoly":
         if isinstance(other, (Scalar, int, Fraction)):
-            c = _as_scalar(other)
+            c = as_scalar(other)
             return self._make({w: cc * c for w, cc in self._terms.items()} if c else {}, self.legs)
         other = self._coerce(other)
         right = other._terms.items()
@@ -345,9 +342,6 @@ class GradedPoly:
             (tuple(l.star() for l in reversed(w)), c.star()) for w, c in self._terms.items()
         )
         return self._make(_collect(starred, _block_of(self.legs)), self.legs)
-
-    def specialize(self, spec) -> "GradedPoly":
-        return self._make(_collect((w, c.specialize(spec)) for w, c in self._terms.items()), self.legs)
 
     def tensor(self, other: "GradedPoly") -> "GradedPoly":
         """Plain tensor product: other's legs follow self's, with no phase between them."""
@@ -394,12 +388,6 @@ class GradedPoly:
     def __repr__(self) -> str:
         legs = "" if self.legs == (1,) else f"[{','.join(map(str, self.legs))}]"
         return f"GradedPoly{legs}({self})"
-
-
-def _as_scalar(value) -> Scalar:
-    if isinstance(value, Scalar):
-        return value
-    return Scalar.from_fraction(value)
 
 
 # -- matrices ----------------------------------------------------------------

@@ -3,8 +3,8 @@
 An element of an n-fold braided product is a :class:`GradedPoly` on ``n``
 legs: its letters carry leg indices and its words stay leg-sorted, each
 cross-leg swap costing ``z^(deg * deg)`` (see :mod:`braidalg.algebra`).  This
-module puts a one-leg polynomial on a leg (``embed``), relabels legs
-(``lift_legs``), evaluates a functional on leg 1 (``apply_state_leg1``), and
+module puts a polynomial on consecutive legs of a larger product
+(``embed``), evaluates a functional on leg 1 (``apply_state_leg1``), and
 parses the rendered leg notation back (``parse_legged``).
 
 ``psi_flatten`` implements the flattening used by the bosonization: a
@@ -24,7 +24,7 @@ from .algebra import (
     parse_poly,
     word_degree,
 )
-from .scalars import ONE, Scalar, parse_scalar, split_factors, split_terms, zeta
+from .scalars import ONE, as_scalar, parse_scalar, split_factors, split_terms, zeta
 
 __all__ = [
     "BadLeg",
@@ -34,7 +34,6 @@ __all__ = [
     "psi_flatten",
     "apply_state_leg1",
     "parse_legged",
-    "lift_legs",
 ]
 
 
@@ -43,21 +42,16 @@ class BadShape(Exception):
 
 
 def embed(k: int, p: GradedPoly, num_legs: int) -> GradedPoly:
-    """Put every letter of a one-leg p on leg k; a degree-preserving homomorphism."""
-    if not 1 <= k <= num_legs:
-        raise BadLeg(f"leg {k} outside 1..{num_legs}")
-    return GradedPoly._make(
-        {tuple(l.on_leg(k) for l in w): c for w, c in p._terms.items()}, (num_legs,)
-    )
+    """Put legs 1..m of a one-block p on legs k..k+m-1; a degree-preserving homomorphism.
 
-
-def lift_legs(p: GradedPoly, mapping: dict[int, int], num_legs: int) -> GradedPoly:
-    """Relabel legs through a strictly increasing map (normal form is preserved)."""
-    values = [v for _, v in sorted(mapping.items())]
-    if values != sorted(set(values)):
-        raise BadLeg("leg relabeling must be strictly increasing")
+    Every letter moves up by the same k - 1 legs, so a leg-sorted word stays
+    sorted and picks up no phase.
+    """
+    last = num_legs - p.legs[0] + 1
+    if not 1 <= k <= last:
+        raise BadLeg(f"leg {k} outside 1..{last}")
     return GradedPoly._make(
-        {tuple(l.on_leg(mapping[l.leg]) for l in w): c for w, c in p._terms.items()},
+        {tuple(l.on_leg(l.leg + k - 1) for l in w): c for w, c in p._terms.items()},
         (num_legs,),
     )
 
@@ -71,22 +65,20 @@ def psi_flatten(p: GradedPoly, z_letter: Letter = Letter("z", (), 1)) -> GradedP
     """
     if p.legs != (3,):
         raise BadShape(f"psi_flatten expects 3 legs, got {p.legs}")
-    out = GradedPoly.zero((2, 2))
-    for w, c in p._terms.items():
-        acc = GradedPoly.one((2, 2)) * c
-        for l in w:
-            if l.leg == 1:
-                if l.name != z_letter.name:
-                    raise BadShape(f"leg 1 must carry only {z_letter.name}, found {l}")
-                word = (l, l.on_leg(3))
-            elif l.leg == 2:
-                z = z_letter if l.degree >= 0 else z_letter.star()
-                word = (l,) + (z.on_leg(3),) * abs(l.degree)
-            else:
-                word = (l.on_leg(4),)
-            acc = acc * GradedPoly._make({word: ONE}, (2, 2))
-        out = out + acc
-    return out
+
+    def image(l: Letter) -> tuple[Letter, ...]:
+        if l.leg == 1:
+            if l.name != z_letter.name:
+                raise BadShape(f"leg 1 must carry only {z_letter.name}, found {l}")
+            return (l, l.on_leg(3))
+        if l.leg == 2:
+            z = z_letter if l.degree >= 0 else z_letter.star()
+            return (l,) + (z.on_leg(3),) * abs(l.degree)
+        return (l.on_leg(4),)
+
+    legs = (2, 2)
+    images = ((tuple(x for l in w for x in image(l)), c) for w, c in p._terms.items())
+    return GradedPoly._make(_collect(images, _block_of(legs)), legs)
 
 
 def parse_legged(text: str, alphabet, num_legs: int) -> GradedPoly:
@@ -146,9 +138,7 @@ def apply_state_leg1(p: GradedPoly, state, right: GradedPoly | None = None) -> G
     products = []
     for head, rests in left.items():
         for head_r, rests_r in other.items():
-            value = state(head + head_r)
-            if not isinstance(value, Scalar):
-                value = Scalar.from_fraction(value)
+            value = as_scalar(state(head + head_r))
             if value.is_zero():
                 continue
             shift = word_degree(head_r)

@@ -11,6 +11,7 @@ unsatisfied; 1 is an input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -191,7 +192,9 @@ def _cmd_dims(args, out) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once; parse_args keeps no state between requests."""
     parser = argparse.ArgumentParser(
         prog="braidalg",
         description="exact verification engine for phase-braided presentations",

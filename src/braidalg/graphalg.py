@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Letter
+from .algebra import Letter, mat_mul
 from .scalars import Scalar
 from .simplify import VerificationReport
 
@@ -166,11 +166,11 @@ def vertex_matrix(g: GraphData) -> list[list[int]]:
 # -- spectral radius -----------------------------------------------------------
 
 
-def _power_iteration(mat: list[list[int]], iterations: int = 600) -> tuple[float, list[float]]:
+def _power_iteration(mat: list[list[int]]) -> tuple[float, list[float]]:
     n = len(mat)
     x = [1.0 / n] * n
     lam = 0.0
-    for _ in range(iterations):
+    for _ in range(600):
         y = [sum(mat[i][j] * x[j] for j in range(n)) + x[i] for i in range(n)]  # (D + I) x
         norm = sum(y)
         if norm == 0.0:
@@ -190,10 +190,7 @@ def _char_poly(mat: list[list[int]]) -> list[Fraction]:
     coeffs[n] = Fraction(1)
     M = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        AM = [
-            [sum(A[i][t] * M[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
+        AM = mat_mul(A, M)
         c = -sum(AM[i][i] for i in range(n)) / k
         coeffs[n - k] = c
         if k < n:
@@ -388,11 +385,14 @@ def edge_normalizers(g: GraphData, k: KmsData) -> list[Scalar]:
 # -- interface with the symbolic engine ----------------------------------------
 
 
-def edge_letters(g: GraphData, name: str = "S") -> list[Letter]:
-    return [Letter(name, (e + 1,), g.gauge_degrees[e]) for e in range(g.num_edges)]
+_EDGE = "S"  # the family name of the edge isometries
 
 
-def kms_state(g: GraphData, k: KmsData, name: str = "S"):
+def edge_letters(g: GraphData) -> list[Letter]:
+    return [Letter(_EDGE, (e + 1,), g.gauge_degrees[e]) for e in range(g.num_edges)]
+
+
+def kms_state(g: GraphData, k: KmsData):
     """The state as a word functional for the reduction engine.
 
     Accepts any word in the edge letters; contracts star-unstar pairs to the
@@ -402,41 +402,29 @@ def kms_state(g: GraphData, k: KmsData, name: str = "S"):
         raise IrrationalData("symbolic evaluation requires exact spectral data")
 
     def evaluate(word) -> Scalar:
-        letters = list(word)
-        changed = True
-        while changed:
-            changed = False
-            for t in range(len(letters) - 1):
-                a, b = letters[t], letters[t + 1]
-                if a.starred and not b.starred:
-                    if a.name != name or b.name != name:
-                        raise ValueError(f"foreign letter in state argument: {a} {b}")
-                    ea, eb = a.index[0] - 1, b.index[0] - 1
-                    if ea != eb:
-                        return Scalar.from_fraction(0)
-                    if g.num_vertices > 1:
-                        # S*_e S_e leaves a range projection behind; tracking it
-                        # is only implemented for the one-vertex case
-                        raise ValueError(
-                            "inner contractions need a one-vertex graph; "
-                            "supply spanning-form words instead"
-                        )
-                    del letters[t : t + 2]
-                    changed = True
-                    break
-        gamma = []
-        i = 0
-        while i < len(letters) and not letters[i].starred:
-            gamma.append(letters[i].index[0] - 1)
-            i += 1
-        delta = []
-        while i < len(letters) and letters[i].starred:
-            delta.append(letters[i].index[0] - 1)
-            i += 1
-        if i != len(letters):
-            raise ValueError(f"word not in spanning form after contraction: {word}")
-        delta.reverse()
-        gamma_t, delta_t = tuple(gamma), tuple(delta)
+        # One left-to-right pass: the kept letters never hold a starred letter
+        # before an unstarred one, so each S*_e S_f pair is met as it forms, in
+        # the order that repeatedly contracting the leftmost pair would take.
+        letters = []
+        for b in word:
+            if not (letters and letters[-1].starred and not b.starred):
+                letters.append(b)
+                continue
+            a = letters.pop()
+            if a.name != _EDGE or b.name != _EDGE:
+                raise ValueError(f"foreign letter in state argument: {a} {b}")
+            if a.index[0] != b.index[0]:
+                return Scalar.from_fraction(0)
+            if g.num_vertices > 1:
+                # S*_e S_e leaves a range projection behind; tracking it
+                # is only implemented for the one-vertex case
+                raise ValueError(
+                    "inner contractions need a one-vertex graph; "
+                    "supply spanning-form words instead"
+                )
+        # the kept letters are a path word followed by a starred path word
+        gamma_t = tuple(l.index[0] - 1 for l in letters if not l.starred)
+        delta_t = tuple(l.index[0] - 1 for l in reversed(letters) if l.starred)
         if not g.is_path(gamma_t) or not g.is_path(delta_t):
             return Scalar.from_fraction(0)
         return Scalar.from_fraction(kms_eval(g, k, gamma_t, delta_t))

@@ -37,6 +37,7 @@ __all__ = [
     "zeta",
     "sqrt",
     "rational",
+    "as_scalar",
     "cyclotomic",
     "parse_scalar",
 ]
@@ -155,10 +156,6 @@ class Scalar:
     @classmethod
     def from_fraction(cls, c) -> "Scalar":
         return cls({(0, 1): Fraction(c)})
-
-    @classmethod
-    def zeta_power(cls, k: int) -> "Scalar":
-        return cls({(k, 1): Fraction(1)})
 
     @classmethod
     def sqrt_of(cls, value) -> "Scalar":
@@ -334,12 +331,17 @@ class Scalar:
         return "".join(parts)
 
 
+def as_scalar(value) -> Scalar:
+    """A Scalar as it is; any other number (int, Fraction, ...) as a rational."""
+    if isinstance(value, Scalar):
+        return value
+    return Scalar.from_fraction(value)
+
+
 def _coerce(value) -> Scalar:
     if isinstance(value, Scalar):
         return value
-    if isinstance(value, (int, Fraction)):
-        return Scalar.from_fraction(value)
-    return NotImplemented
+    return as_scalar(value) if isinstance(value, (int, Fraction)) else NotImplemented
 
 
 ZERO = Scalar()
@@ -347,7 +349,7 @@ ONE = Scalar.from_fraction(1)
 
 
 def zeta(k: int = 1) -> Scalar:
-    return Scalar.zeta_power(k)
+    return Scalar._make({(k, 1): Fraction(1)})
 
 
 def sqrt(value) -> Scalar:
@@ -390,7 +392,7 @@ def parse_scalar(text: str) -> Scalar:
                 term = term * Scalar({(0, rad): Fraction(1)})
             elif m.group(1).lstrip().startswith("z"):
                 exp = m.group("exp")
-                term = term * Scalar.zeta_power(int(exp) if exp is not None else 1)
+                term = term * zeta(int(exp) if exp is not None else 1)
             else:
                 num = m.group("pnum") if m.group("pnum") is not None else m.group("num")
                 den = m.group("pden") if m.group("pnum") is not None else m.group("den")

@@ -35,6 +35,7 @@ from .algebra import (
     PhaseCommutationRel,
     UnitaryMatrixRel,
     Word,
+    _collect,
     lword_str,
     word_key,
 )
@@ -188,20 +189,6 @@ def _rewrite(word: Word, coeff: Scalar, local_rules, swap_rules, trace: list[str
     return tuple(word), coeff
 
 
-def _local_pass(terms: dict[Word, Scalar], local_rules, swap_rules, trace: list[str]) -> dict:
-    """Rewrite every monomial, in canonical word order, and collect."""
-    out: dict[Word, Scalar] = {}
-    for word in sorted(terms, key=word_key):
-        word, coeff = _rewrite(word, terms[word], local_rules, swap_rules, trace)
-        if not coeff.is_zero():
-            new = out.get(word, ZERO) + coeff
-            if new.is_zero():
-                del out[word]
-            else:
-                out[word] = new
-    return out
-
-
 class _ContractionIndex:
     """Complete-family candidates among irreducible terms, kept up to date.
 
@@ -251,7 +238,8 @@ def reduce_poly(p: GradedPoly, rels: RelationSet):
     """
     trace: list[str] = []
     local, swap = rels.local_rules, rels.swap_rules
-    terms = _local_pass(p._terms, local, swap, trace)
+    words = sorted(p._terms, key=word_key)
+    terms = _collect(_rewrite(w, p._terms[w], local, swap, trace) for w in words)
     index = _ContractionIndex(rels)
     for word, coeff in terms.items():
         index.add(word, coeff)
@@ -285,7 +273,9 @@ def reduce_poly(p: GradedPoly, rels: RelationSet):
 
 def cuntz_reduce(p: GradedPoly, rels: RelationSet) -> GradedPoly:
     """Apply only the local pair rules (S*[i]S[j] -> delta_ij, x x* -> 1), per leg."""
-    return GradedPoly._make(_local_pass(p._terms, rels.local_rules, {}, []), p.legs)
+    words = sorted(p._terms, key=word_key)
+    rewritten = (_rewrite(w, p._terms[w], rels.local_rules, {}, []) for w in words)
+    return GradedPoly._make(_collect(rewritten), p.legs)
 
 
 # -- verification reports ---------------------------------------------------

@@ -29,16 +29,17 @@ from .algebra import (
     mat_mul,
     scalar_mat_inverse,
 )
-from .braided import apply_state_leg1, embed, lift_legs, psi_flatten
+from .braided import apply_state_leg1, embed, psi_flatten
 from .graphalg import (
     GraphData,
     KmsData,
     check_dagger,
     cuntz_graph,
+    edge_letters,
     kms_state,
     normalized_ftilde,
 )
-from .scalars import FORMAL, ONE, ZERO, Scalar, ZetaSpec, zeta
+from .scalars import FORMAL, ONE, ZERO, Scalar, ZetaSpec, as_scalar, zeta
 from .simplify import RelationSet, VerificationReport, cuntz_reduce, verify_identity
 
 __all__ = [
@@ -80,12 +81,7 @@ class AdmissibilityDatum:
 
 
 def _as_scalar_matrix(F) -> tuple:
-    out = []
-    for row in F:
-        out.append(
-            tuple(c if isinstance(c, Scalar) else Scalar.from_fraction(c) for c in row)
-        )
-    return tuple(out)
+    return tuple(tuple(map(as_scalar, row)) for row in F)
 
 
 def check_admissible(F, d, d_prime, d0: int) -> bool:
@@ -217,13 +213,8 @@ def _map(f, M) -> list[list]:
 
 
 def _leg(k: int, M, num_legs: int) -> list[list[GradedPoly]]:
-    """j_k(M): every one-leg entry of M put on leg k of num_legs."""
+    """Every entry of M, on legs 1..m, moved to legs k..k+m-1 of num_legs: j_k(M) for m = 1."""
     return _map(lambda p: embed(k, p, num_legs), M)
-
-
-def _lift(M, first: int) -> list[list[GradedPoly]]:
-    """A matrix of two-leg entries moved onto legs first, first + 1 of three."""
-    return _map(lambda p: lift_legs(p, {1: first, 2: first + 1}, 3), M)
 
 
 def _coproduct(u) -> list[list[GradedPoly]]:
@@ -234,7 +225,7 @@ def _coproduct(u) -> list[list[GradedPoly]]:
 def _coassociativity(x, X, u, U) -> tuple[list, list]:
     """Both routes for X = j1(x) j2(u), in three legs: (X x id) X = X_12 j3(u)
     and (id x Delta) X = j1(x) Delta(u)_23, where U = Delta(u)."""
-    return mat_mul(_lift(X, 1), _leg(3, u, 3)), mat_mul(_leg(1, x, 3), _lift(U, 2))
+    return mat_mul(_leg(1, X, 3), _leg(3, u, 3)), mat_mul(_leg(1, x, 3), _leg(2, U, 3))
 
 
 def _linear_action(S, letters) -> list[GradedPoly]:
@@ -299,13 +290,17 @@ class BosoPresentation:
     datum: AdmissibilityDatum
     z: Letter
     letters: list
-    relations: RelationSet
     presentation: Presentation
     coproduct: dict  # generator -> polynomial on legs (2, 2): two (circle x algebra) factors
 
+    @functools.cached_property
+    def relations(self) -> RelationSet:
+        """The engine rules of the presentation, compiled on first use."""
+        return RelationSet(self.presentation.relations)
 
-def build_bosonization(datum: AdmissibilityDatum, name: str = "u") -> BosoPresentation:
-    base = build_uqf(datum, name)
+
+def build_bosonization(datum: AdmissibilityDatum) -> BosoPresentation:
+    base = build_uqf(datum)
     n = datum.n
     d = datum.d
     commutations = tuple(
@@ -324,8 +319,7 @@ def build_bosonization(datum: AdmissibilityDatum, name: str = "u") -> BosoPresen
     for i in range(n):
         for j in range(n):
             coproduct[base.letters[i][j]] = _closed_coproduct_u(base.letters, d, i, j)
-    rels = RelationSet(pres.relations)
-    return BosoPresentation(datum, Z_LETTER, base.letters, rels, pres, coproduct)
+    return BosoPresentation(datum, Z_LETTER, base.letters, pres, coproduct)
 
 
 def _two_leg(circle: tuple[Letter, ...], letter: Letter | None = None) -> GradedPoly:
@@ -357,7 +351,7 @@ def derive_boso_coproduct(datum: AdmissibilityDatum, spec: ZetaSpec = FORMAL) ->
     boso = build_bosonization(datum)
     plain = RelationSet()
     three_z = GradedPoly.from_letter(Z_LETTER, legs=3)
-    flattened = _map(psi_flatten, _lift(_coproduct(u_matrix(boso.letters)), 2))
+    flattened = _map(psi_flatten, _leg(2, _coproduct(u_matrix(boso.letters)), 3))
     reports = [
         verify_identity(psi_flatten(three_z), boso.coproduct[Z_LETTER], plain, spec, "Delta(z)")
     ]
@@ -398,11 +392,7 @@ def verify_fundamental_rep(datum: AdmissibilityDatum, spec: ZetaSpec = FORMAL) -
 # -- the action on the one-vertex graph algebra ------------------------------------
 
 
-def cuntz_letters(n: int, d) -> list[Letter]:
-    return [Letter("S", (i + 1,), d[i]) for i in range(n)]
-
-
-def cuntz_action(n: int, d, spec: ZetaSpec = FORMAL, letters=None):
+def cuntz_action(n: int, d, spec: ZetaSpec = FORMAL):
     """The linear action on n isometries: S'_j = sum_i j1(S_i) j2(u_ij).
 
     Verifies the isometry relations, the full sum, and the star formula
@@ -410,7 +400,7 @@ def cuntz_action(n: int, d, spec: ZetaSpec = FORMAL, letters=None):
     """
     d = tuple(d)
     base = build_uqf(make_datum(diag_matrix([ONE] * n), d))
-    S = letters or cuntz_letters(n, d)
+    S = edge_letters(cuntz_graph(n, d))
     rels = RelationSet([CuntzFamilyRel(tuple(S))] + base.presentation.relations)
     action = _linear_action(S, base.letters)
     # the action as a row: A = j1(S) j2(u), with S the row of isometries
@@ -445,7 +435,7 @@ def verify_kms_preservation(n: int, d, L: int, spec: ZetaSpec = FORMAL) -> Verif
     base = build_uqf(make_datum(diag_matrix([ONE] * n), d))
     rels = base.relations
     tau = functools.cache(_cuntz_tau(n))
-    eta = _linear_action(cuntz_letters(n, d), base.letters)
+    eta = _linear_action(edge_letters(cuntz_graph(n, d)), base.letters)
 
     indices = [a for k in range(L + 1) for a in itertools.product(range(n), repeat=k)]
     paths = {}
@@ -505,7 +495,7 @@ def derive_action_constraints(ftilde, d, spec: ZetaSpec = FORMAL):
     n = len(d)
     ftilde = [Fraction(x) for x in ftilde]
     q = u_letters(d, "q")
-    eta = _linear_action(cuntz_letters(n, d), q)
+    eta = _linear_action(edge_letters(cuntz_graph(n, d)), q)
 
     def tau_pairs(word):
         if len(word) == 0:

@@ -100,6 +100,15 @@ def test_embed_bad_leg():
         embed(3, GradedPoly.one(), 2)
 
 
+def test_embed_places_a_two_leg_polynomial_on_consecutive_legs():
+    x, y = L("x", 1, 1), L("y", 2, 1)
+    p = embed(1, GradedPoly.from_letter(x), 2) * embed(2, GradedPoly.from_letter(y), 2)
+    expected = embed(2, GradedPoly.from_letter(x), 3) * embed(3, GradedPoly.from_letter(y), 3)
+    assert embed(2, p, 3) == expected
+    with pytest.raises(BadLeg):
+        embed(3, p, 3)
+
+
 def test_commutation_phase_instance():
     # second-leg letter of degree 3 moved past first-leg letter of degree 2
     x, y = L("x", 2), L("y", 3)

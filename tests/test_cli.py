@@ -5,7 +5,7 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidalg.cli import run
+from braidalg.cli import build_parser, run
 
 
 def invoke(argv):
@@ -271,3 +271,15 @@ def test_outputs_are_deterministic():
         first = invoke(argv)
         second = invoke(argv)
         assert first == second
+
+
+def test_reused_parser_carries_nothing_between_requests(tmp_path):
+    graph = tmp_path / "o2.graph"
+    graph.write_text("vertices 1\nedge 1 1 1 deg 1\nedge 2 1 1 deg 1\n")
+    verify = ["verify", "--prop", "coproduct", "--n", "2", "--d", "0,1"]
+    kms = ["kms", "--graph", str(graph)]
+    for first, second in ((verify + ["--trace"], verify), (kms + ["--len", "2"], kms)):
+        invoke(first)
+        reused = invoke(second)
+        build_parser.cache_clear()
+        assert invoke(second) == reused

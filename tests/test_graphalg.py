@@ -11,8 +11,10 @@ from braidalg.graphalg import (
     NOT_SATISFIED,
     _char_poly,
     _poly_eval,
+    _rref_kernel,
     GraphData,
     InvalidPath,
+    KmsData,
     IrrationalData,
     ZeroVertexWeight,
     check_dagger,
@@ -180,6 +182,33 @@ def test_kms_state_on_words():
     # inner contraction: S1 S*2 S2 S*1 -> S1 S*1
     word = (S[0], S[1].star(), S[1], S[0].star())
     assert tau(word) == Scalar.from_fraction(Fraction(1, 2))
+
+
+def test_kms_state_rejects_foreign_letters_and_inner_contractions():
+    g = cuntz_graph(1)
+    tau = kms_state(g, check_dagger(g))
+    (s,) = edge_letters(g)
+    with pytest.raises(ValueError, match="foreign letter"):
+        tau((Letter("T", (1,), 1).star(), s))
+    cycle = cycle_graph(2)
+    tau = kms_state(cycle, check_dagger(cycle))
+    s = edge_letters(cycle)[0]
+    with pytest.raises(ValueError, match="inner contractions need a one-vertex graph"):
+        tau((s.star(), s))
+
+
+def test_nonnegative_weights_from_a_combination_of_kernel_vectors():
+    # every kernel basis vector of D - I has mixed signs; only their sum is nonnegative
+    g = parse_graph(
+        "vertices 4\n"
+        "edge 1 1 1 deg 1\nedge 2 2 2 deg 1\nedge 3 3 2 deg 1\n"
+        "edge 4 3 4 deg 1\nedge 5 4 1 deg 1\nedge 6 4 3 deg 1\n"
+    )
+    D = vertex_matrix(g)
+    basis = _rref_kernel([[Fraction(D[i][j] - (i == j)) for j in range(4)] for i in range(4)])
+    assert all(min(v) < 0 < max(v) for v in basis)
+    half = Fraction(1, 2)
+    assert check_dagger(g) == KmsData(Fraction(1), (Fraction(0), Fraction(0), half, half), True)
 
 
 def test_cuntz_kms_lemma_random_triples():

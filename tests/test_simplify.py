@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidalg.algebra import CuntzFamilyRel, GradedPoly, Letter, UnitaryMatrixRel, lword_str, word_key
+from braidalg.algebra import CuntzFamilyRel, GradedPoly, Letter, UnitaryMatrixRel, _collect, lword_str, word_key
 from braidalg.braided import embed
 from braidalg.scalars import FORMAL, ONE, ZERO, Scalar, ZetaSpec, sqrt, zeta
 from braidalg.simplify import (
     RelationSet,
     VerificationReport,
-    _local_pass,
+    _rewrite,
     cuntz_reduce,
     reduce_poly,
     verify_identity,
@@ -373,7 +373,11 @@ def rescan_reduce(p, rels):
     trace = []
     terms = p._terms
     while True:
-        terms = _local_pass(terms, rels.local_rules, rels.swap_rules, trace)
+        rewritten = (
+            _rewrite(w, terms[w], rels.local_rules, rels.swap_rules, trace)
+            for w in sorted(terms, key=word_key)
+        )
+        terms = _collect(rewritten)
         buckets = {}
         for word, coeff in terms.items():
             for t in range(len(word) - 1):
