@@ -4,11 +4,11 @@ Subpackages:
 
 * ``scalars``  - Laurent ring in a formal unit-modulus phase over the
   rationals with formal square roots, optional root-of-unity specialization,
-  and the term/factor tokenizers of the expression grammars;
+  and ``read_sum``, the one reader of every expression grammar;
 * ``algebra``  - graded letters on tensor legs and the one sparse word
   polynomial: one leg (graded), n braided legs, or a plain tensor of blocks
   of braided legs; matrices: ``mat_mul``, ``adjoint``, ``diag_matrix``,
-  ``mat_identity`` and the phase-dressed ``conjugate_matrix``;
+  ``mat_identity``, the phase-dressed ``conjugate_matrix``, ``row_reduce``;
 * ``braided``  - moving polynomials between leg structures: placing legs
   in a larger product, the flattening map, leg-1 state application;
 * ``simplify`` - the relation-driven reduction and verification engine;

@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import attrgetter
 
-from .scalars import ONE, ZERO, Scalar, as_scalar, parse_scalar, split_factors, split_terms, zeta
+from .scalars import ONE, ZERO, Scalar, as_scalar, parse_scalar, read_sum, zeta
 
 __all__ = [
     "Letter",
@@ -44,6 +44,7 @@ __all__ = [
     "diag_matrix",
     "mat_mul",
     "mat_identity",
+    "row_reduce",
     "scalar_mat_inverse",
     "Presentation",
     "UnitaryMatrixRel",
@@ -70,17 +71,22 @@ class SingularMatrix(Exception):
     """Matrix inversion failed over the scalar ring."""
 
 
-class _NotHomogeneous:
-    __slots__ = ()
+class _Marker:
+    """A named, falsy singleton returned where a value does not exist."""
+
+    __slots__ = ("_name",)
+
+    def __init__(self, name: str):
+        self._name = name
 
     def __repr__(self):
-        return "NotHomogeneous"
+        return self._name
 
     def __bool__(self):
         return False
 
 
-NOT_HOMOGENEOUS = _NotHomogeneous()
+NOT_HOMOGENEOUS = _Marker("NotHomogeneous")
 
 
 @dataclass(frozen=True)
@@ -450,36 +456,38 @@ def conjugate_matrix(u: Matrix, d: list[int]) -> Matrix:
     return out
 
 
+def row_reduce(rows: list[list], unit=bool) -> list[int]:
+    """Gauss-Jordan in place to reduced row echelon form; returns the pivot columns.
+
+    The pivot of a column is its first entry at or below the current row for
+    which ``unit`` holds; entries are tested for zero by truthiness.
+    """
+    pivots: list[int] = []
+    for col in range(len(rows[0]) if rows else 0):
+        row = len(pivots)
+        pivot = next((r for r in range(row, len(rows)) if unit(rows[r][col])), None)
+        if pivot is None:
+            continue
+        rows[row], rows[pivot] = rows[pivot], rows[row]
+        p = rows[row][col]
+        rows[row] = [c / p for c in rows[row]]
+        for r in range(len(rows)):
+            f = rows[r][col]
+            if r != row and f:
+                rows[r] = [c - f * pc for c, pc in zip(rows[r], rows[row])]
+        pivots.append(col)
+    return pivots
+
+
 def scalar_mat_inverse(mat: list[list[Scalar]]) -> list[list[Scalar]]:
-    """Gauss-Jordan over the scalar ring; pivots must be single-term units."""
+    """Gauss-Jordan on ``[mat | I]`` over the scalar ring; pivots must be single-term units."""
     n = len(mat)
-    work = [list(row) for row in mat]
-    inv = diag_matrix([ONE] * n)
+    work = [list(row) + unit_row for row, unit_row in zip(mat, diag_matrix([ONE] * n))]
+    pivots = row_reduce(work, Scalar.is_single_term)
     for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if work[r][col].is_single_term():
-                pivot_row = r
-                break
-        if pivot_row is None:
+        if col not in pivots:
             raise SingularMatrix(f"no invertible pivot in column {col + 1}")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        p = work[col][col]
-        work[col] = [c / p for c in work[col]]
-        inv[col] = [c / p for c in inv[col]]
-        for r in range(n):
-            if r == col or work[r][col].is_zero():
-                continue
-            f = work[r][col]
-            work[r] = [c - f * pc for c, pc in zip(work[r], work[col])]
-            inv[r] = [c - f * pc for c, pc in zip(inv[r], inv[col])]
-    for i in range(n):
-        for j in range(n):
-            expect = ONE if i == j else ZERO
-            if work[i][j] != expect:
-                raise SingularMatrix("matrix is not invertible over the scalar ring")
-    return inv
+    return [row[n:] for row in work]
 
 
 # -- relation declarations (presentation data) --------------------------------
@@ -564,30 +572,20 @@ def parse_poly(text: str, alphabet: dict[tuple[str, tuple[int, ...]], Letter]) -
     ``parse_scalar`` reads it: a rational, a bare sqrt(r), or a parenthesized
     scalar (phase z allowed inside).
     """
-    total = GradedPoly.zero()
-    for sign, body in split_terms(text):
-        term = GradedPoly.from_scalar(sign)
-        for factor in split_factors(body):
-            if factor.startswith("("):
-                term = term * GradedPoly.from_scalar(parse_scalar(factor[1:-1]))
-                continue
-            m = _LETTER_RE.fullmatch(factor)
-            if m:
-                name = m.group("name")
-                index = tuple(int(t) for t in m.group("index").split(",")) if m.group("index") else ()
-                key = (name, index)
-                if key not in alphabet:
-                    raise ValueError(f"unknown generator {factor.strip()!r}")
-                letter = alphabet[key]
-                if m.group("star"):
-                    letter = letter.star()
-                power = int(m.group("pow")) if m.group("pow") else 1
-                for _ in range(power):
-                    term = term * letter
-                continue
-            if factor.lstrip().startswith("z"):
-                raise ValueError(f"a phase factor must be parenthesized: {factor!r}")
-            term = term * GradedPoly.from_scalar(parse_scalar(factor))
-        total = total + term
-    return total
 
+    def factor(f: str):
+        if f.startswith("("):
+            return parse_scalar(f[1:-1])
+        m = _LETTER_RE.fullmatch(f)
+        if m:
+            index = tuple(int(t) for t in m.group("index").split(",")) if m.group("index") else ()
+            key = (m.group("name"), index)
+            if key not in alphabet:
+                raise ValueError(f"unknown generator {f.strip()!r}")
+            letter = alphabet[key].star() if m.group("star") else alphabet[key]
+            return GradedPoly.from_word((letter,) * int(m.group("pow") or 1))
+        if f.lstrip().startswith("z"):
+            raise ValueError(f"a phase factor must be parenthesized: {f!r}")
+        return parse_scalar(f)
+
+    return read_sum(text, factor, GradedPoly.one())

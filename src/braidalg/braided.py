@@ -3,13 +3,13 @@
 An element of an n-fold braided product is a :class:`GradedPoly` on ``n``
 legs: its letters carry leg indices and its words stay leg-sorted, each
 cross-leg swap costing ``z^(deg * deg)`` (see :mod:`braidalg.algebra`).  This
-module puts a polynomial on consecutive legs of a larger product
+module puts a one-block polynomial on consecutive legs of a larger product
 (``embed``), evaluates a functional on leg 1 (``apply_state_leg1``), and
-parses the rendered leg notation back (``parse_legged``).
+parses the rendered leg notation back with ``scalars.read_sum`` (``parse_legged``).
 
 ``psi_flatten`` implements the flattening used by the bosonization: a
-three-leg word over (circle, X, Y) maps into an ordinary (phase-free) tensor
-product of two two-leg words, the leg structure ``(2, 2)``.
+three-leg word over (circle ``Z_LETTER``, X, Y) maps into an ordinary
+(phase-free) tensor product of two two-leg words, the leg structure ``(2, 2)``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .algebra import (
     parse_poly,
     word_degree,
 )
-from .scalars import ONE, as_scalar, parse_scalar, split_factors, split_terms, zeta
+from .scalars import ONE, as_scalar, parse_scalar, read_sum, zeta
 
 __all__ = [
     "BadLeg",
@@ -45,8 +45,11 @@ def embed(k: int, p: GradedPoly, num_legs: int) -> GradedPoly:
     """Put legs 1..m of a one-block p on legs k..k+m-1; a degree-preserving homomorphism.
 
     Every letter moves up by the same k - 1 legs, so a leg-sorted word stays
-    sorted and picks up no phase.
+    sorted and picks up no phase.  A p of several blocks raises BadShape: one
+    block would braid letters that commute without a phase.
     """
+    if len(p.legs) != 1:
+        raise BadShape(f"embed expects one block of legs, got {p.legs}")
     last = num_legs - p.legs[0] + 1
     if not 1 <= k <= last:
         raise BadLeg(f"leg {k} outside 1..{last}")
@@ -56,7 +59,10 @@ def embed(k: int, p: GradedPoly, num_legs: int) -> GradedPoly:
     )
 
 
-def psi_flatten(p: GradedPoly, z_letter: Letter = Letter("z", (), 1)) -> GradedPoly:
+Z_LETTER = Letter("z", (), 1)  # the circle generator of the bosonization
+
+
+def psi_flatten(p: GradedPoly) -> GradedPoly:
     """Flatten a three-leg word over (circle, X, Y) into (circle x X) (x) (circle x Y).
 
     Letterwise: j1(z) -> z (x) z, j2(a) -> a (x) z^deg(a), j3(b) -> 1 (x) b,
@@ -68,11 +74,11 @@ def psi_flatten(p: GradedPoly, z_letter: Letter = Letter("z", (), 1)) -> GradedP
 
     def image(l: Letter) -> tuple[Letter, ...]:
         if l.leg == 1:
-            if l.name != z_letter.name:
-                raise BadShape(f"leg 1 must carry only {z_letter.name}, found {l}")
+            if l.name != Z_LETTER.name:
+                raise BadShape(f"leg 1 must carry only {Z_LETTER.name}, found {l}")
             return (l, l.on_leg(3))
         if l.leg == 2:
-            z = z_letter if l.degree >= 0 else z_letter.star()
+            z = Z_LETTER if l.degree >= 0 else Z_LETTER.star()
             return (l,) + (z.on_leg(3),) * abs(l.degree)
         return (l.on_leg(4),)
 
@@ -87,22 +93,16 @@ def parse_legged(text: str, alphabet, num_legs: int) -> GradedPoly:
     Coefficient factors are rationals or parenthesized scalars, as in the
     plain polynomial grammar; the alphabet maps (name, index) to letters.
     """
-    total = GradedPoly.zero(num_legs)
-    for sign, body in split_terms(text):
-        term = GradedPoly.from_scalar(sign, num_legs)
-        for factor in split_factors(body):
-            if factor.startswith("j") and "(" in factor:
-                head, inner = factor.split("(", 1)
-                leg = int(head[1:])
-                if not inner.endswith(")"):
-                    raise ValueError(f"unbalanced leg factor {factor!r}")
-                term = term * embed(leg, parse_poly(inner[:-1], alphabet), num_legs)
-            elif factor.startswith("("):
-                term = term * parse_scalar(factor[1:-1])
-            elif factor != "1":
-                term = term * parse_scalar(factor)
-        total = total + term
-    return total
+
+    def factor(f: str):
+        if f.startswith("j") and "(" in f:
+            head, inner = f.split("(", 1)
+            if not inner.endswith(")"):
+                raise ValueError(f"unbalanced leg factor {f!r}")
+            return embed(int(head[1:]), parse_poly(inner[:-1], alphabet), num_legs)
+        return parse_scalar(f[1:-1] if f.startswith("(") else f)
+
+    return read_sum(text, factor, GradedPoly.one(num_legs))
 
 
 def _by_leg1_prefix(p: GradedPoly) -> dict:

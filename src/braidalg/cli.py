@@ -211,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--F", help="matrix file, 'I', or 'diag:a,b,...'")
     p.add_argument("--d", required=True)
     p.add_argument("--n", type=int)
-    p.add_argument("--dump", action="store_true", help="kept for compatibility; always dumps")
     p.set_defaults(fn=_cmd_presentation)
 
     p = sub.add_parser("bosonize", help="dump the bosonization and re-derive its coproduct")

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Letter, mat_mul
+from .algebra import Letter, _Marker, mat_mul, row_reduce
 from .scalars import Scalar
 from .simplify import VerificationReport
 
@@ -57,17 +57,7 @@ class IrrationalData(Exception):
     """The graph's spectral data does not live in the radical scalar ring."""
 
 
-class _NotSatisfied:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "NotSatisfied"
-
-    def __bool__(self):
-        return False
-
-
-NOT_SATISFIED = _NotSatisfied()
+NOT_SATISFIED = _Marker("NotSatisfied")
 
 
 @dataclass(frozen=True)
@@ -218,23 +208,7 @@ def _rref_kernel(mat: list[list[Fraction]]) -> list[list[Fraction]]:
     """Kernel basis of a square matrix over the rationals (free variables set to 1)."""
     n = len(mat)
     work = [row[:] for row in mat]
-    pivots: list[int] = []
-    row = 0
-    for col in range(n):
-        pivot = next((r for r in range(row, n) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        pv = work[row][col]
-        work[row] = [c / pv for c in work[row]]
-        for r in range(n):
-            if r != row and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [c - f * pc for c, pc in zip(work[r], work[row])]
-        pivots.append(col)
-        row += 1
-        if row == n:
-            break
+    pivots = row_reduce(work)
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free:

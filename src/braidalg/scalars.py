@@ -18,6 +18,9 @@ zero-testing stays exact.  Radicals are treated as formally independent of
 the phase (coincidences like sqrt(2) = z + z^-1 at N = 8 are not folded);
 reduction is still a ring homomorphism, so identities proved formally stay
 zero under every specialization.
+
+``read_sum`` is the one sum-of-products reader: ``parse_scalar``, the
+polynomial grammar and the leg notation each pass it a factor reader.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ __all__ = [
     "as_scalar",
     "cyclotomic",
     "parse_scalar",
+    "read_sum",
 ]
 
 
@@ -90,24 +94,16 @@ class ZetaSpec:
     order: int | None = None  # None = formal
 
     @classmethod
-    def formal(cls) -> "ZetaSpec":
-        return cls(None)
-
-    @classmethod
     def root_of_unity(cls, n: int) -> "ZetaSpec":
         if n < 1:
             raise ValueError("root-of-unity order must be >= 1")
         return cls(n)
 
-    @property
-    def is_formal(self) -> bool:
-        return self.order is None
-
     def __str__(self) -> str:
         return "formal" if self.order is None else f"root:{self.order}"
 
 
-FORMAL = ZetaSpec.formal()
+FORMAL = ZetaSpec()
 
 
 class Scalar:
@@ -269,7 +265,7 @@ class Scalar:
 
     def specialize(self, spec: ZetaSpec) -> "Scalar":
         """Canonical residue modulo the cyclotomic polynomial of spec.order."""
-        if spec.is_formal:
+        if spec.order is None:
             return self
         n = spec.order
         phi = cyclotomic(n)
@@ -373,36 +369,35 @@ _TERM_TOKEN = re.compile(
 )
 
 
-def parse_scalar(text: str) -> Scalar:
-    """Parse the canonical rendering back into a Scalar (lossless round-trip)."""
-    text = text.strip()
-    if text == "0":
-        return ZERO
-    total = ZERO
+def read_sum(text: str, factor, one):
+    """Sum over ``split_terms`` of ``sign * one`` times ``factor(f)`` per ``split_factors``."""
+    total = one * 0
     for sign, body in split_terms(text):
-        term = Scalar.from_fraction(sign)
-        for factor in split_factors(body):
-            m = _TERM_TOKEN.fullmatch(factor)
-            if not m:
-                raise ValueError(f"bad scalar factor {factor!r} in {body!r}")
-            if m.group("rad") is not None:
-                rad = int(m.group("rad"))
-                if rad < 1:
-                    raise ValueError(f"radicand must be positive in {body!r}")
-                term = term * Scalar({(0, rad): Fraction(1)})
-            elif m.group(1).lstrip().startswith("z"):
-                exp = m.group("exp")
-                term = term * zeta(int(exp) if exp is not None else 1)
-            else:
-                num = m.group("pnum") if m.group("pnum") is not None else m.group("num")
-                den = m.group("pden") if m.group("pnum") is not None else m.group("den")
-                if den is not None and int(den) == 0:
-                    raise ValueError(f"zero denominator in {body!r}")
-                term = term * Scalar.from_fraction(
-                    Fraction(int(num), int(den) if den else 1)
-                )
+        term = one * sign
+        for f in split_factors(body):
+            term = term * factor(f)
         total = total + term
     return total
+
+
+def _scalar_factor(factor: str) -> Scalar:
+    m = _TERM_TOKEN.fullmatch(factor)
+    if not m:
+        raise ValueError(f"bad scalar factor {factor!r}")
+    if m.group("rad") is not None:
+        return Scalar.sqrt_of(int(m.group("rad")))
+    if m.group(1).lstrip().startswith("z"):
+        exp = m.group("exp")
+        return zeta(int(exp) if exp is not None else 1)
+    num, den = m.group("pnum", "pden") if m.group("pnum") is not None else m.group("num", "den")
+    if den is not None and int(den) == 0:
+        raise ValueError(f"zero denominator in {factor!r}")
+    return Scalar.from_fraction(Fraction(int(num), int(den) if den else 1))
+
+
+def parse_scalar(text: str) -> Scalar:
+    """Parse the canonical rendering back into a Scalar (lossless round-trip)."""
+    return read_sum(text, _scalar_factor, ONE)
 
 
 def split_terms(text: str) -> list[tuple[int, str]]:

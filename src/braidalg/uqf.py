@@ -29,7 +29,7 @@ from .algebra import (
     mat_mul,
     scalar_mat_inverse,
 )
-from .braided import apply_state_leg1, embed, psi_flatten
+from .braided import Z_LETTER, apply_state_leg1, embed, psi_flatten
 from .graphalg import (
     GraphData,
     KmsData,
@@ -80,48 +80,36 @@ class AdmissibilityDatum:
         return len(self.d)
 
 
-def _as_scalar_matrix(F) -> tuple:
-    return tuple(tuple(map(as_scalar, row)) for row in F)
+def _support(F) -> tuple[tuple, list, list[tuple[int, int]]]:
+    """F as scalars, F^-1, and the pairs (i, j) where F_ij or (F^-1)_ji is nonzero."""
+    F = tuple(tuple(map(as_scalar, row)) for row in F)
+    F_inv = scalar_mat_inverse(F)
+    n = len(F)
+    pairs = [(i, j) for i in range(n) for j in range(n) if F[i][j] or F_inv[j][i]]
+    return F, F_inv, pairs
 
 
 def check_admissible(F, d, d_prime, d0: int) -> bool:
     """True iff F_ij = 0 = (F^-1)_ji whenever -d_j + d0 != d'_i."""
-    F = _as_scalar_matrix(F)
-    F_inv = scalar_mat_inverse(F)
-    n = len(F)
-    for i in range(n):
-        for j in range(n):
-            if -d[j] + d0 != d_prime[i]:
-                if not F[i][j].is_zero() or not F_inv[j][i].is_zero():
-                    return False
-    return True
+    return all(d_prime[i] == d0 - d[j] for i, j in _support(F)[2])
 
 
 def solve_admissible(F, d):
     """Find d', d0 satisfying the vanishing constraints, or None.
 
     Every nonzero position (i,j) of F or (j,i) of F^-1 forces
-    d'_i = d0 - d_j; the shift d0 is normalized to 0 when free.
+    d'_i = d0 - d_j; the shift d0 is normalized to 0 when free.  There is
+    a solution exactly when every row forces one degree.
     """
     if len(F) < 1 or len(F) != len(d):
         raise ValueError("need a nonempty square matrix and matching degrees")
-    F = _as_scalar_matrix(F)
-    F_inv = scalar_mat_inverse(F)
-    n = len(F)
-    forced: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if not F[i][j].is_zero() or not F_inv[j][i].is_zero():
-                forced[i].add(d[j])
-    if any(len(s) > 1 for s in forced):
-        return None
-    if any(not s for s in forced):  # impossible for invertible F
+    F, F_inv, pairs = _support(F)
+    forced = [{d[j] for r, j in pairs if r == i} for i in range(len(F))]
+    if any(len(s) != 1 for s in forced):
         return None
     d0 = 0
     d_prime = tuple(d0 - s.pop() for s in forced)
-    datum = AdmissibilityDatum(F, tuple(tuple(r) for r in F_inv), tuple(d), d_prime, d0)
-    assert check_admissible(datum.F, datum.d, datum.d_prime, datum.d0)
-    return datum
+    return AdmissibilityDatum(F, tuple(tuple(r) for r in F_inv), tuple(d), d_prime, d0)
 
 
 def make_datum(F, d) -> AdmissibilityDatum:
@@ -141,9 +129,6 @@ def u_letters(d, name: str = "u") -> list[list[Letter]]:
 
 def u_matrix(letters) -> list[list[GradedPoly]]:
     return [[GradedPoly.from_letter(l) for l in row] for row in letters]
-
-
-Z_LETTER = Letter("z", (), 1)
 
 
 def z_word(power: int) -> tuple[Letter, ...]:
@@ -549,8 +534,7 @@ def verify_quotient_identities(F_diag, d, spec: ZetaSpec = FORMAL) -> Verificati
     relations are used.
     """
     d = tuple(d)
-    F = _as_scalar_matrix(diag_matrix(F_diag))
-    F_inv = scalar_mat_inverse(F)
+    F, F_inv, _ = _support(diag_matrix(F_diag))
     ftilde = [f * f for f in F_diag]  # diagonal, F real positive
     q = u_letters(d, "q")
     qm = u_matrix(q)

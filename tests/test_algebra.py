@@ -14,6 +14,7 @@ from braidalg.algebra import (
     mat_identity,
     mat_mul,
     parse_poly,
+    SingularMatrix,
     scalar_mat_inverse,
 )
 from braidalg.scalars import ONE, ZERO, Scalar, rational, sqrt, zeta
@@ -196,3 +197,16 @@ def test_parse_poly_scalar_factors_go_through_parse_scalar():
     for text in ("u[1,1]*1/0", "u[1,1]*z^-1"):
         with pytest.raises(ValueError):
             parse_poly(text, alphabet)
+
+
+@pytest.mark.parametrize(
+    "F",
+    [
+        [[ONE, ONE], [ONE, ONE]],
+        # the only nonzero entry of column 2 has two terms, so it is no unit
+        [[ONE, ZERO], [ZERO, 1 + zeta(1)]],
+    ],
+)
+def test_scalar_mat_inverse_names_the_first_column_without_a_unit_pivot(F):
+    with pytest.raises(SingularMatrix, match="no invertible pivot in column 2"):
+        scalar_mat_inverse(F)

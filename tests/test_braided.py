@@ -229,7 +229,7 @@ def test_embed_is_degree_preserving_homomorphism(seed):
 
 def test_psi_z_goes_to_z_tensor_z():
     p = one_term(3, (1, Z))
-    out = psi_flatten(p, Z)
+    out = psi_flatten(p)
     expect = one_term(2, (1, Z)).tensor(one_term(2, (1, Z)))
     assert out == expect
 
@@ -237,26 +237,26 @@ def test_psi_z_goes_to_z_tensor_z():
 def test_psi_second_leg_picks_up_z_power():
     d = (0, 1)
     u12 = L("u", d[1] - d[0], 1, 2)
-    out = psi_flatten(one_term(3, (2, u12)), Z)
+    out = psi_flatten(one_term(3, (2, u12)))
     expect = one_term(2, (2, u12)).tensor(one_term(2, (1, Z)))
     assert out == expect
     # negative degree gives z-star letters
     u21 = L("u", d[0] - d[1], 2, 1)
-    out = psi_flatten(one_term(3, (2, u21)), Z)
+    out = psi_flatten(one_term(3, (2, u21)))
     expect = one_term(2, (2, u21)).tensor(one_term(2, (1, Z.star())))
     assert out == expect
 
 
 def test_psi_third_leg_goes_right():
     u23 = L("u", 0, 2, 3)
-    out = psi_flatten(one_term(3, (3, u23)), Z)
+    out = psi_flatten(one_term(3, (3, u23)))
     expect = GradedPoly.one(2).tensor(one_term(2, (2, u23)))
     assert out == expect
 
 
 def test_psi_rejects_foreign_letters_on_leg_one():
     with pytest.raises(BadShape):
-        psi_flatten(one_term(3, (1, L("u", 1, 1, 2))), Z)
+        psi_flatten(one_term(3, (1, L("u", 1, 1, 2))))
 
 
 def test_legged_render_parse_roundtrip():
@@ -358,3 +358,33 @@ def test_kms_state_applied_while_multiplying_matches_the_product(seed, num_legs)
 def test_state_with_a_right_factor_checks_legs():
     with pytest.raises(LegMismatch):
         apply_state_leg1(GradedPoly.one(2), lambda word: 1, right=GradedPoly.one(3))
+
+
+def test_embed_rejects_a_polynomial_of_several_blocks():
+    # x (x) y commutes without a phase; one braided block would braid it
+    p = GradedPoly.from_letter(L("x", 1)).tensor(GradedPoly.from_letter(L("y", 1)))
+    with pytest.raises(BadShape):
+        embed(1, p, 3)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("2*j1(u[1,2])", lambda u: 2 * embed(1, u[1, 2], 2)),
+        ("(z^2)*j1(u[1,2])*j2(u[2,1])", lambda u: zeta(2) * embed(1, u[1, 2], 2) * embed(2, u[2, 1], 2)),
+        ("-j1(u[1,1]) + 1", lambda u: GradedPoly.one(2) - embed(1, u[1, 1], 2)),
+    ],
+)
+def test_parse_legged_coefficient_forms(text, expected):
+    from braidalg.braided import parse_legged
+
+    letters = {("u", (i, j)): L("u", j - i, i, j) for i in (1, 2) for j in (1, 2)}
+    u = {key[1]: GradedPoly.from_letter(l) for key, l in letters.items()}
+    assert parse_legged(text, letters, 2) == expected(u)
+
+
+def test_parse_legged_rejects_an_unbalanced_leg_factor():
+    from braidalg.braided import parse_legged
+
+    with pytest.raises(ValueError):
+        parse_legged("j1(u[1,1]", {("u", (1, 1)): L("u", 0, 1, 1)}, 2)

@@ -283,3 +283,12 @@ def test_reused_parser_carries_nothing_between_requests(tmp_path):
         reused = invoke(second)
         build_parser.cache_clear()
         assert invoke(second) == reused
+
+
+def test_admissible_singular_matrix_is_an_input_error(tmp_path):
+    mat = tmp_path / "singular.mat"
+    mat.write_text("1 1\n1 1\n")
+    code, out, err = invoke(["admissible", "--F", str(mat), "--n", "2"])
+    assert code == 1
+    assert out == ""
+    assert "SingularMatrix" in err

@@ -172,3 +172,17 @@ def test_functional_aliases():
     ).specialize(ZetaSpec.root_of_unity(4))
     assert a.star() == zeta(-3) + 1
     assert zeta(2).specialize(ZetaSpec.root_of_unity(4)) == rational(-1)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [("0", ZERO), ("-1/2", rational(Fraction(-1, 2))), ("(3/4)*z^-2", rational(Fraction(3, 4)) * zeta(-2))],
+)
+def test_parse_scalar_reads_rationals_and_phases(text, expected):
+    assert parse_scalar(text) == expected
+
+
+@pytest.mark.parametrize("text", ["sqrt(0)", "1/0"])
+def test_parse_scalar_rejects_zero_radicands_and_denominators(text):
+    with pytest.raises(ValueError):
+        parse_scalar(text)

@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from braidalg.algebra import (
     GradedPoly,
@@ -428,3 +429,35 @@ def test_suites_reverify_at_roots_of_unity(N):
     assert verify_coproduct(build_uqf(make_datum(ident(2), (0, 1))), spec).verified
     assert cuntz_action(2, (0, 1), spec)[1].verified
     assert verify_fundamental_rep(make_datum([[1, 0], [0, 2]], (0, 1)), spec).verified
+
+
+@st.composite
+def matrices_and_degrees(draw):
+    """A matrix from one of five shapes, and degrees in -2..3."""
+    kind = draw(st.sampled_from(["identity", "diagonal", "permutation", "antidiagonal", "dense"]))
+    n = 2 if kind == "dense" else draw(st.integers(1, 3))
+    if kind == "identity":
+        F = ident(n)
+    elif kind == "diagonal":
+        entries = draw(st.lists(st.fractions(min_value=Fraction(1, 4), max_value=4), min_size=n, max_size=n))
+        F = [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    elif kind == "permutation":
+        perm = draw(st.permutations(range(n)))
+        F = [[int(perm[i] == j) for j in range(n)] for i in range(n)]
+    elif kind == "antidiagonal":
+        F = [[int(i + j == n - 1) for j in range(n)] for i in range(n)]
+    else:
+        F = draw(st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2), min_size=2, max_size=2))
+        assume(F[0][0] * F[1][1] != F[0][1] * F[1][0])
+    d = tuple(draw(st.lists(st.integers(-2, 3), min_size=n, max_size=n)))
+    return F, d
+
+
+@given(matrices_and_degrees())
+@settings(max_examples=60, deadline=None)
+def test_solved_datum_is_admissible_and_builds(case):
+    F, d = case
+    datum = solve_admissible(F, d)
+    if datum is not None:
+        assert check_admissible(datum.F, datum.d, datum.d_prime, datum.d0)
+        build_uqf(datum)
