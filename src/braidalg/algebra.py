@@ -50,7 +50,6 @@ __all__ = [
     "UnitaryMatrixRel",
     "CuntzFamilyRel",
     "PhaseCommutationRel",
-    "ExplicitPolyRel",
     "parse_poly",
 ]
 
@@ -510,11 +509,6 @@ class PhaseCommutationRel:
     pairs: tuple[tuple[Letter, Letter, Scalar], ...]
 
 
-@dataclass(frozen=True)
-class ExplicitPolyRel:
-    poly: GradedPoly  # declared equal to zero
-
-
 @dataclass
 class Presentation:
     """Generator/relation data of a graded *-algebra, dumpable as text."""
@@ -547,10 +541,6 @@ class Presentation:
             elif isinstance(rel, PhaseCommutationRel):
                 for a, b, phase in rel.pairs:
                     lines.append(f"commutation {a}*{b} = ({phase})*{b}*{a}")
-            elif isinstance(rel, ExplicitPolyRel):
-                lines.append(f"relation {rel.poly} = 0")
-            else:
-                lines.append(f"relation {rel}")
         return "\n".join(lines) + "\n"
 
 
@@ -574,8 +564,6 @@ def parse_poly(text: str, alphabet: dict[tuple[str, tuple[int, ...]], Letter]) -
     """
 
     def factor(f: str):
-        if f.startswith("("):
-            return parse_scalar(f[1:-1])
         m = _LETTER_RE.fullmatch(f)
         if m:
             index = tuple(int(t) for t in m.group("index").split(",")) if m.group("index") else ()
@@ -586,6 +574,11 @@ def parse_poly(text: str, alphabet: dict[tuple[str, tuple[int, ...]], Letter]) -
             return GradedPoly.from_word((letter,) * int(m.group("pow") or 1))
         if f.lstrip().startswith("z"):
             raise ValueError(f"a phase factor must be parenthesized: {f!r}")
-        return parse_scalar(f)
+        return parse_coefficient(f)
 
     return read_sum(text, factor, GradedPoly.one())
+
+
+def parse_coefficient(f: str) -> Scalar:
+    """``(s)`` is the scalar s; any other factor, ``(12`` too, goes to ``parse_scalar`` whole."""
+    return parse_scalar(f[1:-1] if f.startswith("(") and f.endswith(")") else f)

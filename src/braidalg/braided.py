@@ -21,10 +21,11 @@ from .algebra import (
     Letter,
     _block_of,
     _collect,
+    parse_coefficient,
     parse_poly,
     word_degree,
 )
-from .scalars import ONE, as_scalar, parse_scalar, read_sum, zeta
+from .scalars import ONE, as_scalar, read_sum, zeta
 
 __all__ = [
     "BadLeg",
@@ -100,7 +101,7 @@ def parse_legged(text: str, alphabet, num_legs: int) -> GradedPoly:
             if not inner.endswith(")"):
                 raise ValueError(f"unbalanced leg factor {f!r}")
             return embed(int(head[1:]), parse_poly(inner[:-1], alphabet), num_legs)
-        return parse_scalar(f[1:-1] if f.startswith("(") else f)
+        return parse_coefficient(f)
 
     return read_sum(text, factor, GradedPoly.one(num_legs))
 

@@ -173,8 +173,7 @@ def _cmd_fusion(args, out) -> int:
     left = fusion_mod.parse_irrep(args.left)
     right = fusion_mod.parse_irrep(args.right)
     result = fusion_mod.fuse(left, right)
-    for irrep, mult in result.items():
-        out.write(f"{mult} x {irrep}\n")
+    out.write(f"{result}\n")
     if args.n is not None:
         dims = " + ".join(
             str(m * fusion_mod.dimension(r.w, args.n)) for r, m in result.items()

@@ -153,12 +153,13 @@ def fuse(r: Irrep, s: Irrep) -> FusionResult:
 
 
 def fuse_results(left: FusionResult, right: FusionResult) -> FusionResult:
-    items: list = []
-    for r, mr in left.items():
-        for s, ms in right.items():
-            for t, mt in fuse(r, s).items():
-                items.append((t, mr * ms * mt))
-    return FusionResult(items)
+    """The product of two multisets, summed over the kernel outputs of every pair."""
+    counts: Counter = Counter()
+    for r, mr in left._counts.items():
+        for s, ms in right._counts.items():
+            for u in _fuse(r.w.letters, s.w.letters):
+                counts[r.x + s.x, u] += mr * ms
+    return FusionResult((Irrep(x, Word(u)), m) for (x, u), m in counts.items())
 
 
 def conjugate_irrep(r: Irrep) -> Irrep:

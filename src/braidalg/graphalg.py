@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .algebra import Letter, _Marker, mat_mul, row_reduce
 from .scalars import Scalar
@@ -99,27 +100,19 @@ class GraphData:
 
     def paths(self, length: int):
         """All paths of exactly the given length, lexicographic in edge ids."""
-        if length == 0:
-            yield ()
-            return
-        def extend(prefix):
-            if len(prefix) == length:
-                yield prefix
-                return
-            last = prefix[-1]
-            for e in range(self.num_edges):
-                if self.source(e) == self.range(last):
-                    yield from extend(prefix + (e,))
-        for e in range(self.num_edges):
-            yield from extend((e,))
+        paths = [()]
+        for _ in range(length):
+            paths = [
+                p + (e,) for p in paths for e in range(self.num_edges)
+                if not p or self.source(e) == self.range(p[-1])
+            ]
+        return paths
 
     def path_pairs(self, max_len: int):
         """All pairs of paths of length at most max_len, ordered by (|alpha|, |beta|)."""
         for la in range(max_len + 1):
             for lb in range(max_len + 1):
-                for alpha in self.paths(la):
-                    for beta in self.paths(lb):
-                        yield alpha, beta
+                yield from product(self.paths(la), self.paths(lb))
 
     def path_degree(self, path: tuple[int, ...]) -> int:
         return sum(self.gauge_degrees[e] for e in path)

@@ -70,7 +70,6 @@ class NotAdmissible(Exception):
 @dataclass(frozen=True)
 class AdmissibilityDatum:
     F: tuple  # tuple of tuples of Scalar
-    F_inv: tuple
     d: tuple[int, ...]
     d_prime: tuple[int, ...]
     d0: int
@@ -91,7 +90,11 @@ def _support(F) -> tuple[tuple, list, list[tuple[int, int]]]:
 
 def check_admissible(F, d, d_prime, d0: int) -> bool:
     """True iff F_ij = 0 = (F^-1)_ji whenever -d_j + d0 != d'_i."""
-    return all(d_prime[i] == d0 - d[j] for i, j in _support(F)[2])
+    return _vanishes(_support(F)[2], d, d_prime, d0)
+
+
+def _vanishes(pairs, d, d_prime, d0: int) -> bool:
+    return all(d_prime[i] == d0 - d[j] for i, j in pairs)
 
 
 def solve_admissible(F, d):
@@ -103,13 +106,13 @@ def solve_admissible(F, d):
     """
     if len(F) < 1 or len(F) != len(d):
         raise ValueError("need a nonempty square matrix and matching degrees")
-    F, F_inv, pairs = _support(F)
+    F, _, pairs = _support(F)
     forced = [{d[j] for r, j in pairs if r == i} for i in range(len(F))]
     if any(len(s) != 1 for s in forced):
         return None
     d0 = 0
     d_prime = tuple(d0 - s.pop() for s in forced)
-    return AdmissibilityDatum(F, tuple(tuple(r) for r in F_inv), tuple(d), d_prime, d0)
+    return AdmissibilityDatum(F, tuple(d), d_prime, d0)
 
 
 def make_datum(F, d) -> AdmissibilityDatum:
@@ -137,9 +140,9 @@ def z_word(power: int) -> tuple[Letter, ...]:
     return (Z_LETTER.star(),) * (-power)
 
 
-def conjugated_unitary(datum: AdmissibilityDatum, u) -> list[list[GradedPoly]]:
-    """F u-conj F^-1, for a matrix u over any leg structure."""
-    return mat_mul(mat_mul(datum.F, conjugate_matrix(u, list(datum.d))), datum.F_inv)
+def conjugated_unitary(F, F_inv, d, u) -> list[list[GradedPoly]]:
+    """F u-conj F^-1, for a matrix u over any leg structure with degrees d."""
+    return mat_mul(mat_mul(F, conjugate_matrix(u, list(d))), F_inv)
 
 
 # -- the braided free unitary presentation ----------------------------------------
@@ -148,14 +151,11 @@ def conjugated_unitary(datum: AdmissibilityDatum, u) -> list[list[GradedPoly]]:
 @dataclass
 class UqfPresentation:
     datum: AdmissibilityDatum
+    F_inv: list  # the inverse of datum.F that u' was built from
     letters: list  # n x n Letter
     u: list  # n x n GradedPoly
     u_prime: list  # n x n GradedPoly
     presentation: Presentation
-
-    @property
-    def n(self) -> int:
-        return self.datum.n
 
     @functools.cached_property
     def relations(self) -> RelationSet:
@@ -164,26 +164,23 @@ class UqfPresentation:
 
 
 def build_uqf(datum: AdmissibilityDatum, name: str = "u") -> UqfPresentation:
-    if not check_admissible(datum.F, datum.d, datum.d_prime, datum.d0):
+    """u_ij of degree d_j - d_i with u and u' = F u-conj F^-1 unitary; F is inverted once.
+
+    Admissibility makes u' homogeneous: a nonzero F_ik u-conj_kl (F^-1)_lj forces
+    d'_i = d0 - d_k and d'_j = d0 - d_l, and u-conj_kl has degree d_k - d_l = d'_j - d'_i.
+    """
+    F, F_inv, pairs = _support(datum.F)
+    if not _vanishes(pairs, datum.d, datum.d_prime, datum.d0):
         raise NotAdmissible("datum fails the vanishing condition")
     letters = u_letters(datum.d, name)
     u = u_matrix(letters)
-    u_prime = conjugated_unitary(datum, u)
-    # homogeneity: entry (i,j) of u' must have degree d'_j - d'_i
-    for i in range(datum.n):
-        for j in range(datum.n):
-            deg = u_prime[i][j].degree()
-            if not u_prime[i][j].is_zero() and deg != datum.d_prime[j] - datum.d_prime[i]:
-                raise NotAdmissible(
-                    f"conjugated entry ({i + 1},{j + 1}) has degree {deg}, "
-                    f"expected {datum.d_prime[j] - datum.d_prime[i]}"
-                )
+    u_prime = conjugated_unitary(F, F_inv, datum.d, u)
     pres = Presentation(
         generators=[l for row in letters for l in row],
         degree_tuples={"d": datum.d, "d'": datum.d_prime, "d0": datum.d0},
         relations=[UnitaryMatrixRel(name, _rows(u)), UnitaryMatrixRel(f"{name}'", _rows(u_prime))],
     )
-    return UqfPresentation(datum, letters, u, u_prime, pres)
+    return UqfPresentation(datum, F_inv, letters, u, u_prime, pres)
 
 
 def _rows(matrix) -> tuple:
@@ -257,7 +254,7 @@ def verify_coproduct(pres: UqfPresentation, spec: ZetaSpec = FORMAL) -> Verifica
     """
     u, rels = pres.u, pres.relations
     U = _coproduct(u)
-    U_prime = conjugated_unitary(pres.datum, U)
+    U_prime = conjugated_unitary(pres.datum.F, pres.F_inv, pres.datum.d, U)
     cancel = mat_mul(U, adjoint(_leg(2, u, 2)))
     reports = _unitarity_checks(U, rels, spec, "U unitary")
     reports += _entrywise(rels, spec, ("coassoc({i},{j})", *_coassociativity(u, U, u, U)))
@@ -286,24 +283,21 @@ class BosoPresentation:
 
 def build_bosonization(datum: AdmissibilityDatum) -> BosoPresentation:
     base = build_uqf(datum)
-    n = datum.n
-    d = datum.d
-    commutations = tuple(
-        (Z_LETTER, base.letters[i][j], zeta(d[i] - d[j])) for i in range(n) for j in range(n)
-    )
+    generators = base.presentation.generators
     pres = Presentation(
-        generators=[Z_LETTER] + [l for row in base.letters for l in row],
-        degree_tuples={"d": d, "d'": datum.d_prime, "d0": datum.d0},
+        generators=[Z_LETTER] + generators,
+        degree_tuples=base.presentation.degree_tuples,
         relations=[
             UnitaryMatrixRel("z", ((GradedPoly.from_letter(Z_LETTER),),)),
-            PhaseCommutationRel(commutations),
+            # z u_ij = z^(d_i - d_j) u_ij z, and u_ij has degree d_j - d_i
+            PhaseCommutationRel(tuple((Z_LETTER, l, zeta(-l.degree)) for l in generators)),
         ]
         + base.presentation.relations,
     )
     coproduct = {Z_LETTER: _closed_coproduct_z(1)}
-    for i in range(n):
-        for j in range(n):
-            coproduct[base.letters[i][j]] = _closed_coproduct_u(base.letters, d, i, j)
+    for i, row in enumerate(base.letters):
+        for j, l in enumerate(row):
+            coproduct[l] = _closed_coproduct_u(base.letters, datum.d, i, j)
     return BosoPresentation(datum, Z_LETTER, base.letters, pres, coproduct)
 
 

@@ -189,6 +189,19 @@ def test_parse_poly_grammar():
     assert q == GradedPoly({(z.star(), z.star()): zeta(2)})
 
 
+@pytest.mark.parametrize("text", ["(12", "(1/23", "u[1,1]*(12"])
+def test_parse_poly_rejects_an_unclosed_coefficient(text):
+    with pytest.raises(ValueError):
+        parse_poly(text, {("u", (1, 1)): u(1, 1, (0,))})
+
+
+def test_parse_poly_reads_a_parenthesized_coefficient():
+    alphabet = {("u", (1, 1)): u(1, 1, (0,))}
+    one = GradedPoly.from_letter(alphabet[("u", (1, 1))])
+    assert parse_poly("(1/2)*u[1,1]", alphabet) == one * rational("1/2")
+    assert parse_poly("(z^2)*u[1,1]", alphabet) == one * zeta(2)
+
+
 def test_parse_poly_scalar_factors_go_through_parse_scalar():
     alphabet = {("u", (1, 1)): u(1, 1, (0,))}
     one = GradedPoly.from_letter(alphabet[("u", (1, 1))])

@@ -373,6 +373,8 @@ def test_embed_rejects_a_polynomial_of_several_blocks():
         ("2*j1(u[1,2])", lambda u: 2 * embed(1, u[1, 2], 2)),
         ("(z^2)*j1(u[1,2])*j2(u[2,1])", lambda u: zeta(2) * embed(1, u[1, 2], 2) * embed(2, u[2, 1], 2)),
         ("-j1(u[1,1]) + 1", lambda u: GradedPoly.one(2) - embed(1, u[1, 1], 2)),
+        ("(z^2)*j1(u[1,1])", lambda u: zeta(2) * embed(1, u[1, 1], 2)),
+        ("(1/2)*j2(u[2,2])", lambda u: Fraction(1, 2) * embed(2, u[2, 2], 2)),
     ],
 )
 def test_parse_legged_coefficient_forms(text, expected):
@@ -388,3 +390,10 @@ def test_parse_legged_rejects_an_unbalanced_leg_factor():
 
     with pytest.raises(ValueError):
         parse_legged("j1(u[1,1]", {("u", (1, 1)): L("u", 0, 1, 1)}, 2)
+
+
+def test_parse_legged_rejects_an_unclosed_coefficient():
+    from braidalg.braided import parse_legged
+
+    with pytest.raises(ValueError):
+        parse_legged("j1(u[1,1])*(12", {("u", (1, 1)): L("u", 0, 1, 1)}, 2)

@@ -1,5 +1,6 @@
 """Admissibility, presentations, bosonization, and the proposition suites."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from braidalg.algebra import (
     PhaseCommutationRel,
     UnitaryMatrixRel,
     conjugate_matrix,
+    scalar_mat_inverse,
 )
 from braidalg.graphalg import GraphData, check_dagger, cuntz_graph, cycle_graph
 from braidalg.scalars import ONE, Scalar, ZetaSpec, rational, zeta
@@ -136,17 +138,33 @@ def test_presentation_dump_is_stable():
 
 
 def test_presentation_dump_all_relation_tags():
-    from braidalg.algebra import ExplicitPolyRel, Presentation
+    from braidalg.algebra import CuntzFamilyRel, Presentation
+    from braidalg.graphalg import edge_letters
 
-    pres = build_uqf(make_datum(ident(2), (0, 1)))
-    extra = Presentation(
-        generators=pres.presentation.generators,
-        degree_tuples=pres.presentation.degree_tuples,
-        relations=pres.presentation.relations
-        + [ExplicitPolyRel(GradedPoly.from_letter(pres.letters[0][0]) - GradedPoly.one())],
-    )
-    dump = extra.dump()
-    assert "relation -1 + u[1,1] = 0" in dump
+    S = tuple(edge_letters(cuntz_graph(2, (0, 1))))
+    u11 = Letter("u", (1, 1), 0)
+    dump = Presentation(
+        generators=list(S) + [u11],
+        degree_tuples={"d": (0, 1), "d0": 0},
+        relations=[
+            UnitaryMatrixRel("u", ((GradedPoly.from_letter(u11),),)),
+            CuntzFamilyRel(S),
+            PhaseCommutationRel(((S[1], u11, zeta(-1)),)),
+        ],
+    ).dump()
+    assert dump.splitlines()[-4:] == [
+        "unitary u:",
+        "  [ u[1,1] ]",
+        "cuntz family (S[1], S[2]): S*[i]S[j] = delta, sum S[i]S*[i] = 1",
+        "commutation S[2]*u[1,1] = (z^-1)*u[1,1]*S[2]",
+    ]
+    assert "d = (0,1)" in dump and "d0 = 0" in dump
+
+
+def test_build_uqf_rejects_a_datum_that_breaks_the_vanishing_condition():
+    datum = make_datum([[1, 0], [0, 2]], (0, 1))
+    with pytest.raises(NotAdmissible):
+        build_uqf(dataclasses.replace(datum, d_prime=(0, 0)))
 
 
 # -- coproduct, fundamental representation, bosonization -------------------------------
@@ -460,4 +478,16 @@ def test_solved_datum_is_admissible_and_builds(case):
     datum = solve_admissible(F, d)
     if datum is not None:
         assert check_admissible(datum.F, datum.d, datum.d_prime, datum.d0)
-        build_uqf(datum)
+        pres = build_uqf(datum)
+        # u' = F u-bar F^-1 entry by entry, homogeneous of degree d'_j - d'_i
+        F, F_inv, n = datum.F, scalar_mat_inverse(datum.F), datum.n
+        ubar = conjugate_matrix(pres.u, list(d))
+        for i in range(n):
+            for j in range(n):
+                entry = pres.u_prime[i][j]
+                expected = GradedPoly.zero()
+                for k in range(n):
+                    for l in range(n):
+                        expected = expected + ubar[k][l] * (F[i][k] * F_inv[l][j])
+                assert entry == expected
+                assert entry.is_zero() or entry.degree() == datum.d_prime[j] - datum.d_prime[i]
