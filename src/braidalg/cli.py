@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from fractions import Fraction
 
 from . import algebra as algebra_errors
 from .algebra import diag_matrix
@@ -55,8 +54,7 @@ def _load_F(spec_text: str | None, n: int | None) -> list[list[Scalar]]:
             raise ValueError("need --n to build an identity matrix")
         return diag_matrix([Scalar.from_fraction(1)] * n)
     if spec_text.startswith("diag:"):
-        entries = [Fraction(tok) for tok in spec_text[5:].split(",")]
-        return diag_matrix([Scalar.from_fraction(e) for e in entries])
+        return diag_matrix([parse_scalar(tok) for tok in spec_text[5:].split(",")])
     with open(spec_text, "r", encoding="utf-8") as fh:
         return _parse_matrix_text(fh.read())
 

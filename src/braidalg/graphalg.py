@@ -24,7 +24,6 @@ from itertools import product
 
 from .algebra import Letter, _Marker, mat_mul, row_reduce
 from .scalars import Scalar
-from .simplify import VerificationReport
 
 __all__ = [
     "GraphData",
@@ -36,7 +35,6 @@ __all__ = [
     "vertex_matrix",
     "check_dagger",
     "kms_eval",
-    "check_gauge_equivariance",
     "normalized_ftilde",
     "cuntz_graph",
     "cycle_graph",
@@ -113,9 +111,6 @@ class GraphData:
         for la in range(max_len + 1):
             for lb in range(max_len + 1):
                 yield from product(self.paths(la), self.paths(lb))
-
-    def path_degree(self, path: tuple[int, ...]) -> int:
-        return sum(self.gauge_degrees[e] for e in path)
 
 
 @dataclass(frozen=True)
@@ -296,37 +291,12 @@ def kms_eval(g: GraphData, k: KmsData, alpha: tuple[int, ...], beta: tuple[int, 
     return k.vertex_weights[g.range(alpha[-1])] / k.rho ** len(alpha)
 
 
-def check_gauge_equivariance(g: GraphData, k: KmsData, max_len: int = 2) -> VerificationReport:
-    """The state is invariant under the generalized gauge action, identically in z.
-
-    For each sampled path pair the z-exponent of the rescaled element is
-    d(alpha) - d(beta); invariance holds because either the paths coincide
-    (exponent 0) or the value vanishes.
-    """
-    checks = []
-    ok = True
-    for alpha, beta in g.path_pairs(max_len):
-        value = kms_eval(g, k, alpha, beta)
-        exponent = g.path_degree(alpha) - g.path_degree(beta)
-        invariant = exponent == 0 or value == 0
-        ok = ok and invariant
-        checks.append(
-            (
-                f"alpha={list(alpha)} beta={list(beta)} z-exp={exponent}",
-                "Verified" if invariant else "Unverified",
-            )
-        )
-    return VerificationReport(
-        "gauge-equivariance", "Verified" if ok else "Unverified", None, [], checks
-    )
-
-
 def normalized_ftilde(g: GraphData, k: KmsData) -> list[Fraction]:
     """Diagonal of the state's sesquilinear matrix on the edge isometries.
 
     The (i,i) entry is the weight of the range vertex of edge i; for the
     one-vertex graph with n loops this is the identity.  Requires every such
-    weight positive, since the per-edge normalizer is sqrt(rho / weight).
+    weight positive, since F = diag sqrt(ftilde) must be invertible.
     """
     if not k.exact:
         raise IrrationalData("normalization requires exact spectral data")
@@ -339,14 +309,6 @@ def normalized_ftilde(g: GraphData, k: KmsData) -> list[Fraction]:
             )
         diag.append(w)
     return diag
-
-
-def edge_normalizers(g: GraphData, k: KmsData) -> list[Scalar]:
-    """sqrt(rho / weight(range(e))) in the radical scalar ring."""
-    diag = normalized_ftilde(g, k)
-    if not isinstance(k.rho, Fraction):
-        raise IrrationalData("normalizers need a rational spectral radius")
-    return [Scalar.sqrt_of(k.rho / w) for w in diag]
 
 
 # -- interface with the symbolic engine ----------------------------------------
@@ -403,35 +365,37 @@ def kms_state(g: GraphData, k: KmsData):
 
 
 def parse_graph(text: str) -> GraphData:
-    """Parse the line-oriented graph format (or its JSON equivalent)."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    """Parse the line-oriented graph format (or its JSON equivalent); edge ids are 1..m."""
+    rows: list[tuple[int, int, int, int]] = []  # (id, src, dst, deg)
+    if text.lstrip().startswith("{"):
         data = json.loads(text)
         edges = data["edges"]
         if not isinstance(edges, list) or not all(isinstance(e, dict) for e in edges):
             raise ValueError("JSON graph: 'edges' must be a list of edge objects")
-        edges = sorted(edges, key=lambda e: e["id"])
-        return GraphData(
-            int(data["vertices"]),
-            tuple((int(e["src"]) - 1, int(e["dst"]) - 1) for e in edges),
-            tuple(int(e.get("deg", 1)) for e in edges),
-        )
-    num_vertices = None
-    rows: list[tuple[int, int, int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "vertices" and len(parts) == 2:
-            num_vertices = int(parts[1])
-        elif parts[0] == "edge" and len(parts) == 6 and parts[4] == "deg":
-            rows.append((int(parts[1]), int(parts[2]), int(parts[3]), int(parts[5])))
-        else:
-            raise ValueError(f"bad graph line {lineno}: {raw!r}")
-    if num_vertices is None:
-        raise ValueError("graph file missing 'vertices m' line")
+        try:
+            num_vertices = int(data["vertices"])
+            rows = [(int(e["id"]), int(e["src"]), int(e["dst"]), int(e.get("deg", 1))) for e in edges]
+        except TypeError as exc:
+            raise ValueError(f"JSON graph: {exc}") from None
+    else:
+        num_vertices = None
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if parts[0] == "vertices" and len(parts) == 2:
+                num_vertices = int(parts[1])
+            elif parts[0] == "edge" and len(parts) == 6 and parts[4] == "deg":
+                rows.append((int(parts[1]), int(parts[2]), int(parts[3]), int(parts[5])))
+            else:
+                raise ValueError(f"bad graph line {lineno}: {raw!r}")
+        if num_vertices is None:
+            raise ValueError("graph file missing 'vertices m' line")
     rows.sort()
+    ids = [row[0] for row in rows]
+    if ids != list(range(1, len(rows) + 1)):
+        raise ValueError(f"edge ids must be exactly 1..{len(rows)}, got {ids}")
     return GraphData(
         num_vertices,
         tuple((src - 1, dst - 1) for _, src, dst, _ in rows),

@@ -547,22 +547,14 @@ def verify_quotient_identities(F_diag, d, spec: ZetaSpec = FORMAL) -> Verificati
 
 
 def graph_universal_presentation(g: GraphData, k: KmsData, spec: ZetaSpec = FORMAL):
-    """Generators t_ij with F t F^-1 and t-conj unitary, F = diag sqrt(ftilde).
+    """The braided unitary presentation of F^-1, F = diag sqrt(ftilde), and t = F^-1 u F.
 
-    Returns (presentation, relation set, report); the report re-verifies the
-    diagonal-F conjugation identity for the computed F.
+    With u = F t F^-1, the graph relations "F t F^-1 and t-conj unitary" are
+    those of ``build_uqf``: F is real diagonal, so u' = F^-1 u-conj F = t-conj
+    entry by entry.  Returns (presentation, t, coproduct report).
     """
-    F_diag = [Scalar.sqrt_of(w) for w in normalized_ftilde(g, k)]
-    d = tuple(g.gauge_degrees)
-    t = u_letters(d, "t")
-    tm = u_matrix(t)
-    F = diag_matrix(F_diag)
-    FtF = mat_mul(mat_mul(F, tm), scalar_mat_inverse(F))
-    tbar = conjugate_matrix(tm, list(d))
-    pres = Presentation(
-        generators=[l for row in t for l in row],
-        degree_tuples={"d": d},
-        relations=[UnitaryMatrixRel("FtF^-1", _rows(FtF)), UnitaryMatrixRel("t-conj", _rows(tbar))],
-    )
-    report = verify_quotient_identities(F_diag, d, spec)
-    return pres, RelationSet(pres.relations), report
+    F = diag_matrix([Scalar.sqrt_of(w) for w in normalized_ftilde(g, k)])
+    F_inv = scalar_mat_inverse(F)
+    pres = build_uqf(make_datum(F_inv, g.gauge_degrees))
+    t = mat_mul(mat_mul(F_inv, pres.u), F)
+    return pres, t, verify_coproduct(pres, spec)

@@ -181,8 +181,11 @@ def test_kms_negative_len_is_an_input_error(tmp_path):
     [
         '{"vertices": 1, "edges": 5}',
         '{"vertices": 1, "edges": [{"id": 1, "src": 1, "dst": 1}, 7]}',
+        '{"vertices": [1], "edges": [{"id": 1, "src": 1, "dst": 1}]}',
+        '{"vertices": 1, "edges": [{"id": 1, "src": 1, "dst": 1, "deg": null}]}',
+        '{"vertices": 1, "edges": [{"id": 1, "src": 1, "dst": 1}, {"id": "x", "src": 1, "dst": 1}]}',
     ],
-    ids=["edges-not-a-list", "edge-not-an-object"],
+    ids=["edges-not-a-list", "edge-not-an-object", "vertices-a-list", "deg-null", "mixed-id-types"],
 )
 def test_kms_malformed_json_graph_is_an_input_error(tmp_path, text):
     graph = tmp_path / "bad.json"
@@ -191,6 +194,13 @@ def test_kms_malformed_json_graph_is_an_input_error(tmp_path, text):
     assert code == 1
     assert out == ""
     assert "error" in err
+
+
+def test_diag_zero_denominator_is_an_input_error():
+    code, out, err = invoke(["admissible", "--F", "diag:1/0", "--d", "0"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_unknown_command_exit_one():

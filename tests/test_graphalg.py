@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from braidalg.algebra import Letter
+from braidalg.algebra import Letter, word_degree
 from braidalg.graphalg import (
     NOT_SATISFIED,
     _char_poly,
@@ -18,11 +18,9 @@ from braidalg.graphalg import (
     IrrationalData,
     ZeroVertexWeight,
     check_dagger,
-    check_gauge_equivariance,
     cuntz_graph,
     cycle_graph,
     edge_letters,
-    edge_normalizers,
     kms_eval,
     kms_state,
     kms_table,
@@ -31,7 +29,7 @@ from braidalg.graphalg import (
     render_graph,
     vertex_matrix,
 )
-from braidalg.scalars import Scalar, sqrt
+from braidalg.scalars import Scalar
 
 
 def test_no_sinks_enforced():
@@ -126,14 +124,28 @@ def test_state_normalization_by_length():
             assert total == 1, (g, L)
 
 
-def test_gauge_equivariance_cases():
-    g = cuntz_graph(2, (0, 1))
-    k = check_dagger(g)
-    report = check_gauge_equivariance(g, k, 2)
-    assert report.verified
-    # alpha = beta: exponent 0; alpha != beta same length: value 0; mixed: value 0
-    assert kms_eval(g, k, (0,), (1,)) == 0
-    assert kms_eval(g, k, (0,), (0, 1)) == 0
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_kms_state_is_gauge_invariant(data):
+    """A nonzero state value forces gauge degree 0, so the state is gauge invariant."""
+
+    def degrees(n):
+        # distinct degrees, so that a state mixing edges shows as a nonzero degree
+        return tuple(data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n, unique=True)))
+
+    n = data.draw(st.integers(1, 3))
+    g = cuntz_graph(n, degrees(n))
+    S = edge_letters(g)
+    word = tuple(data.draw(st.lists(st.sampled_from(S + [s.star() for s in S]), max_size=6)))
+    if kms_state(g, check_dagger(g))(word):
+        assert word_degree(word) == 0, word
+    # on the 2-cycle the state takes spanning-form words S_alpha S*_beta only
+    cycle = cycle_graph(2, degrees(2))
+    S = edge_letters(cycle)
+    alpha, beta = (data.draw(st.lists(st.sampled_from(S), max_size=4)) for _ in range(2))
+    word = tuple(alpha) + tuple(s.star() for s in reversed(beta))
+    if kms_state(cycle, check_dagger(cycle))(word):
+        assert word_degree(word) == 0, word
 
 
 def test_normalized_ftilde_cuntz_is_identity():
@@ -149,9 +161,6 @@ def test_normalized_ftilde_two_cycle():
     diag = normalized_ftilde(g, k)
     assert diag == [Fraction(1, 2), Fraction(1, 2)]
     assert all(w > 0 for w in diag)
-    # normalizers sqrt(rho / w) land in the radical ring
-    norms = edge_normalizers(g, k)
-    assert norms[0] == sqrt(2)
 
 
 def test_normalized_ftilde_zero_weight_errors():
@@ -241,6 +250,23 @@ def test_graph_file_roundtrip():
     g = GraphData(2, ((0, 1), (1, 0)), (0, 1))
     text = render_graph(g)
     assert parse_graph(text) == g
+
+
+BAD_EDGE_IDS = pytest.mark.parametrize("ids", [(1, 1), (5,), (1, 3)], ids=["duplicate", "lone-5", "gap"])
+
+
+@BAD_EDGE_IDS
+def test_graph_file_rejects_edge_ids_other_than_1_to_m(ids):
+    edges = "".join(f"edge {i} 1 1 deg 1\n" for i in ids)
+    with pytest.raises(ValueError, match="edge ids"):
+        parse_graph("vertices 1\n" + edges)
+
+
+@BAD_EDGE_IDS
+def test_graph_json_rejects_edge_ids_other_than_1_to_m(ids):
+    edges = ", ".join(f'{{"id": {i}, "src": 1, "dst": 1}}' for i in ids)
+    with pytest.raises(ValueError, match="edge ids"):
+        parse_graph(f'{{"vertices": 1, "edges": [{edges}]}}')
 
 
 def test_graph_json_format():

@@ -12,11 +12,16 @@ from braidalg.algebra import (
     Letter,
     PhaseCommutationRel,
     UnitaryMatrixRel,
+    adjoint,
     conjugate_matrix,
+    diag_matrix,
+    mat_identity,
+    mat_mul,
     scalar_mat_inverse,
 )
-from braidalg.graphalg import GraphData, check_dagger, cuntz_graph, cycle_graph
+from braidalg.graphalg import GraphData, check_dagger, cuntz_graph, cycle_graph, normalized_ftilde
 from braidalg.scalars import ONE, Scalar, ZetaSpec, rational, zeta
+from braidalg.simplify import RelationSet, reduce_poly
 from braidalg.uqf import (
     NotAdmissible,
     build_bosonization,
@@ -29,6 +34,7 @@ from braidalg.uqf import (
     make_datum,
     solve_admissible,
     u_letters,
+    u_matrix,
     verify_coproduct,
     verify_fundamental_rep,
     verify_kms_preservation,
@@ -363,28 +369,69 @@ def test_quotient_identities_with_radical_entries():
 # -- the graph-level presentation --------------------------------------------------------
 
 
+def _graph_cases():
+    two_cycle = [cycle_graph(2, d) for d in [(0, 0), (0, 1)]]
+    return two_cycle + [GraphData(2, ((0, 0), (0, 1), (0, 1), (1, 0)), (0, 1, 1, 0))]
+
+
+def _unitarity_residuals(M, rels):
+    """Every entry of M* M - 1 and M M* - 1, reduced under rels."""
+    one = mat_identity(len(M))
+    return [
+        reduce_poly(P[i][j] - one[i][j], rels)[0]
+        for P in (mat_mul(adjoint(M), M), mat_mul(M, adjoint(M)))
+        for i in range(len(M))
+        for j in range(len(M))
+    ]
+
+
+@pytest.mark.parametrize("g", _graph_cases(), ids=["two-cycle-00", "two-cycle-01", "unequal"])
+def test_graph_relations_are_the_braided_unitary_relations_of_F_inverse(g):
+    # F = diag sqrt(ftilde); the graph relations "F t F^-1 and t-conj unitary"
+    # hold exactly when u = F t F^-1 and u' = F^-1 u-conj F are unitary
+    d = list(g.gauge_degrees)
+    F = diag_matrix([Scalar.sqrt_of(w) for w in normalized_ftilde(g, check_dagger(g))])
+    F_inv = scalar_mat_inverse(F)
+    t_letters = u_matrix(u_letters(d, "t"))
+    old = RelationSet(
+        [
+            UnitaryMatrixRel("FtF^-1", tuple(map(tuple, mat_mul(mat_mul(F, t_letters), F_inv)))),
+            UnitaryMatrixRel("t-conj", tuple(map(tuple, conjugate_matrix(t_letters, d)))),
+        ]
+    )
+    new = build_uqf(make_datum(F_inv, d))
+    # the old relations, with t = F^-1 u F, reduce to zero under the new ones
+    t = mat_mul(mat_mul(F_inv, new.u), F)
+    for M in (mat_mul(mat_mul(F, t), F_inv), conjugate_matrix(t, d)):
+        assert all(r.is_zero() for r in _unitarity_residuals(M, new.relations))
+    # u and u' written in t are unitary under the old relations
+    u = mat_mul(mat_mul(F, t_letters), F_inv)
+    for M in (u, mat_mul(mat_mul(F_inv, conjugate_matrix(u, d)), F)):
+        assert all(r.is_zero() for r in _unitarity_residuals(M, old))
+
+
 def test_graph_universal_presentation_cuntz_matches_uqf():
     g = cuntz_graph(2, (0, 1))
     k = check_dagger(g)
-    pres, rels, report = graph_universal_presentation(g, k)
+    pres, t, report = graph_universal_presentation(g, k)
     assert report.verified
     # F = I: the relations are exactly those of the braided unitary presentation
-    base = build_uqf(make_datum(ident(2), (0, 1)), name="t")
-    got = {fam.name: fam for fam in rels.families}
-    expect = {fam.name.replace("t'", "t-conj"): fam for fam in base.relations.families}
+    base = build_uqf(make_datum(ident(2), (0, 1)))
+    got = {fam.name: fam for fam in pres.relations.families}
+    expect = {fam.name: fam for fam in base.relations.families}
     assert len(got) == len(expect)
     for name, fam in expect.items():
-        name = name.replace("t.", "FtF^-1.")
         assert got[name].members == fam.members, name
+    assert t == base.u
 
 
 def test_graph_universal_presentation_two_cycle():
     for d in [(0, 0), (0, 1)]:
         g = cycle_graph(2, d)
         k = check_dagger(g)
-        pres, rels, report = graph_universal_presentation(g, k)
+        pres, t, report = graph_universal_presentation(g, k)
         assert report.verified, report.render()
-        assert len(pres.generators) == 4
+        assert len(pres.presentation.generators) == 4
 
 
 def test_graph_universal_presentation_zero_weight():
@@ -417,9 +464,11 @@ def test_graph_presentation_unequal_weights():
     k = check_dagger(g)
     assert k.exact and k.rho == 2
     assert k.vertex_weights == (Fraction(2, 3), Fraction(1, 3))
-    pres, rels, report = graph_universal_presentation(g, k)
+    pres, t, report = graph_universal_presentation(g, k)
     assert report.verified, report.render()
-    assert len(pres.generators) == 16
+    assert len(pres.presentation.generators) == 16
+    for suite in ("U unitary", "U' split"):
+        assert any(name.startswith(suite) for name, _ in report.checks), suite
 
 
 def test_boso_commutation_rules_reduce_conjugation():
