@@ -4,7 +4,7 @@ Subpackages:
 
 * ``scalars``  - Laurent ring in a formal unit-modulus phase over the
   rationals with formal square roots, optional root-of-unity specialization,
-  and ``read_sum``, the one reader of every expression grammar;
+  and ``parse_scalar``, the one expression reader;
 * ``algebra``  - graded letters on tensor legs and the one sparse word
   polynomial: one leg (graded), n braided legs, or a plain tensor of blocks
   of braided legs; matrices: ``mat_mul``, ``adjoint``, ``diag_matrix``,

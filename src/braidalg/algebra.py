@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import attrgetter
 
-from .scalars import ONE, ZERO, Scalar, as_scalar, parse_scalar, read_sum, zeta
+from .scalars import ONE, ZERO, Scalar, as_scalar, zeta
 
 __all__ = [
     "Letter",
@@ -50,7 +50,6 @@ __all__ = [
     "UnitaryMatrixRel",
     "CuntzFamilyRel",
     "PhaseCommutationRel",
-    "parse_poly",
 ]
 
 
@@ -543,42 +542,3 @@ class Presentation:
                     lines.append(f"commutation {a}*{b} = ({phase})*{b}*{a}")
         return "\n".join(lines) + "\n"
 
-
-# -- expression parsing --------------------------------------------------------
-
-import re as _re
-
-_LETTER_RE = _re.compile(
-    r"\s*(?P<name>[A-Za-z][A-Za-z0-9_]*)(?P<star>\*(?=$|[\[\^\*\s]))?"
-    r"(\[(?P<index>-?\d+(\s*,\s*-?\d+)*)\])?(\^(?P<pow>\d+))?\s*"
-)
-
-
-def parse_poly(text: str, alphabet: dict[tuple[str, tuple[int, ...]], Letter]) -> GradedPoly:
-    """Parse the CLI expression grammar over a known alphabet.
-
-    Factors are separated by '*'; a factor is a letter like u[1,2], u*[1,2],
-    S[3], z, z*, optionally with a positive power ^k, or else a scalar as
-    ``parse_scalar`` reads it: a rational, a bare sqrt(r), or a parenthesized
-    scalar (phase z allowed inside).
-    """
-
-    def factor(f: str):
-        m = _LETTER_RE.fullmatch(f)
-        if m:
-            index = tuple(int(t) for t in m.group("index").split(",")) if m.group("index") else ()
-            key = (m.group("name"), index)
-            if key not in alphabet:
-                raise ValueError(f"unknown generator {f.strip()!r}")
-            letter = alphabet[key].star() if m.group("star") else alphabet[key]
-            return GradedPoly.from_word((letter,) * int(m.group("pow") or 1))
-        if f.lstrip().startswith("z"):
-            raise ValueError(f"a phase factor must be parenthesized: {f!r}")
-        return parse_coefficient(f)
-
-    return read_sum(text, factor, GradedPoly.one())
-
-
-def parse_coefficient(f: str) -> Scalar:
-    """``(s)`` is the scalar s; any other factor, ``(12`` too, goes to ``parse_scalar`` whole."""
-    return parse_scalar(f[1:-1] if f.startswith("(") and f.endswith(")") else f)

@@ -4,8 +4,7 @@ An element of an n-fold braided product is a :class:`GradedPoly` on ``n``
 legs: its letters carry leg indices and its words stay leg-sorted, each
 cross-leg swap costing ``z^(deg * deg)`` (see :mod:`braidalg.algebra`).  This
 module puts a one-block polynomial on consecutive legs of a larger product
-(``embed``), evaluates a functional on leg 1 (``apply_state_leg1``), and
-parses the rendered leg notation back with ``scalars.read_sum`` (``parse_legged``).
+(``embed``) and evaluates a functional on leg 1 (``apply_state_leg1``).
 
 ``psi_flatten`` implements the flattening used by the bosonization: a
 three-leg word over (circle ``Z_LETTER``, X, Y) maps into an ordinary
@@ -21,11 +20,9 @@ from .algebra import (
     Letter,
     _block_of,
     _collect,
-    parse_coefficient,
-    parse_poly,
     word_degree,
 )
-from .scalars import ONE, as_scalar, read_sum, zeta
+from .scalars import ONE, as_scalar, zeta
 
 __all__ = [
     "BadLeg",
@@ -34,7 +31,6 @@ __all__ = [
     "embed",
     "psi_flatten",
     "apply_state_leg1",
-    "parse_legged",
 ]
 
 
@@ -86,24 +82,6 @@ def psi_flatten(p: GradedPoly) -> GradedPoly:
     legs = (2, 2)
     images = ((tuple(x for l in w for x in image(l)), c) for w, c in p._terms.items())
     return GradedPoly._make(_collect(images, _block_of(legs)), legs)
-
-
-def parse_legged(text: str, alphabet, num_legs: int) -> GradedPoly:
-    """Parse the rendered leg notation back: `j1(u[1,2]*u[1,1])*j2(S[1])`.
-
-    Coefficient factors are rationals or parenthesized scalars, as in the
-    plain polynomial grammar; the alphabet maps (name, index) to letters.
-    """
-
-    def factor(f: str):
-        if f.startswith("j") and "(" in f:
-            head, inner = f.split("(", 1)
-            if not inner.endswith(")"):
-                raise ValueError(f"unbalanced leg factor {f!r}")
-            return embed(int(head[1:]), parse_poly(inner[:-1], alphabet), num_legs)
-        return parse_coefficient(f)
-
-    return read_sum(text, factor, GradedPoly.one(num_legs))
 
 
 def _by_leg1_prefix(p: GradedPoly) -> dict:

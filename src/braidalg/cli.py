@@ -54,9 +54,13 @@ def _load_F(spec_text: str | None, n: int | None) -> list[list[Scalar]]:
             raise ValueError("need --n to build an identity matrix")
         return diag_matrix([Scalar.from_fraction(1)] * n)
     if spec_text.startswith("diag:"):
-        return diag_matrix([parse_scalar(tok) for tok in spec_text[5:].split(",")])
-    with open(spec_text, "r", encoding="utf-8") as fh:
-        return _parse_matrix_text(fh.read())
+        F = diag_matrix([parse_scalar(tok) for tok in spec_text[5:].split(",")])
+    else:
+        with open(spec_text, "r", encoding="utf-8") as fh:
+            F = _parse_matrix_text(fh.read())
+    if n is not None and len(F) != n:
+        raise ValueError(f"--F is {len(F)}x{len(F)}, expected {n}x{n}")
+    return F
 
 
 def _diag_entries(F: list[list[Scalar]]) -> list[Scalar]:

@@ -364,19 +364,22 @@ def kms_state(g: GraphData, k: KmsData):
 # -- file formats ---------------------------------------------------------------
 
 
+def _json_int(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"JSON graph: expected an integer, got {value!r}")
+    return value
+
+
 def parse_graph(text: str) -> GraphData:
-    """Parse the line-oriented graph format (or its JSON equivalent); edge ids are 1..m."""
+    """Parse the line-oriented graph format (or its JSON equivalent, integers only); edge ids are 1..m."""
     rows: list[tuple[int, int, int, int]] = []  # (id, src, dst, deg)
     if text.lstrip().startswith("{"):
         data = json.loads(text)
         edges = data["edges"]
         if not isinstance(edges, list) or not all(isinstance(e, dict) for e in edges):
             raise ValueError("JSON graph: 'edges' must be a list of edge objects")
-        try:
-            num_vertices = int(data["vertices"])
-            rows = [(int(e["id"]), int(e["src"]), int(e["dst"]), int(e.get("deg", 1))) for e in edges]
-        except TypeError as exc:
-            raise ValueError(f"JSON graph: {exc}") from None
+        num_vertices = _json_int(data["vertices"])
+        rows = [tuple(_json_int(v) for v in (e["id"], e["src"], e["dst"], e.get("deg", 1))) for e in edges]
     else:
         num_vertices = None
         for lineno, raw in enumerate(text.splitlines(), 1):
@@ -385,6 +388,8 @@ def parse_graph(text: str) -> GraphData:
                 continue
             parts = line.split()
             if parts[0] == "vertices" and len(parts) == 2:
+                if num_vertices is not None:
+                    raise ValueError(f"graph line {lineno}: a second 'vertices' line")
                 num_vertices = int(parts[1])
             elif parts[0] == "edge" and len(parts) == 6 and parts[4] == "deg":
                 rows.append((int(parts[1]), int(parts[2]), int(parts[3]), int(parts[5])))

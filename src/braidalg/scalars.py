@@ -19,8 +19,8 @@ the phase (coincidences like sqrt(2) = z + z^-1 at N = 8 are not folded);
 reduction is still a ring homomorphism, so identities proved formally stay
 zero under every specialization.
 
-``read_sum`` is the one sum-of-products reader: ``parse_scalar``, the
-polynomial grammar and the leg notation each pass it a factor reader.
+``parse_scalar`` is the one expression reader: it reads the rendering of
+``str(Scalar)`` back, as the CLI does for ``--F diag:`` entries and matrix files.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "as_scalar",
     "cyclotomic",
     "parse_scalar",
-    "read_sum",
 ]
 
 
@@ -245,20 +244,6 @@ class Scalar:
         # 1 / (c sqrt(r) z^k) = (1/(c r)) sqrt(r) z^-k; r is already square-free
         return Scalar._make({(-k, r): 1 / (c * r)})
 
-    def __pow__(self, n: int) -> "Scalar":
-        if n < 0:
-            if len(self._terms) != 1:
-                raise ValueError("negative powers only for single-term scalars")
-            return ONE / self ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def star(self) -> "Scalar":
         """Complex conjugation: z^k -> z^-k, rationals and radicals fixed."""
         return Scalar._make({(-k, r): c for (k, r), c in self._terms.items()})
@@ -369,17 +354,6 @@ _TERM_TOKEN = re.compile(
 )
 
 
-def read_sum(text: str, factor, one):
-    """Sum over ``split_terms`` of ``sign * one`` times ``factor(f)`` per ``split_factors``."""
-    total = one * 0
-    for sign, body in split_terms(text):
-        term = one * sign
-        for f in split_factors(body):
-            term = term * factor(f)
-        total = total + term
-    return total
-
-
 def _scalar_factor(factor: str) -> Scalar:
     m = _TERM_TOKEN.fullmatch(factor)
     if not m:
@@ -397,7 +371,13 @@ def _scalar_factor(factor: str) -> Scalar:
 
 def parse_scalar(text: str) -> Scalar:
     """Parse the canonical rendering back into a Scalar (lossless round-trip)."""
-    return read_sum(text, _scalar_factor, ONE)
+    total = ZERO
+    for sign, body in split_terms(text):
+        term = ONE * sign
+        for f in split_factors(body):
+            term = term * _scalar_factor(f)
+        total = total + term
+    return total
 
 
 def split_terms(text: str) -> list[tuple[int, str]]:
@@ -433,9 +413,7 @@ def split_terms(text: str) -> list[tuple[int, str]]:
 def split_factors(body: str) -> list[str]:
     """Split one term 'a*b*(c)' at its top-level '*' separators, paren-aware.
 
-    A '*' glued to a letter or digit and followed by '[', '^', '*' or the end
-    is a star marker (``u*[1,2]``, ``z*``), not a separator; a digit before
-    the end is a separator (``2*``).  An empty factor is an error.
+    An empty factor is an error.
     """
     factors = []
     depth = start = 0
@@ -445,9 +423,6 @@ def split_factors(body: str) -> list[str]:
         elif ch == ")":
             depth -= 1
         elif ch == "*" and depth == 0:
-            prev, nxt = body[i - 1 : i], body[i + 1 : i + 2]
-            if prev.isalnum() and nxt in "[^*" and not (prev.isdigit() and not nxt):
-                continue
             factors.append(body[start:i].strip())
             start = i + 1
     factors.append(body[start:].strip())

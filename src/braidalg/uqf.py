@@ -525,8 +525,10 @@ def verify_quotient_identities(F_diag, d, spec: ZetaSpec = FORMAL) -> Verificati
       (d) F^-1 (q'-conj) F = q-conj for q' = F q F^-1.
 
     All four are raw expansions over abstract generators; no algebra
-    relations are used.
+    relations are used.  A non-real entry raises ValueError.
     """
+    if any(f != f.star() for f in F_diag):
+        raise ValueError("the quotient identities need a real diagonal F")
     d = tuple(d)
     F, F_inv, _ = _support(diag_matrix(F_diag))
     ftilde = [f * f for f in F_diag]  # diagonal, F real positive

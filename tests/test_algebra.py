@@ -13,7 +13,6 @@ from braidalg.algebra import (
     diag_matrix,
     mat_identity,
     mat_mul,
-    parse_poly,
     SingularMatrix,
     scalar_mat_inverse,
 )
@@ -173,43 +172,6 @@ def test_star_involutive_on_random_polys(p):
 @given(polys, polys)
 def test_star_antimultiplicative_on_random_polys(p, q):
     assert (p * q).star() == q.star() * p.star()
-
-
-def test_parse_poly_grammar():
-    d = (0, 1)
-    alphabet = {("u", (i, j)): u(i, j, d) for i in (1, 2) for j in (1, 2)}
-    alphabet[("z", ())] = Letter("z", (), 1)
-    p = parse_poly("u[1,2]*u*[2,1] + 2*z", alphabet)
-    expect = GradedPoly.from_letter(u(1, 2, d)) * GradedPoly.from_letter(
-        u(2, 1, d).star()
-    ) + GradedPoly.from_letter(Letter("z", (), 1)) * 2
-    assert p == expect
-    q = parse_poly("(z^2)*z*^2", alphabet)
-    z = Letter("z", (), 1)
-    assert q == GradedPoly({(z.star(), z.star()): zeta(2)})
-
-
-@pytest.mark.parametrize("text", ["(12", "(1/23", "u[1,1]*(12"])
-def test_parse_poly_rejects_an_unclosed_coefficient(text):
-    with pytest.raises(ValueError):
-        parse_poly(text, {("u", (1, 1)): u(1, 1, (0,))})
-
-
-def test_parse_poly_reads_a_parenthesized_coefficient():
-    alphabet = {("u", (1, 1)): u(1, 1, (0,))}
-    one = GradedPoly.from_letter(alphabet[("u", (1, 1))])
-    assert parse_poly("(1/2)*u[1,1]", alphabet) == one * rational("1/2")
-    assert parse_poly("(z^2)*u[1,1]", alphabet) == one * zeta(2)
-
-
-def test_parse_poly_scalar_factors_go_through_parse_scalar():
-    alphabet = {("u", (1, 1)): u(1, 1, (0,))}
-    one = GradedPoly.from_letter(alphabet[("u", (1, 1))])
-    assert parse_poly("u[1,1]*sqrt(2)", alphabet) == one * sqrt(2)
-    assert parse_poly("-3/4*u[1,1]", alphabet) == one * rational("-3/4")
-    for text in ("u[1,1]*1/0", "u[1,1]*z^-1"):
-        with pytest.raises(ValueError):
-            parse_poly(text, alphabet)
 
 
 @pytest.mark.parametrize(

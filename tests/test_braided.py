@@ -259,26 +259,6 @@ def test_psi_rejects_foreign_letters_on_leg_one():
         psi_flatten(one_term(3, (1, L("u", 1, 1, 2))))
 
 
-def test_legged_render_parse_roundtrip():
-    from braidalg.braided import parse_legged
-
-    d = (0, 1)
-    letters = {("u", (i, j)): L("u", d[j - 1] - d[i - 1], i, j) for i in (1, 2) for j in (1, 2)}
-    letters[("S", (1,))] = L("S", 1, 1)
-    rng = random.Random(5)
-    pool = list(letters.values())
-    for _ in range(25):
-        terms = {}
-        for _ in range(rng.randint(1, 3)):
-            word = tuple(
-                on_leg(rng.randint(1, 2), rng.choice(pool).star() if rng.random() < 0.4 else rng.choice(pool))
-                for _ in range(rng.randint(0, 4))
-            )
-            terms[word] = zeta(rng.randint(-2, 2)) * rng.choice([1, 2, -3])
-        p = GradedPoly(terms, 2)
-        assert parse_legged(str(p), letters, 2) == p
-
-
 def test_apply_state_on_leg_one():
     s1, s2 = L("S", 1, 1), L("S", 1, 2)
     x = L("x", 0, 7)
@@ -365,35 +345,3 @@ def test_embed_rejects_a_polynomial_of_several_blocks():
     p = GradedPoly.from_letter(L("x", 1)).tensor(GradedPoly.from_letter(L("y", 1)))
     with pytest.raises(BadShape):
         embed(1, p, 3)
-
-
-@pytest.mark.parametrize(
-    "text, expected",
-    [
-        ("2*j1(u[1,2])", lambda u: 2 * embed(1, u[1, 2], 2)),
-        ("(z^2)*j1(u[1,2])*j2(u[2,1])", lambda u: zeta(2) * embed(1, u[1, 2], 2) * embed(2, u[2, 1], 2)),
-        ("-j1(u[1,1]) + 1", lambda u: GradedPoly.one(2) - embed(1, u[1, 1], 2)),
-        ("(z^2)*j1(u[1,1])", lambda u: zeta(2) * embed(1, u[1, 1], 2)),
-        ("(1/2)*j2(u[2,2])", lambda u: Fraction(1, 2) * embed(2, u[2, 2], 2)),
-    ],
-)
-def test_parse_legged_coefficient_forms(text, expected):
-    from braidalg.braided import parse_legged
-
-    letters = {("u", (i, j)): L("u", j - i, i, j) for i in (1, 2) for j in (1, 2)}
-    u = {key[1]: GradedPoly.from_letter(l) for key, l in letters.items()}
-    assert parse_legged(text, letters, 2) == expected(u)
-
-
-def test_parse_legged_rejects_an_unbalanced_leg_factor():
-    from braidalg.braided import parse_legged
-
-    with pytest.raises(ValueError):
-        parse_legged("j1(u[1,1]", {("u", (1, 1)): L("u", 0, 1, 1)}, 2)
-
-
-def test_parse_legged_rejects_an_unclosed_coefficient():
-    from braidalg.braided import parse_legged
-
-    with pytest.raises(ValueError):
-        parse_legged("j1(u[1,1])*(12", {("u", (1, 1)): L("u", 0, 1, 1)}, 2)

@@ -184,8 +184,16 @@ def test_kms_negative_len_is_an_input_error(tmp_path):
         '{"vertices": [1], "edges": [{"id": 1, "src": 1, "dst": 1}]}',
         '{"vertices": 1, "edges": [{"id": 1, "src": 1, "dst": 1, "deg": null}]}',
         '{"vertices": 1, "edges": [{"id": 1, "src": 1, "dst": 1}, {"id": "x", "src": 1, "dst": 1}]}',
+        '{"vertices": 1, "edges": [{"id": 1.9, "src": 1, "dst": 1}]}',
+        '{"vertices": 1, "edges": [{"id": 1, "src": 1.7, "dst": 1}]}',
+        '{"vertices": 1, "edges": [{"id": 1, "src": 1, "dst": 1, "deg": 2.5}]}',
+        '{"vertices": true, "edges": [{"id": 1, "src": 1, "dst": 1}]}',
+        '{"vertices": "1", "edges": [{"id": 1, "src": 1, "dst": 1}]}',
     ],
-    ids=["edges-not-a-list", "edge-not-an-object", "vertices-a-list", "deg-null", "mixed-id-types"],
+    ids=[
+        "edges-not-a-list", "edge-not-an-object", "vertices-a-list", "deg-null", "mixed-id-types",
+        "id-float", "src-float", "deg-float", "vertices-bool", "vertices-string",
+    ],
 )
 def test_kms_malformed_json_graph_is_an_input_error(tmp_path, text):
     graph = tmp_path / "bad.json"
@@ -194,6 +202,22 @@ def test_kms_malformed_json_graph_is_an_input_error(tmp_path, text):
     assert code == 1
     assert out == ""
     assert "error" in err
+
+
+@pytest.mark.parametrize("prop", ["quotient", "matricial"])
+@pytest.mark.parametrize("F", ["diag:1", "diag:1,2,3"])
+def test_F_of_the_wrong_size_is_an_input_error(prop, F):
+    code, out, err = invoke(["verify", "--prop", prop, "--n", "2", "--d", "0,1", "--F", F])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_quotient_with_a_non_real_F_is_an_input_error():
+    code, out, err = invoke(["verify", "--prop", "quotient", "--n", "2", "--d", "0,1", "--F", "diag:z,1"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_diag_zero_denominator_is_an_input_error():

@@ -1,0 +1,34 @@
+"""Every exported name resolves, so a deleted function cannot leave a stale export."""
+
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import braidalg
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(braidalg.__path__))
+
+
+def test_every_module_is_checked():
+    assert set(MODULES) >= {"algebra", "braided", "cli", "fusion", "graphalg", "scalars", "simplify", "uqf"}
+
+
+def test_package_reexports_only_exported_names():
+    namespace = {}
+    exec("from braidalg import *", namespace)
+    exported = {name for m in MODULES for name in importlib.import_module(f"braidalg.{m}").__all__}
+    reexported = {n for n, v in namespace.items() if not n.startswith("_") and not inspect.ismodule(v)}
+    assert reexported and reexported <= exported, sorted(reexported - exported)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_all_resolves_and_star_import_works(module):
+    mod = importlib.import_module(f"braidalg.{module}")
+    assert mod.__all__, f"braidalg.{module} has an empty __all__"
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing, f"braidalg.{module}.__all__ names undefined {missing}"
+    namespace = {}
+    exec(f"from braidalg.{module} import *", namespace)
+    assert set(mod.__all__) <= set(namespace)

@@ -269,6 +269,11 @@ def test_graph_json_rejects_edge_ids_other_than_1_to_m(ids):
         parse_graph(f'{{"vertices": 1, "edges": [{edges}]}}')
 
 
+def test_graph_file_rejects_a_second_vertices_line():
+    with pytest.raises(ValueError, match="second 'vertices'"):
+        parse_graph("vertices 3\nvertices 1\nedge 1 1 1 deg 1\n")
+
+
 def test_graph_json_format():
     text = '{"vertices": 1, "edges": [{"id": 1, "src": 1, "dst": 1, "deg": 1}, {"id": 2, "src": 1, "dst": 1, "deg": 2}]}'
     g = parse_graph(text)

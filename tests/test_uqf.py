@@ -361,6 +361,12 @@ def test_verify_quotient_identities(diag, d):
     assert report.verified, report.render()
 
 
+@pytest.mark.parametrize("diag", [[zeta(1), ONE], [ONE, ONE + zeta(1)]])
+def test_quotient_identities_reject_a_non_real_F(diag):
+    with pytest.raises(ValueError, match="real"):
+        verify_quotient_identities(diag, (0, 1))
+
+
 def test_quotient_identities_with_radical_entries():
     report = verify_quotient_identities([Scalar.sqrt_of(2), Scalar.sqrt_of(Fraction(1, 2))], (0, 1))
     assert report.verified
