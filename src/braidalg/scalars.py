@@ -354,11 +354,17 @@ _TERM_TOKEN = re.compile(
 )
 
 
+# square-freeing trial-divides up to sqrt(r), so this bounds it at 10^6 steps
+_MAX_RADICAND = 10**12
+
+
 def _scalar_factor(factor: str) -> Scalar:
     m = _TERM_TOKEN.fullmatch(factor)
     if not m:
         raise ValueError(f"bad scalar factor {factor!r}")
     if m.group("rad") is not None:
+        if int(m.group("rad")) > _MAX_RADICAND:
+            raise ValueError(f"radicand above 10^12 in {factor!r}")
         return Scalar.sqrt_of(int(m.group("rad")))
     if m.group(1).lstrip().startswith("z"):
         exp = m.group("exp")
@@ -370,62 +376,19 @@ def _scalar_factor(factor: str) -> Scalar:
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Parse the canonical rendering back into a Scalar (lossless round-trip)."""
-    total = ZERO
-    for sign, body in split_terms(text):
-        term = ONE * sign
-        for f in split_factors(body):
-            term = term * _scalar_factor(f)
-        total = total + term
-    return total
+    """Parse the canonical rendering back into a Scalar (lossless round-trip).
 
-
-def split_terms(text: str) -> list[tuple[int, str]]:
-    """Split 'a + b - c' into [(+1,'a'), (+1,'b'), (-1,'c')], paren-aware.
-
-    A term separator is a '+' or '-' with a space on each side, outside
-    parentheses; a leading '-' negates the first term.
+    Terms are separated by a '+' or '-' with a space of its own on each side,
+    factors by '*'; a leading '-' negates the first term.
     """
-    out: list[tuple[int, str]] = []
-    depth = 0
-    sign = 1
-    start = i = 0
     text = text.strip()
-    if text.startswith("-"):
-        sign = -1
-        start = i = 1
-    while i < len(text):
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and ch in "+-" and i > start and text[i - 1] == " " and i + 1 < len(text) and text[i + 1] == " ":
-            out.append((sign, text[start:i].strip()))
-            sign = 1 if ch == "+" else -1
-            i += 1
-            start = i + 1
-        i += 1
-    out.append((sign, text[start:].strip()))
-    return [(s, b) for s, b in out if b]
-
-
-def split_factors(body: str) -> list[str]:
-    """Split one term 'a*b*(c)' at its top-level '*' separators, paren-aware.
-
-    An empty factor is an error.
-    """
-    factors = []
-    depth = start = 0
-    for i, ch in enumerate(body):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "*" and depth == 0:
-            factors.append(body[start:i].strip())
-            start = i + 1
-    factors.append(body[start:].strip())
-    if not all(factors):
-        raise ValueError(f"empty factor in {body!r}")
-    return factors
+    negated = text.startswith("-")
+    parts = re.split(r" ([+-]) ", text[1:] if negated else text)
+    total = ZERO
+    for op, body in zip(["-" if negated else "+"] + parts[1::2], parts[::2]):
+        if body.strip():
+            term = -ONE if op == "-" else ONE
+            for f in body.split("*"):
+                term = term * _scalar_factor(f)
+            total = total + term
+    return total

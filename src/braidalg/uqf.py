@@ -163,7 +163,7 @@ class UqfPresentation:
         return RelationSet(self.presentation.relations)
 
 
-def build_uqf(datum: AdmissibilityDatum, name: str = "u") -> UqfPresentation:
+def build_uqf(datum: AdmissibilityDatum) -> UqfPresentation:
     """u_ij of degree d_j - d_i with u and u' = F u-conj F^-1 unitary; F is inverted once.
 
     Admissibility makes u' homogeneous: a nonzero F_ik u-conj_kl (F^-1)_lj forces
@@ -172,13 +172,13 @@ def build_uqf(datum: AdmissibilityDatum, name: str = "u") -> UqfPresentation:
     F, F_inv, pairs = _support(datum.F)
     if not _vanishes(pairs, datum.d, datum.d_prime, datum.d0):
         raise NotAdmissible("datum fails the vanishing condition")
-    letters = u_letters(datum.d, name)
+    letters = u_letters(datum.d)
     u = u_matrix(letters)
     u_prime = conjugated_unitary(F, F_inv, datum.d, u)
     pres = Presentation(
         generators=[l for row in letters for l in row],
         degree_tuples={"d": datum.d, "d'": datum.d_prime, "d0": datum.d0},
-        relations=[UnitaryMatrixRel(name, _rows(u)), UnitaryMatrixRel(f"{name}'", _rows(u_prime))],
+        relations=[UnitaryMatrixRel("u", _rows(u)), UnitaryMatrixRel("u'", _rows(u_prime))],
     )
     return UqfPresentation(datum, F_inv, letters, u, u_prime, pres)
 
@@ -210,13 +210,9 @@ def _coassociativity(x, X, u, U) -> tuple[list, list]:
     return mat_mul(_leg(1, X, 3), _leg(3, u, 3)), mat_mul(_leg(1, x, 3), _leg(2, U, 3))
 
 
-def _linear_action(S, letters) -> list[GradedPoly]:
-    """The action on n isometries: S'_j = sum_i j1(S_i) j2(letters_ij), one per j."""
-    n = len(S)
-    return [
-        GradedPoly({(S[i], letters[i][j].on_leg(2)): ONE for i in range(n)}, 2)
-        for j in range(n)
-    ]
+def _linear_action(S, u) -> list[GradedPoly]:
+    """The action on n isometries as a row A = j1(S) j2(u): S'_j = sum_i j1(S_i) j2(u_ij)."""
+    return mat_mul(_leg(1, [[GradedPoly.from_letter(s) for s in S]], 2), _leg(2, u, 2))[0]
 
 
 def _entrywise(rels, spec, *checks) -> list[VerificationReport]:
@@ -381,8 +377,7 @@ def cuntz_action(n: int, d, spec: ZetaSpec = FORMAL):
     base = build_uqf(make_datum(diag_matrix([ONE] * n), d))
     S = edge_letters(cuntz_graph(n, d))
     rels = RelationSet([CuntzFamilyRel(tuple(S))] + base.presentation.relations)
-    action = _linear_action(S, base.letters)
-    # the action as a row: A = j1(S) j2(u), with S the row of isometries
+    action = _linear_action(S, base.u)
     A, S_row = [action], [[GradedPoly.from_letter(s) for s in S]]
     ubar = conjugate_matrix(base.u, list(d))
     A_star = _map(GradedPoly.star, A)
@@ -414,7 +409,7 @@ def verify_kms_preservation(n: int, d, L: int, spec: ZetaSpec = FORMAL) -> Verif
     base = build_uqf(make_datum(diag_matrix([ONE] * n), d))
     rels = base.relations
     tau = functools.cache(_cuntz_tau(n))
-    eta = _linear_action(edge_letters(cuntz_graph(n, d)), base.letters)
+    eta = _linear_action(edge_letters(cuntz_graph(n, d)), base.u)
 
     indices = [a for k in range(L + 1) for a in itertools.product(range(n), repeat=k)]
     paths = {}
@@ -466,15 +461,17 @@ def derive_action_constraints(ftilde, d, spec: ZetaSpec = FORMAL):
         (1)  sum_k z^{d_k (d_j - d_i)} q_ki q*_kj = delta_ij
         (2)  sum_k q*_ki ftilde_kk q_kj = ftilde_ij
 
-    ftilde is the diagonal of the normalized sesquilinear matrix.  Returns
-    (relations, report) where relations maps (i,j) to the two (lhs, rhs)
-    polynomial pairs.
+    ftilde is the diagonal of the normalized sesquilinear matrix; an entry
+    that is not positive raises ValueError.  Returns (relations, report) where
+    relations maps (i,j) to the two (lhs, rhs) polynomial pairs.
     """
     d = tuple(d)
     n = len(d)
     ftilde = [Fraction(x) for x in ftilde]
+    if any(f <= 0 for f in ftilde):
+        raise ValueError("the action constraints need positive ftilde entries")
     q = u_letters(d, "q")
-    eta = _linear_action(edge_letters(cuntz_graph(n, d)), q)
+    eta = _linear_action(edge_letters(cuntz_graph(n, d)), u_matrix(q))
 
     def tau_pairs(word):
         if len(word) == 0:

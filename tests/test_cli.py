@@ -220,6 +220,39 @@ def test_quotient_with_a_non_real_F_is_an_input_error():
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a singular F has a zero ftilde entry, which no state can weight
+        ["verify", "--prop", "matricial", "--n", "2", "--d", "0,1", "--F", "diag:0,1"],
+        # matricial and quotient need a diagonal F
+        ["verify", "--prop", "matricial", "--n", "2", "--d", "0,1", "--F", "{dense}"],
+        ["verify", "--prop", "quotient", "--n", "2", "--d", "0,1", "--F", "{dense}"],
+        ["admissible", "--F", "diag:1,2", "--d", "0,1,2"],
+        ["verify", "--prop", "coproduct", "--n", "0", "--d", "0"],
+        # the dense F is admissible at d = (0,0), but its u' has entries that are not monomial
+        ["verify", "--prop", "coproduct", "--n", "2", "--d", "0,0", "--F", "{dense}"],
+        ["verify", "--prop", "fundamental", "--n", "2", "--d", "0,0", "--F", "{dense}"],
+    ],
+    ids=[
+        "matricial-singular",
+        "matricial-dense",
+        "quotient-dense",
+        "admissible-d-too-long",
+        "n-zero",
+        "coproduct-dense",
+        "fundamental-dense",
+    ],
+)
+def test_input_errors_print_nothing(tmp_path, argv):
+    dense = tmp_path / "dense.mat"
+    dense.write_text("1 1\n0 1\n")
+    code, out, err = invoke([arg.format(dense=dense) for arg in argv])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_diag_zero_denominator_is_an_input_error():
     code, out, err = invoke(["admissible", "--F", "diag:1/0", "--d", "0"])
     assert code == 1
@@ -293,6 +326,15 @@ def test_admissible_malformed_matrix_files_never_crash(tmp_path_factory, text):
     path.write_text(text)
     code, _, _ = invoke(["admissible", "--F", str(path), "--d", "0"])
     assert code in (0, 1, 2)
+
+
+# a diag: list is the one input whose entries may hold a ' + ' term separator
+@given(st.text(alphabet="0123456789 +-,/*sqrt()z^", max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_admissible_malformed_diag_lists_never_crash(text):
+    code, _, err = invoke(["admissible", "--F", "diag:" + text])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
 
 
 def test_outputs_are_deterministic():

@@ -1,9 +1,10 @@
 """Exact scalar arithmetic: examples, ring axioms, specialization soundness."""
 
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from braidalg.scalars import (
     FORMAL,
@@ -17,6 +18,7 @@ from braidalg.scalars import (
     sqrt,
     zeta,
 )
+from braidalg.scalars import _scalar_factor
 
 
 def test_zeta_exponents_add():
@@ -169,3 +171,84 @@ def test_parse_scalar_reads_rationals_and_phases(text, expected):
 def test_parse_scalar_rejects_zero_radicands_and_denominators(text):
     with pytest.raises(ValueError):
         parse_scalar(text)
+
+
+def test_parse_scalar_bounds_the_radicand():
+    # square-freeing trial-divides up to sqrt(r), so a large prime radicand would stall
+    assert parse_scalar("sqrt(1000000000000)") == rational(10**6)
+    for text in ("sqrt(1000000000001)", "sqrt(100000000000031)", "1 + 2*sqrt( 99999999999999999999 )"):
+        with pytest.raises(ValueError):
+            parse_scalar(text)
+
+
+# -- the one-pass reader against the paren-depth reader it replaced -------------------
+
+
+def paren_depth_parse_scalar(text):
+    """Reference reader: split terms at ' + ' / ' - ' and factors at '*', both
+    only outside parentheses, scanning character by character."""
+    terms, depth, sign = [], 0, 1
+    text = text.strip()
+    start = i = 1 if text.startswith("-") else 0
+    if start:
+        sign = -1
+    while i < len(text):
+        ch = text[i]
+        if ch in "()":
+            depth += 1 if ch == "(" else -1
+        elif depth == 0 and ch in "+-" and i > start and text[i - 1] == " " and text[i + 1 : i + 2] == " ":
+            terms.append((sign, text[start:i].strip()))
+            sign = 1 if ch == "+" else -1
+            i += 1
+            start = i + 1
+        i += 1
+    terms.append((sign, text[start:].strip()))
+    total = ZERO
+    for sign, body in terms:
+        if not body:
+            continue
+        factors, depth, start = [], 0, 0
+        for i, ch in enumerate(body):
+            if ch in "()":
+                depth += 1 if ch == "(" else -1
+            elif ch == "*" and depth == 0:
+                factors.append(body[start:i].strip())
+                start = i + 1
+        factors.append(body[start:].strip())
+        if not all(factors):
+            raise ValueError(f"empty factor in {body!r}")
+        term = ONE * sign
+        for f in factors:
+            term = term * _scalar_factor(f)
+        total = total + term
+    return total
+
+
+def _read(reader, text):
+    try:
+        return reader(text)
+    except ValueError:
+        return ValueError
+
+
+def _radicands_in_bound(text):
+    return all(int(r) <= 10**12 for r in re.findall(r"sqrt\(\s*(\d+)", text))
+
+
+@st.composite
+def rendered_sums(draw):
+    """Rendered scalars joined by spaced or unspaced signs, with spacing variants."""
+    parts = [str(s) for s in draw(st.lists(scalars, min_size=1, max_size=3))]
+    text = parts[0]
+    for part in parts[1:]:
+        text += draw(st.sampled_from([" + ", " - ", "+", "-", " +", "- ", "  +  ", " + - "])) + part
+    if draw(st.booleans()):
+        text = text.replace("*", draw(st.sampled_from([" * ", "* ", " *", "**"])))
+    return draw(st.sampled_from(["", " ", "-", "- ", "-("])) + text + draw(st.sampled_from(["", " ", ")"]))
+
+
+@given(st.one_of(st.text(alphabet="0123456789 /*+-sqrt()z^", max_size=30), rendered_sums()))
+@settings(max_examples=400, deadline=None)
+def test_one_pass_reader_matches_the_paren_depth_reader(text):
+    assume(_radicands_in_bound(text))
+    assert _read(parse_scalar, text) == _read(paren_depth_parse_scalar, text)

@@ -326,6 +326,13 @@ def test_derive_action_constraints_displays():
     assert lhs2 == expect2 and rhs2.is_zero()
 
 
+@pytest.mark.parametrize("ftilde", [[0, 1], [1, -2]])
+def test_action_constraints_reject_a_non_positive_ftilde(ftilde):
+    # a zero or negative entry is no sesquilinear weight; the displays would still match
+    with pytest.raises(ValueError):
+        derive_action_constraints(ftilde, (0, 1))
+
+
 def test_action_constraints_at_identity_match_uconj_unitarity():
     # with the trivial sesquilinear matrix, display (1) is the u-conj column relation
     relations, report = derive_action_constraints([1, 1], (0, 1))
