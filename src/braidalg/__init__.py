@@ -11,8 +11,9 @@ Subpackages:
   ``mat_identity``, the phase-dressed ``conjugate_matrix``, ``row_reduce``;
 * ``braided``  - moving polynomials between leg structures: placing legs
   in a larger product, the flattening map, leg-1 state application;
-* ``simplify`` - the relation-driven reduction and verification engine;
-  ``RelationSet(relations)`` compiles declared relation objects;
+* ``simplify`` - presentations and their relation kinds, each rendering and
+  compiling itself; ``Presentation.rules``, the one compiled rule set; the
+  relation-driven reduction and verification engine;
 * ``graphalg`` - finite graphs, spectral radius, the equilibrium state;
 * ``uqf``      - the braided unitary presentation, its bosonization, the
   one-vertex-graph action and the proposition-level suites;
@@ -20,7 +21,7 @@ Subpackages:
 * ``cli``      - the batch command-line front end.
 """
 
-from .scalars import FORMAL, Scalar, ZetaSpec, zeta, sqrt, rational
+from .scalars import FORMAL, Scalar, ZetaSpec, zeta, sqrt
 from .algebra import GradedPoly, Letter, NOT_HOMOGENEOUS, adjoint, conjugate_matrix, diag_matrix, mat_mul
 from .braided import apply_state_leg1, embed, psi_flatten
 from .simplify import RelationSet, VerificationReport, verify_identity

@@ -24,7 +24,7 @@ adjoint used for braided conjugate representations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import attrgetter
@@ -46,10 +46,6 @@ __all__ = [
     "mat_identity",
     "row_reduce",
     "scalar_mat_inverse",
-    "Presentation",
-    "UnitaryMatrixRel",
-    "CuntzFamilyRel",
-    "PhaseCommutationRel",
 ]
 
 
@@ -486,59 +482,3 @@ def scalar_mat_inverse(mat: list[list[Scalar]]) -> list[list[Scalar]]:
         if col not in pivots:
             raise SingularMatrix(f"no invertible pivot in column {col + 1}")
     return [row[n:] for row in work]
-
-
-# -- relation declarations (presentation data) --------------------------------
-
-
-@dataclass(frozen=True)
-class UnitaryMatrixRel:
-    name: str
-    matrix: tuple  # tuple of tuples of GradedPoly
-
-
-@dataclass(frozen=True)
-class CuntzFamilyRel:
-    letters: tuple[Letter, ...]  # unstarred edge isometries
-
-
-@dataclass(frozen=True)
-class PhaseCommutationRel:
-    # (a, b, phase) reads a*b = phase * b*a
-    pairs: tuple[tuple[Letter, Letter, Scalar], ...]
-
-
-@dataclass
-class Presentation:
-    """Generator/relation data of a graded *-algebra, dumpable as text."""
-
-    generators: list[Letter] = field(default_factory=list)
-    degree_tuples: dict[str, tuple[int, ...] | int] = field(default_factory=dict)
-    relations: list = field(default_factory=list)
-
-    def dump(self) -> str:
-        lines = ["[generators]"]
-        for g in self.generators:
-            lines.append(f"{g} deg {g.degree}")
-        lines.append("")
-        lines.append("[degrees]")
-        for name, value in sorted(self.degree_tuples.items()):
-            if isinstance(value, tuple):
-                lines.append(f"{name} = ({','.join(map(str, value))})")
-            else:
-                lines.append(f"{name} = {value}")
-        lines.append("")
-        lines.append("[relations]")
-        for rel in self.relations:
-            if isinstance(rel, UnitaryMatrixRel):
-                lines.append(f"unitary {rel.name}:")
-                for row in rel.matrix:
-                    lines.append("  [ " + " , ".join(str(p) for p in row) + " ]")
-            elif isinstance(rel, CuntzFamilyRel):
-                fam = ", ".join(str(l) for l in rel.letters)
-                lines.append(f"cuntz family ({fam}): S*[i]S[j] = delta, sum S[i]S*[i] = 1")
-            elif isinstance(rel, PhaseCommutationRel):
-                for a, b, phase in rel.pairs:
-                    lines.append(f"commutation {a}*{b} = ({phase})*{b}*{a}")
-        return "\n".join(lines) + "\n"
-

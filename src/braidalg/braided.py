@@ -16,7 +16,6 @@ from __future__ import annotations
 from .algebra import (
     BadLeg,
     GradedPoly,
-    LegMismatch,
     Letter,
     _block_of,
     _collect,
@@ -25,8 +24,6 @@ from .algebra import (
 from .scalars import ONE, as_scalar, zeta
 
 __all__ = [
-    "BadLeg",
-    "LegMismatch",
     "BadShape",
     "embed",
     "psi_flatten",

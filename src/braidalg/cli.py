@@ -110,7 +110,7 @@ def _cmd_bosonize(args, out) -> int:
     boso = uqf.build_bosonization(datum)
     out.write(boso.presentation.dump())
     out.write("\n[coproduct]\n")
-    for letter in [boso.z] + [l for row in boso.letters for l in row]:
+    for letter in boso.presentation.generators:
         out.write(f"Delta({letter}) = {boso.coproduct[letter]}\n")
     out.write("\n")
     report = uqf.derive_boso_coproduct(datum, _parse_zeta(args.zeta))

@@ -39,7 +39,6 @@ __all__ = [
     "ONE",
     "zeta",
     "sqrt",
-    "rational",
     "as_scalar",
     "cyclotomic",
     "parse_scalar",
@@ -151,14 +150,6 @@ class Scalar:
     @classmethod
     def from_fraction(cls, c) -> "Scalar":
         return cls({(0, 1): Fraction(c)})
-
-    @classmethod
-    def sqrt_of(cls, value) -> "Scalar":
-        """sqrt of a positive rational: sqrt(p/q) = sqrt(p*q) / q."""
-        v = Fraction(value)
-        if v <= 0:
-            raise ValueError("radicand must be positive")
-        return cls({(0, v.numerator * v.denominator): Fraction(1, v.denominator)})
 
     # -- structure --------------------------------------------------------
 
@@ -334,11 +325,11 @@ def zeta(k: int = 1) -> Scalar:
 
 
 def sqrt(value) -> Scalar:
-    return Scalar.sqrt_of(value)
-
-
-def rational(value) -> Scalar:
-    return Scalar.from_fraction(value)
+    """sqrt of a positive rational: sqrt(p/q) = sqrt(p*q) / q."""
+    v = Fraction(value)
+    if v <= 0:
+        raise ValueError("radicand must be positive")
+    return Scalar({(0, v.numerator * v.denominator): Fraction(1, v.denominator)})
 
 
 # -- parsing ----------------------------------------------------------------
@@ -365,7 +356,7 @@ def _scalar_factor(factor: str) -> Scalar:
     if m.group("rad") is not None:
         if int(m.group("rad")) > _MAX_RADICAND:
             raise ValueError(f"radicand above 10^12 in {factor!r}")
-        return Scalar.sqrt_of(int(m.group("rad")))
+        return sqrt(int(m.group("rad")))
     if m.group(1).lstrip().startswith("z"):
         exp = m.group("exp")
         return zeta(int(exp) if exp is not None else 1)
@@ -379,16 +370,17 @@ def parse_scalar(text: str) -> Scalar:
     """Parse the canonical rendering back into a Scalar (lossless round-trip).
 
     Terms are separated by a '+' or '-' with a space of its own on each side,
-    factors by '*'; a leading '-' negates the first term.
+    factors by '*'; a leading '-' negates the first term.  An empty term is an error.
     """
     text = text.strip()
     negated = text.startswith("-")
     parts = re.split(r" ([+-]) ", text[1:] if negated else text)
     total = ZERO
     for op, body in zip(["-" if negated else "+"] + parts[1::2], parts[::2]):
-        if body.strip():
-            term = -ONE if op == "-" else ONE
-            for f in body.split("*"):
-                term = term * _scalar_factor(f)
-            total = total + term
+        if not body.strip():
+            raise ValueError(f"empty term in {text!r}")
+        term = -ONE if op == "-" else ONE
+        for f in body.split("*"):
+            term = term * _scalar_factor(f)
+        total = total + term
     return total

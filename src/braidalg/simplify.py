@@ -1,8 +1,8 @@
-"""Relation-driven reduction and the identity-verification engine.
+"""Presentations, their relation kinds, and the verification engine.
 
-The verification strategy is expansion + structural normal form +
-complete-contraction detection, not ideal membership.  Three rule kinds are
-compiled out of a :class:`RelationSet`:
+Each relation kind of a :class:`Presentation` renders its own dump lines
+(``lines``) and compiles its own engine rules (``compile``) into the one
+:class:`RelationSet`, ``Presentation.rules``.  Three rule kinds result:
 
 * local pair rules: ``S*[i] S[j] -> delta_ij`` for a Cuntz family, and
   ``x x* -> 1``, ``x* x -> 1`` for any declared 1x1 unitary;
@@ -11,10 +11,12 @@ compiled out of a :class:`RelationSet`:
   rows and columns of declared unitary matrices with monomial entries and
   from the full Cuntz sum ``sum_i S[i] S*[i] = 1``.
 
-A contraction fires on a group of monomials that are identical except at one
-adjacent same-leg letter pair, where the pair runs over a complete family
-and the coefficients are proportional to the family's.  A complete group
-lies on one leg: members found on different legs never combine.
+The verification strategy is expansion + structural normal form +
+complete-contraction detection, not ideal membership.  A contraction fires
+on a group of monomials that are identical except at one adjacent same-leg
+letter pair, where the pair runs over a complete family and the
+coefficients are proportional to the family's.  A complete group lies on
+one leg: members found on different legs never combine.
 
 Reduction rewrites every term locally once, then fires contractions to a
 fixpoint.  Candidates come from an index of the irreducible terms that each
@@ -26,22 +28,17 @@ Unverified (which is not a refutation).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
-from .algebra import (
-    CuntzFamilyRel,
-    GradedPoly,
-    Letter,
-    PhaseCommutationRel,
-    UnitaryMatrixRel,
-    Word,
-    _collect,
-    lword_str,
-    word_key,
-)
+from .algebra import GradedPoly, Letter, Word, _collect, lword_str, word_key
 from .scalars import FORMAL, ONE, ZERO, Scalar, ZetaSpec
 
 __all__ = [
+    "Presentation",
+    "UnitaryMatrixRel",
+    "CuntzFamilyRel",
+    "PhaseCommutationRel",
     "RelationSet",
     "PairFamily",
     "VerificationReport",
@@ -60,67 +57,25 @@ class PairFamily:
     rhs: Scalar
 
 
-class RelationSet:
-    """Declared relations, compiled into local rules and contraction families.
+# -- relation kinds ----------------------------------------------------------------
 
-    ``relations`` are the declaration objects of ``Presentation.relations``:
-    Cuntz families, unitary matrices and phase commutations, compiled in
-    the order given.
 
-    Rules are keyed by pairs of letter symbols (``Letter.symbol``), so they
-    apply on every leg.  A commutation ``(a, b, phase)`` declares
-    ``a*b = phase*b*a``; the engine reads it as directed swaps that move a and
-    a* left past b and b*.
-    """
+@dataclass(frozen=True)
+class UnitaryMatrixRel:
+    """A unitary matrix of monomials: its rows and columns are complete families."""
 
-    def __init__(self, relations=()):
-        self.relations = tuple(relations)
-        self.local_rules: dict[tuple, Scalar] = {}
-        self.swap_rules: dict[tuple, Scalar] = {}
-        self.families: list[PairFamily] = []
+    name: str
+    matrix: tuple  # tuple of tuples of GradedPoly
 
-        for rel in self.relations:
-            if isinstance(rel, CuntzFamilyRel):
-                self._compile_cuntz(rel.letters)
-            elif isinstance(rel, UnitaryMatrixRel):
-                self._compile_unitary(rel.name, rel.matrix)
-            elif isinstance(rel, PhaseCommutationRel):
-                self._compile_commutations(rel.pairs)
-            else:
-                raise TypeError(f"the reduction engine cannot use relation {rel!r}")
+    def lines(self) -> list[str]:
+        return [f"unitary {self.name}:"] + [
+            "  [ " + " , ".join(str(p) for p in row) + " ]" for row in self.matrix
+        ]
 
-        # fast lookup: (left symbol, right symbol) -> [(family, member, 1 / member
-        # coefficient, or None when the coefficient is one)]
-        self.pair_index: dict[tuple, list[tuple[int, int, Scalar | None]]] = {}
-        for fi, fam in enumerate(self.families):
-            for mi, (a, b, c) in enumerate(fam.members):
-                inv = None if c.is_one() else c.inverse()
-                self.pair_index.setdefault((a.symbol, b.symbol), []).append((fi, mi, inv))
-
-    def _compile_cuntz(self, letters) -> None:
-        for a in letters:
-            for b in letters:
-                self.local_rules[(a.star().symbol, b.symbol)] = ONE if a == b else ZERO
-        self.families.append(
-            PairFamily(
-                name=f"cuntz-sum({letters[0].name})",
-                members=tuple((a, a.star(), ONE) for a in letters),
-                rhs=ONE,
-            )
-        )
-
-    def _compile_commutations(self, pairs) -> None:
-        for a, b, phase in pairs:
-            inverse = ONE / phase
-            self.swap_rules[(b.symbol, a.symbol)] = inverse
-            self.swap_rules[(b.star().symbol, a.star().symbol)] = inverse
-            self.swap_rules[(b.symbol, a.star().symbol)] = phase
-            self.swap_rules[(b.star().symbol, a.symbol)] = phase
-
-    def _compile_unitary(self, name: str, matrix) -> None:
-        n = len(matrix)
+    def compile(self, rules: "RelationSet") -> None:
+        name, n = self.name, len(self.matrix)
         entries: list[list[tuple[Scalar, Letter]]] = []
-        for row in matrix:
+        for row in self.matrix:
             out_row = []
             for poly in row:
                 items = list(poly.items())
@@ -137,8 +92,8 @@ class RelationSet:
             c, l = entries[0][0]
             # x x* -> 1 / (c c*), x* x -> same: a unitary single letter
             inv = ONE / (c * c.star())
-            self.local_rules[(l.symbol, l.star().symbol)] = inv
-            self.local_rules[(l.star().symbol, l.symbol)] = inv
+            rules.local_rules[(l.symbol, l.star().symbol)] = inv
+            rules.local_rules[(l.star().symbol, l.symbol)] = inv
             return
 
         for i in range(n):
@@ -148,12 +103,105 @@ class RelationSet:
                     (entries[k][i][1].star(), entries[k][j][1], entries[k][i][0].star() * entries[k][j][0])
                     for k in range(n)
                 )
-                self.families.append(PairFamily(f"{name}.col[{i + 1},{j + 1}]", col, rhs))
+                rules.families.append(PairFamily(f"{name}.col[{i + 1},{j + 1}]", col, rhs))
                 row = tuple(
                     (entries[i][k][1], entries[j][k][1].star(), entries[i][k][0] * entries[j][k][0].star())
                     for k in range(n)
                 )
-                self.families.append(PairFamily(f"{name}.row[{i + 1},{j + 1}]", row, rhs))
+                rules.families.append(PairFamily(f"{name}.row[{i + 1},{j + 1}]", row, rhs))
+
+
+@dataclass(frozen=True)
+class CuntzFamilyRel:
+    """Isometries with orthogonal ranges that sum to one: S*[i]S[j] = delta, sum S[i]S*[i] = 1."""
+
+    letters: tuple[Letter, ...]  # unstarred edge isometries
+
+    def lines(self) -> list[str]:
+        fam = ", ".join(str(l) for l in self.letters)
+        return [f"cuntz family ({fam}): S*[i]S[j] = delta, sum S[i]S*[i] = 1"]
+
+    def compile(self, rules: "RelationSet") -> None:
+        letters = self.letters
+        for a in letters:
+            for b in letters:
+                rules.local_rules[(a.star().symbol, b.symbol)] = ONE if a == b else ZERO
+        members = tuple((a, a.star(), ONE) for a in letters)
+        rules.families.append(PairFamily(f"cuntz-sum({letters[0].name})", members, ONE))
+
+
+@dataclass(frozen=True)
+class PhaseCommutationRel:
+    """(a, b, phase) reads a*b = phase * b*a, compiled as swaps moving a, a* left past b, b*."""
+
+    pairs: tuple[tuple[Letter, Letter, Scalar], ...]
+
+    def lines(self) -> list[str]:
+        return [f"commutation {a}*{b} = ({phase})*{b}*{a}" for a, b, phase in self.pairs]
+
+    def compile(self, rules: "RelationSet") -> None:
+        for a, b, phase in self.pairs:
+            inverse = ONE / phase
+            rules.swap_rules[(b.symbol, a.symbol)] = inverse
+            rules.swap_rules[(b.star().symbol, a.star().symbol)] = inverse
+            rules.swap_rules[(b.symbol, a.star().symbol)] = phase
+            rules.swap_rules[(b.star().symbol, a.symbol)] = phase
+
+
+@dataclass
+class Presentation:
+    """Generator/relation data of a graded *-algebra: a text dump and compiled rules."""
+
+    generators: list[Letter] = field(default_factory=list)
+    degree_tuples: dict[str, tuple[int, ...] | int] = field(default_factory=dict)
+    relations: list = field(default_factory=list)
+
+    @functools.cached_property
+    def rules(self) -> "RelationSet":
+        """The engine rules of the relations, compiled on first use."""
+        return RelationSet(self.relations)
+
+    def dump(self) -> str:
+        lines = ["[generators]"]
+        for g in self.generators:
+            lines.append(f"{g} deg {g.degree}")
+        lines.append("")
+        lines.append("[degrees]")
+        for name, value in sorted(self.degree_tuples.items()):
+            if isinstance(value, tuple):
+                lines.append(f"{name} = ({','.join(map(str, value))})")
+            else:
+                lines.append(f"{name} = {value}")
+        lines.append("")
+        lines.append("[relations]")
+        for rel in self.relations:
+            lines.extend(rel.lines())
+        return "\n".join(lines) + "\n"
+
+
+class RelationSet:
+    """Declared relations, compiled into local rules and contraction families.
+
+    ``relations`` are relation-kind objects, such as ``Presentation.relations``;
+    each compiles itself into this set, in the order given.  Rules are keyed
+    by pairs of letter symbols (``Letter.symbol``), so they apply on every leg.
+    """
+
+    def __init__(self, relations=()):
+        self.relations = tuple(relations)
+        self.local_rules: dict[tuple, Scalar] = {}
+        self.swap_rules: dict[tuple, Scalar] = {}
+        self.families: list[PairFamily] = []
+        for rel in self.relations:
+            rel.compile(self)
+
+        # fast lookup: (left symbol, right symbol) -> [(family, member, 1 / member
+        # coefficient, or None when the coefficient is one)]
+        self.pair_index: dict[tuple, list[tuple[int, int, Scalar | None]]] = {}
+        for fi, fam in enumerate(self.families):
+            for mi, (a, b, c) in enumerate(fam.members):
+                inv = None if c.is_one() else c.inverse()
+                self.pair_index.setdefault((a.symbol, b.symbol), []).append((fi, mi, inv))
 
 
 # -- reduction passes -----------------------------------------------------------

@@ -16,12 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
-    CuntzFamilyRel,
     GradedPoly,
     Letter,
-    PhaseCommutationRel,
-    Presentation,
-    UnitaryMatrixRel,
     adjoint,
     conjugate_matrix,
     diag_matrix,
@@ -39,8 +35,17 @@ from .graphalg import (
     kms_state,
     normalized_ftilde,
 )
-from .scalars import FORMAL, ONE, ZERO, Scalar, ZetaSpec, as_scalar, zeta
-from .simplify import RelationSet, VerificationReport, cuntz_reduce, verify_identity
+from .scalars import FORMAL, ONE, ZERO, Scalar, ZetaSpec, as_scalar, sqrt, zeta
+from .simplify import (
+    CuntzFamilyRel,
+    PhaseCommutationRel,
+    Presentation,
+    RelationSet,
+    UnitaryMatrixRel,
+    VerificationReport,
+    cuntz_reduce,
+    verify_identity,
+)
 
 __all__ = [
     "AdmissibilityDatum",
@@ -157,11 +162,6 @@ class UqfPresentation:
     u_prime: list  # n x n GradedPoly
     presentation: Presentation
 
-    @functools.cached_property
-    def relations(self) -> RelationSet:
-        """The engine rules of the presentation, compiled on first use."""
-        return RelationSet(self.presentation.relations)
-
 
 def build_uqf(datum: AdmissibilityDatum) -> UqfPresentation:
     """u_ij of degree d_j - d_i with u and u' = F u-conj F^-1 unitary; F is inverted once.
@@ -248,7 +248,7 @@ def verify_coproduct(pres: UqfPresentation, spec: ZetaSpec = FORMAL) -> Verifica
     equals Delta(u') and is unitary, that the two coassociativity routes
     agree in three legs, and the cancellation identity U j2(u)* = j1(u).
     """
-    u, rels = pres.u, pres.relations
+    u, rels = pres.u, pres.presentation.rules
     U = _coproduct(u)
     U_prime = conjugated_unitary(pres.datum.F, pres.F_inv, pres.datum.d, U)
     cancel = mat_mul(U, adjoint(_leg(2, u, 2)))
@@ -265,16 +265,9 @@ def verify_coproduct(pres: UqfPresentation, spec: ZetaSpec = FORMAL) -> Verifica
 
 @dataclass
 class BosoPresentation:
-    datum: AdmissibilityDatum
-    z: Letter
-    letters: list
+    letters: list  # n x n Letter; the generators are Z_LETTER and these
     presentation: Presentation
     coproduct: dict  # generator -> polynomial on legs (2, 2): two (circle x algebra) factors
-
-    @functools.cached_property
-    def relations(self) -> RelationSet:
-        """The engine rules of the presentation, compiled on first use."""
-        return RelationSet(self.presentation.relations)
 
 
 def build_bosonization(datum: AdmissibilityDatum) -> BosoPresentation:
@@ -294,7 +287,7 @@ def build_bosonization(datum: AdmissibilityDatum) -> BosoPresentation:
     for i, row in enumerate(base.letters):
         for j, l in enumerate(row):
             coproduct[l] = _closed_coproduct_u(base.letters, datum.d, i, j)
-    return BosoPresentation(datum, Z_LETTER, base.letters, pres, coproduct)
+    return BosoPresentation(base.letters, pres, coproduct)
 
 
 def _two_leg(circle: tuple[Letter, ...], letter: Letter | None = None) -> GradedPoly:
@@ -344,7 +337,7 @@ def verify_fundamental_rep(datum: AdmissibilityDatum, spec: ZetaSpec = FORMAL) -
     t-bar = diag(z^{-d_1},...,z^{-d_n}) u-conj.
     """
     boso = build_bosonization(datum)
-    d, rels = datum.d, boso.relations
+    d, rels = datum.d, boso.presentation.rules
     t = [[_two_leg(z_word(d[i]), l) for l in row] for i, row in enumerate(boso.letters)]
     reports = _unitarity_checks(t, rels, spec, "t unitary")
 
@@ -407,7 +400,7 @@ def verify_kms_preservation(n: int, d, L: int, spec: ZetaSpec = FORMAL) -> Verif
     """
     d = tuple(d)
     base = build_uqf(make_datum(diag_matrix([ONE] * n), d))
-    rels = base.relations
+    rels = base.presentation.rules
     tau = functools.cache(_cuntz_tau(n))
     eta = _linear_action(edge_letters(cuntz_graph(n, d)), base.u)
 
@@ -552,7 +545,7 @@ def graph_universal_presentation(g: GraphData, k: KmsData, spec: ZetaSpec = FORM
     those of ``build_uqf``: F is real diagonal, so u' = F^-1 u-conj F = t-conj
     entry by entry.  Returns (presentation, t, coproduct report).
     """
-    F = diag_matrix([Scalar.sqrt_of(w) for w in normalized_ftilde(g, k)])
+    F = diag_matrix([sqrt(w) for w in normalized_ftilde(g, k)])
     F_inv = scalar_mat_inverse(F)
     pres = build_uqf(make_datum(F_inv, g.gauge_degrees))
     t = mat_mul(mat_mul(F_inv, pres.u), F)

@@ -16,7 +16,7 @@ from braidalg.algebra import (
     SingularMatrix,
     scalar_mat_inverse,
 )
-from braidalg.scalars import ONE, ZERO, Scalar, rational, sqrt, zeta
+from braidalg.scalars import ONE, ZERO, Scalar, sqrt, zeta
 
 
 def u(i, j, d):
@@ -134,7 +134,8 @@ def test_adjoint_is_the_star_transpose():
 
 
 def test_diag_matrix_and_identity_on_legs():
-    assert diag_matrix([sqrt(2), rational(3)]) == [[sqrt(2), ZERO], [ZERO, rational(3)]]
+    three = Scalar.from_fraction(3)
+    assert diag_matrix([sqrt(2), three]) == [[sqrt(2), ZERO], [ZERO, three]]
     one = mat_identity(2, legs=2)
     assert one == [[GradedPoly.one(2), GradedPoly.zero(2)], [GradedPoly.zero(2), GradedPoly.one(2)]]
     p = GradedPoly.from_letter(u(1, 1, (0,)), legs=(2, 2))
@@ -142,16 +143,16 @@ def test_diag_matrix_and_identity_on_legs():
 
 
 def test_scalar_mat_inverse_radical_entries():
-    F = [[sqrt(2), Scalar.from_fraction(0)], [Scalar.from_fraction(0), rational(3)]]
+    F = [[sqrt(2), Scalar.from_fraction(0)], [Scalar.from_fraction(0), Scalar.from_fraction(3)]]
     inv = scalar_mat_inverse(F)
     assert inv[0][0] == ONE / sqrt(2)
-    assert inv[1][1] == rational(1) / 3
+    assert inv[1][1] == Scalar.from_fraction(1) / 3
 
 
 def test_scalar_mat_inverse_dense():
-    F = [[rational(1), rational(1)], [rational(0), rational(1)]]
+    F = [[ONE, ONE], [ZERO, ONE]]
     inv = scalar_mat_inverse(F)
-    assert inv[0][1] == rational(-1)
+    assert inv[0][1] == Scalar.from_fraction(-1)
 
 
 letters = st.sampled_from(

@@ -7,15 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidalg.algebra import GradedPoly, Letter, NOT_HOMOGENEOUS
-from braidalg.braided import (
-    BadLeg,
-    BadShape,
-    LegMismatch,
-    apply_state_leg1,
-    embed,
-    psi_flatten,
-)
+from braidalg.algebra import BadLeg, GradedPoly, LegMismatch, Letter, NOT_HOMOGENEOUS
+from braidalg.braided import BadShape, apply_state_leg1, embed, psi_flatten
 from braidalg.graphalg import check_dagger, cuntz_graph, kms_state
 from braidalg.scalars import ONE, Scalar, zeta
 

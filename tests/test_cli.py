@@ -233,6 +233,8 @@ def test_quotient_with_a_non_real_F_is_an_input_error():
         # the dense F is admissible at d = (0,0), but its u' has entries that are not monomial
         ["verify", "--prop", "coproduct", "--n", "2", "--d", "0,0", "--F", "{dense}"],
         ["verify", "--prop", "fundamental", "--n", "2", "--d", "0,0", "--F", "{dense}"],
+        # an empty term is an error, not 0: "1 +  + 2" must not read as 3
+        ["verify", "--prop", "quotient", "--n", "2", "--d", "0,1", "--F", "diag:1 +  + 2,1"],
     ],
     ids=[
         "matricial-singular",
@@ -242,6 +244,7 @@ def test_quotient_with_a_non_real_F_is_an_input_error():
         "n-zero",
         "coproduct-dense",
         "fundamental-dense",
+        "quotient-empty-term",
     ],
 )
 def test_input_errors_print_nothing(tmp_path, argv):

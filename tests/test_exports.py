@@ -1,4 +1,5 @@
-"""Every exported name resolves, so a deleted function cannot leave a stale export."""
+"""Every exported name resolves, so a deleted function cannot leave a stale export,
+and each module exports only the classes and functions it defines."""
 
 import importlib
 import inspect
@@ -32,3 +33,15 @@ def test_module_all_resolves_and_star_import_works(module):
     namespace = {}
     exec(f"from braidalg.{module} import *", namespace)
     assert set(mod.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_all_names_only_its_own_classes_and_functions(module):
+    mod = importlib.import_module(f"braidalg.{module}")
+    foreign = [
+        name
+        for name in mod.__all__
+        if (inspect.isclass(getattr(mod, name)) or inspect.isroutine(getattr(mod, name)))
+        and getattr(mod, name).__module__ != mod.__name__
+    ]
+    assert not foreign, f"braidalg.{module}.__all__ re-exports {foreign}"

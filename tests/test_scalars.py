@@ -14,7 +14,6 @@ from braidalg.scalars import (
     ZetaSpec,
     cyclotomic,
     parse_scalar,
-    rational,
     sqrt,
     zeta,
 )
@@ -31,25 +30,25 @@ def test_expand_and_collect():
 
 def test_radical_renormalization():
     assert sqrt(2) * sqrt(6) == 2 * sqrt(3)
-    assert sqrt(2) * sqrt(2) == rational(2)
+    assert sqrt(2) * sqrt(2) == Scalar.from_fraction(2)
     assert sqrt(8) == 2 * sqrt(2)
 
 
 def test_sqrt_of_fraction():
     half = sqrt(Fraction(1, 2))
-    assert half * half == rational(Fraction(1, 2))
+    assert half * half == Scalar.from_fraction(Fraction(1, 2))
 
 
 def test_star_examples():
     assert zeta(3).star() == zeta(-3)
-    real = rational(2) + sqrt(3)
+    real = Scalar.from_fraction(2) + sqrt(3)
     assert real.star() == real
     sym = zeta(1) + zeta(-1)
     assert sym.star() == sym
 
 
 def test_specialize_examples():
-    assert zeta(2).specialize(ZetaSpec.root_of_unity(4)) == rational(-1)
+    assert zeta(2).specialize(ZetaSpec.root_of_unity(4)) == Scalar.from_fraction(-1)
     assert (1 + zeta(1) + zeta(2)).specialize(ZetaSpec.root_of_unity(3)) == ZERO
     assert zeta(5).specialize(ZetaSpec.root_of_unity(4)) == zeta(1)
 
@@ -66,7 +65,8 @@ def test_cyclotomic_polynomials():
 def test_division_by_unit_terms():
     assert (zeta(3) + zeta(1)) / zeta(1) == zeta(2) + ONE
     assert ONE / sqrt(2) == sqrt(2) / 2
-    assert (rational(6) / (2 * sqrt(3))) * (2 * sqrt(3)) == rational(6)
+    six = Scalar.from_fraction(6)
+    assert (six / (2 * sqrt(3))) * (2 * sqrt(3)) == six
 
 
 @given(st.integers(-4, 4), st.sampled_from([1, 2, 3, 5, 6]), st.integers(-6, 6).filter(bool), st.integers(1, 6))
@@ -132,7 +132,7 @@ def test_render_parse_roundtrip(a):
 
 
 def test_render_canonical_form():
-    s = rational(Fraction(3, 2)) * zeta(-1) + sqrt(2) * zeta(4) / 3
+    s = Scalar.from_fraction(Fraction(3, 2)) * zeta(-1) + sqrt(2) * zeta(4) / 3
     assert str(s) == "3/2*z^-1 + 1/3*sqrt(2)*z^4"
     assert parse_scalar("3/2*z^-1 + (1/3)*sqrt(2)*z^4") == s
 
@@ -156,12 +156,16 @@ def test_functional_aliases():
         a.specialize(ZetaSpec.root_of_unity(4)) * b.specialize(ZetaSpec.root_of_unity(4))
     ).specialize(ZetaSpec.root_of_unity(4))
     assert a.star() == zeta(-3) + 1
-    assert zeta(2).specialize(ZetaSpec.root_of_unity(4)) == rational(-1)
+    assert zeta(2).specialize(ZetaSpec.root_of_unity(4)) == Scalar.from_fraction(-1)
 
 
 @pytest.mark.parametrize(
     "text, expected",
-    [("0", ZERO), ("-1/2", rational(Fraction(-1, 2))), ("(3/4)*z^-2", rational(Fraction(3, 4)) * zeta(-2))],
+    [
+        ("0", ZERO),
+        ("-1/2", Scalar.from_fraction(Fraction(-1, 2))),
+        ("(3/4)*z^-2", Scalar.from_fraction(Fraction(3, 4)) * zeta(-2)),
+    ],
 )
 def test_parse_scalar_reads_rationals_and_phases(text, expected):
     assert parse_scalar(text) == expected
@@ -173,9 +177,15 @@ def test_parse_scalar_rejects_zero_radicands_and_denominators(text):
         parse_scalar(text)
 
 
+@pytest.mark.parametrize("text", ["", " ", "-", " - ", "1 +  + 2", "- + 1", "1 -  - z"])
+def test_parse_scalar_rejects_an_empty_term(text):
+    with pytest.raises(ValueError, match="empty term"):
+        parse_scalar(text)
+
+
 def test_parse_scalar_bounds_the_radicand():
     # square-freeing trial-divides up to sqrt(r), so a large prime radicand would stall
-    assert parse_scalar("sqrt(1000000000000)") == rational(10**6)
+    assert parse_scalar("sqrt(1000000000000)") == Scalar.from_fraction(10**6)
     for text in ("sqrt(1000000000001)", "sqrt(100000000000031)", "1 + 2*sqrt( 99999999999999999999 )"):
         with pytest.raises(ValueError):
             parse_scalar(text)
@@ -206,7 +216,7 @@ def paren_depth_parse_scalar(text):
     total = ZERO
     for sign, body in terms:
         if not body:
-            continue
+            raise ValueError(f"empty term in {text!r}")
         factors, depth, start = [], 0, 0
         for i, ch in enumerate(body):
             if ch in "()":

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidalg.algebra import CuntzFamilyRel, GradedPoly, Letter, UnitaryMatrixRel, _collect, lword_str, word_key
+from braidalg.algebra import GradedPoly, Letter, _collect, lword_str, word_key
 from braidalg.braided import embed
 from braidalg.scalars import FORMAL, ONE, ZERO, Scalar, ZetaSpec, sqrt, zeta
 from braidalg.simplify import (
+    CuntzFamilyRel,
     RelationSet,
+    UnitaryMatrixRel,
     VerificationReport,
     _rewrite,
     cuntz_reduce,
@@ -357,7 +359,7 @@ def test_contraction_group_must_lie_on_one_leg():
     pres = build_uqf(make_datum([[1, 0], [0, 1]], (0, 0)))
     (u11, _), (u21, _) = pres.letters
     lhs = embed(1, word_poly(u11.star(), u11), 2) + embed(2, word_poly(u21.star(), u21), 2)
-    report = verify_identity(lhs, GradedPoly.one(2), pres.relations)
+    report = verify_identity(lhs, GradedPoly.one(2), pres.presentation.rules)
     assert report.verdict == "Unverified"
     assert report.residual == lhs - GradedPoly.one(2)
     assert report.trace == []
@@ -450,7 +452,7 @@ def test_contraction_that_cancels_a_member_of_another_group():
 _CASES = {
     "unitary": (unitary_rels((0, 1, 2)), 1),
     "cuntz": (RelationSet(cuntz_rels(2).relations + unitary_rels((0, 1)).relations), 1),
-    "diag": (build_uqf(make_datum([[1, 0], [0, 2]], (0, 1))).relations, 2),
+    "diag": (build_uqf(make_datum([[1, 0], [0, 2]], (0, 1))).presentation.rules, 2),
 }
 _COEFFS = (ONE, ONE, -ONE, zeta(1), zeta(-2) * 3, sqrt(2), Scalar.from_fraction("1/2"))
 

@@ -10,8 +10,6 @@ from hypothesis import assume, given, settings, strategies as st
 from braidalg.algebra import (
     GradedPoly,
     Letter,
-    PhaseCommutationRel,
-    UnitaryMatrixRel,
     adjoint,
     conjugate_matrix,
     diag_matrix,
@@ -19,9 +17,17 @@ from braidalg.algebra import (
     mat_mul,
     scalar_mat_inverse,
 )
+from braidalg.braided import Z_LETTER
 from braidalg.graphalg import GraphData, check_dagger, cuntz_graph, cycle_graph, normalized_ftilde
-from braidalg.scalars import ONE, Scalar, ZetaSpec, rational, zeta
-from braidalg.simplify import RelationSet, reduce_poly
+from braidalg.scalars import ONE, Scalar, ZetaSpec, sqrt, zeta
+from braidalg.simplify import (
+    CuntzFamilyRel,
+    PhaseCommutationRel,
+    Presentation,
+    RelationSet,
+    UnitaryMatrixRel,
+    reduce_poly,
+)
 from braidalg.uqf import (
     NotAdmissible,
     build_bosonization,
@@ -144,7 +150,6 @@ def test_presentation_dump_is_stable():
 
 
 def test_presentation_dump_all_relation_tags():
-    from braidalg.algebra import CuntzFamilyRel, Presentation
     from braidalg.graphalg import edge_letters
 
     S = tuple(edge_letters(cuntz_graph(2, (0, 1))))
@@ -165,6 +170,30 @@ def test_presentation_dump_all_relation_tags():
         "commutation S[2]*u[1,1] = (z^-1)*u[1,1]*S[2]",
     ]
     assert "d = (0,1)" in dump and "d0 = 0" in dump
+
+
+def test_rules_compile_once_and_never_for_the_base_presentation(monkeypatch):
+    compiled = []
+    init = RelationSet.__init__
+
+    def counting_init(self, relations=()):
+        compiled.append([getattr(rel, "name", type(rel).__name__) for rel in relations])
+        init(self, relations)
+
+    monkeypatch.setattr(RelationSet, "__init__", counting_init)
+    datum = make_datum(ident(2), (0, 1))
+    p = build_uqf(datum).presentation
+    assert p.rules is p.rules
+    assert compiled == [["u", "u'"]]
+    compiled.clear()
+    build_bosonization(datum)
+    assert compiled == []
+    # the suites compile their own presentation's rules, never the base u-presentation's
+    assert cuntz_action(2, (0, 1))[1].verified
+    assert compiled == [["CuntzFamilyRel", "u", "u'"]]
+    compiled.clear()
+    assert verify_fundamental_rep(datum).verified
+    assert [names for names in compiled if names] == [["z", "PhaseCommutationRel", "u", "u'"]]
 
 
 def test_build_uqf_rejects_a_datum_that_breaks_the_vanishing_condition():
@@ -236,7 +265,7 @@ def test_boso_coproduct_closed_form_n2():
     # the two factors live on legs (1, 2) and (3, 4) of one word
     table = boso.coproduct[boso.letters[0][1]]
     assert table.legs == (2, 2)
-    u, z = boso.letters, boso.z
+    u, z = boso.letters, Z_LETTER
     words = {w for w, _ in table.items()}
     assert (u[0][0].on_leg(2), u[0][1].on_leg(4)) in words
     assert (u[0][1].on_leg(2), z.on_leg(3), u[1][1].on_leg(4)) in words
@@ -321,7 +350,7 @@ def test_derive_action_constraints_displays():
     assert lhs1 == expect1 and rhs1.is_zero()
     # display (2): sum_k q*_ki ftilde_kk q_kj
     expect2 = GradedPoly.from_word((q[0][0].star(), q[0][1]), ONE) + GradedPoly.from_word(
-        (q[1][0].star(), q[1][1]), rational(2)
+        (q[1][0].star(), q[1][1]), Scalar.from_fraction(2)
     )
     assert lhs2 == expect2 and rhs2.is_zero()
 
@@ -375,7 +404,7 @@ def test_quotient_identities_reject_a_non_real_F(diag):
 
 
 def test_quotient_identities_with_radical_entries():
-    report = verify_quotient_identities([Scalar.sqrt_of(2), Scalar.sqrt_of(Fraction(1, 2))], (0, 1))
+    report = verify_quotient_identities([sqrt(2), sqrt(Fraction(1, 2))], (0, 1))
     assert report.verified
 
 
@@ -403,7 +432,7 @@ def test_graph_relations_are_the_braided_unitary_relations_of_F_inverse(g):
     # F = diag sqrt(ftilde); the graph relations "F t F^-1 and t-conj unitary"
     # hold exactly when u = F t F^-1 and u' = F^-1 u-conj F are unitary
     d = list(g.gauge_degrees)
-    F = diag_matrix([Scalar.sqrt_of(w) for w in normalized_ftilde(g, check_dagger(g))])
+    F = diag_matrix([sqrt(w) for w in normalized_ftilde(g, check_dagger(g))])
     F_inv = scalar_mat_inverse(F)
     t_letters = u_matrix(u_letters(d, "t"))
     old = RelationSet(
@@ -416,7 +445,7 @@ def test_graph_relations_are_the_braided_unitary_relations_of_F_inverse(g):
     # the old relations, with t = F^-1 u F, reduce to zero under the new ones
     t = mat_mul(mat_mul(F_inv, new.u), F)
     for M in (mat_mul(mat_mul(F, t), F_inv), conjugate_matrix(t, d)):
-        assert all(r.is_zero() for r in _unitarity_residuals(M, new.relations))
+        assert all(r.is_zero() for r in _unitarity_residuals(M, new.presentation.rules))
     # u and u' written in t are unitary under the old relations
     u = mat_mul(mat_mul(F, t_letters), F_inv)
     for M in (u, mat_mul(mat_mul(F_inv, conjugate_matrix(u, d)), F)):
@@ -430,8 +459,8 @@ def test_graph_universal_presentation_cuntz_matches_uqf():
     assert report.verified
     # F = I: the relations are exactly those of the braided unitary presentation
     base = build_uqf(make_datum(ident(2), (0, 1)))
-    got = {fam.name: fam for fam in pres.relations.families}
-    expect = {fam.name: fam for fam in base.relations.families}
+    got = {fam.name: fam for fam in pres.presentation.rules.families}
+    expect = {fam.name: fam for fam in base.presentation.rules.families}
     assert len(got) == len(expect)
     for name, fam in expect.items():
         assert got[name].members == fam.members, name
@@ -495,7 +524,7 @@ def test_boso_commutation_rules_reduce_conjugation():
         for j in range(2):
             l = boso.letters[i][j]
             word = GradedPoly({(Z_LETTER, l, Z_LETTER.star()): ONE})
-            reduced, trace = reduce_poly(word, boso.relations)
+            reduced, trace = reduce_poly(word, boso.presentation.rules)
             assert reduced == GradedPoly({(l,): zeta(d[i] - d[j])}), (i, j, reduced)
             assert any("swap" in line for line in trace)
 
