@@ -97,7 +97,7 @@ def _by_leg1_prefix(p: GradedPoly) -> dict:
     return groups
 
 
-def apply_state_leg1(p: GradedPoly, state, right: GradedPoly | None = None) -> GradedPoly:
+def apply_state_leg1(p: GradedPoly, state, right: GradedPoly | None = None, partner=None) -> GradedPoly:
     """Evaluate a functional on the leg-1 prefix of every normal-form monomial of ``p * right``.
 
     ``state`` maps a tuple of letters (the leg-1 word) to a Scalar, Fraction
@@ -106,14 +106,37 @@ def apply_state_leg1(p: GradedPoly, state, right: GradedPoly | None = None) -> G
     evaluated once per pair of prefixes, so a product word is leg-sorted and
     phased only when its prefix pair has a nonzero value.  Moving the right
     prefix left past the left rest costs ``z^(deg rest * deg prefix)``.
+
+    ``partner`` declares where a diagonal state is supported: for a left
+    prefix that holds no starred letter, ``partner(prefix)`` names the one
+    right prefix without unstarred letters on which the state can be nonzero
+    (see ``graphalg.path_partner``).  Such a left prefix is tried only against
+    that right prefix and against right prefixes that hold an unstarred
+    letter; every other left prefix is tried against every right prefix.
+    Without ``partner``, every pair of prefixes is tried.
     """
     if len(p.legs) != 1 or p.legs[0] < 2:
         raise BadShape("need at least two braided legs to apply a leg-1 state")
-    left = _by_leg1_prefix(p)
     other = {(): [((), ONE)]} if right is None else _by_leg1_prefix(p._coerce(right))
+    return _apply_grouped(_by_leg1_prefix(p), other, p.legs[0], state, partner)
+
+
+def _apply_grouped(left: dict, right: dict, num_legs: int, state, partner=None) -> GradedPoly:
+    """``apply_state_leg1`` on factors of ``num_legs`` legs already grouped by ``_by_leg1_prefix``.
+
+    Lets a caller that pairs the same factors many times group each once.
+    """
+    if partner is not None:
+        mixed = [(h, r) for h, r in right.items() if not all(l.starred for l in h)]
     products = []
     for head, rests in left.items():
-        for head_r, rests_r in other.items():
+        if partner is None or any(l.starred for l in head):
+            candidates = right.items()
+        else:
+            mate = partner(head)
+            found = right.get(mate)
+            candidates = mixed if found is None else mixed + [(mate, found)]
+        for head_r, rests_r in candidates:
             value = as_scalar(state(head + head_r))
             if value.is_zero():
                 continue
@@ -124,5 +147,5 @@ def apply_state_leg1(p: GradedPoly, state, right: GradedPoly | None = None) -> G
                 if exponent:
                     c = c * zeta(exponent)
                 products.extend((rest + rest_r, c * v) for rest_r, v in scaled)
-    legs = (p.legs[0] - 1,)
+    legs = (num_legs - 1,)
     return GradedPoly._make(_collect(products, _block_of(legs)), legs)

@@ -41,6 +41,7 @@ __all__ = [
     "parse_graph",
     "edge_letters",
     "kms_state",
+    "path_partner",
 ]
 
 
@@ -324,11 +325,15 @@ def edge_letters(g: GraphData) -> list[Letter]:
 def kms_state(g: GraphData, k: KmsData):
     """The state as a word functional for the reduction engine.
 
-    Accepts any word in the edge letters; contracts star-unstar pairs to the
-    spanning form first, then applies the path formula.  Exact mode only.
+    Accepts any word in the edge letters of ``g`` and raises ValueError on any
+    other letter; contracts star-unstar pairs to the spanning form first, then
+    applies the path formula.  Exact mode only.  The state is diagonal: on a
+    word S_g S*_h of unstarred letters followed by starred ones it is zero
+    unless h = g, so ``path_partner`` names its support.
     """
     if not k.exact:
         raise IrrationalData("symbolic evaluation requires exact spectral data")
+    edges = {(e + 1,) for e in range(g.num_edges)}
 
     def evaluate(word) -> Scalar:
         # One left-to-right pass: the kept letters never hold a starred letter
@@ -336,12 +341,12 @@ def kms_state(g: GraphData, k: KmsData):
         # the order that repeatedly contracting the leftmost pair would take.
         letters = []
         for b in word:
+            if b.name != _EDGE or b.index not in edges:
+                raise ValueError(f"foreign letter in state argument: {b}")
             if not (letters and letters[-1].starred and not b.starred):
                 letters.append(b)
                 continue
             a = letters.pop()
-            if a.name != _EDGE or b.name != _EDGE:
-                raise ValueError(f"foreign letter in state argument: {a} {b}")
             if a.index[0] != b.index[0]:
                 return Scalar.from_fraction(0)
             if g.num_vertices > 1:
@@ -359,6 +364,15 @@ def kms_state(g: GraphData, k: KmsData):
         return Scalar.from_fraction(kms_eval(g, k, gamma_t, delta_t))
 
     return evaluate
+
+
+def path_partner(head):
+    """``head`` starred and reversed: the ``partner`` of ``kms_state`` in ``apply_state_leg1``.
+
+    S_g S*_h is zero unless h = g, so this is the one starred word that the
+    state can pair with a word S_g of unstarred letters.
+    """
+    return tuple(l.star() for l in reversed(head))
 
 
 # -- file formats ---------------------------------------------------------------

@@ -25,7 +25,7 @@ from .algebra import (
     mat_mul,
     scalar_mat_inverse,
 )
-from .braided import Z_LETTER, apply_state_leg1, embed, psi_flatten
+from .braided import Z_LETTER, _apply_grouped, _by_leg1_prefix, apply_state_leg1, embed, psi_flatten
 from .graphalg import (
     GraphData,
     KmsData,
@@ -34,6 +34,7 @@ from .graphalg import (
     edge_letters,
     kms_state,
     normalized_ftilde,
+    path_partner,
 )
 from .scalars import FORMAL, ONE, ZERO, Scalar, ZetaSpec, as_scalar, sqrt, zeta
 from .simplify import (
@@ -395,8 +396,9 @@ def verify_kms_preservation(n: int, d, L: int, spec: ZetaSpec = FORMAL) -> Verif
     Exhaustive over pairs of multi-indices up to length L, exact arithmetic:
     for every (alpha, beta) the leg-1 state of P(alpha) P(beta)* must reduce
     to tau(S_alpha S*_beta), where P(alpha) = eta_a1 ... eta_ak is the image
-    of S_alpha.  Each P(alpha) is built once from its prefix, each P(beta)*
-    is taken once, and the state is applied while they are multiplied.
+    of S_alpha.  Each P(alpha) is built once from its prefix, it and its star
+    are grouped by leg-1 prefix once, and the state is applied while they are
+    multiplied, visiting only the prefix pairs that ``path_partner`` allows.
     """
     d = tuple(d)
     base = build_uqf(make_datum(diag_matrix([ONE] * n), d))
@@ -408,12 +410,13 @@ def verify_kms_preservation(n: int, d, L: int, spec: ZetaSpec = FORMAL) -> Verif
     paths = {}
     for alpha in indices:
         paths[alpha] = paths[alpha[:-1]] * eta[alpha[-1]] if alpha else GradedPoly.one(2)
-    starred = {beta: paths[beta].star() for beta in indices}
+    left = {alpha: _by_leg1_prefix(p) for alpha, p in paths.items()}
+    right = {beta: _by_leg1_prefix(p.star()) for beta, p in paths.items()}
 
     reports = []
     for alpha in indices:
         for beta in indices:
-            applied = apply_state_leg1(paths[alpha], tau, right=starred[beta])
+            applied = _apply_grouped(left[alpha], right[beta], 2, tau, path_partner)
             expected_value = Fraction(1, n ** len(alpha)) if alpha == beta else Fraction(0)
             reports.append(
                 verify_identity(

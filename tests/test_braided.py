@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from braidalg.algebra import BadLeg, GradedPoly, LegMismatch, Letter, NOT_HOMOGENEOUS
 from braidalg.braided import BadShape, apply_state_leg1, embed, psi_flatten
-from braidalg.graphalg import check_dagger, cuntz_graph, kms_state
+from braidalg.graphalg import check_dagger, cuntz_graph, kms_state, path_partner
 from braidalg.scalars import ONE, Scalar, zeta
 
 Z = Letter("z", (), 1)
@@ -313,19 +313,22 @@ def test_state_applied_while_multiplying_matches_the_product(seed, num_legs):
     assert fused == state_then_shift(p * q, state)
 
 
-@given(st.integers(0, 400), st.sampled_from([2, 3]))
-@settings(max_examples=60)
-def test_kms_state_applied_while_multiplying_matches_the_product(seed, num_legs):
+@given(st.integers(0, 400), st.sampled_from([2, 3]), st.sampled_from([2, 3]))
+@settings(max_examples=80)
+def test_kms_state_applied_while_multiplying_matches_the_product(seed, num_legs, n):
+    # leg-1 words mix starred and unstarred letters, so the partner call takes
+    # both the every-pair branch and the partner branch
     rng = random.Random(seed)
-    g = cuntz_graph(2)
+    g = cuntz_graph(n)
     state = kms_state(g, check_dagger(g))
-    S = [L("S", 1, 1), L("S", 1, 2)]
+    S = [L("S", 1, i) for i in range(1, n + 1)]
     others = S + [L("u", -1, 1, 2), L("u", 1, 2, 1)]
     p = random_phased_poly(rng, num_legs, S, others)
     q = random_phased_poly(rng, num_legs, S, others)
     fused = apply_state_leg1(p, state, right=q)
     assert fused == apply_state_leg1(p * q, state)
     assert fused == state_then_shift(p * q, state)
+    assert apply_state_leg1(p, state, right=q, partner=path_partner) == fused
 
 
 def test_state_with_a_right_factor_checks_legs():

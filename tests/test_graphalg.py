@@ -199,6 +199,12 @@ def test_kms_state_rejects_foreign_letters_and_inner_contractions():
     (s,) = edge_letters(g)
     with pytest.raises(ValueError, match="foreign letter"):
         tau((Letter("T", (1,), 1).star(), s))
+    g = cuntz_graph(2)
+    tau = kms_state(g, check_dagger(g))
+    u = Letter("u", (1, 2), 0)
+    for word in ((u, u.star()), (edge_letters(g)[0], u.star()), (Letter("S", (3,), 1),)):
+        with pytest.raises(ValueError, match="foreign letter"):
+            tau(word)
     cycle = cycle_graph(2)
     tau = kms_state(cycle, check_dagger(cycle))
     s = edge_letters(cycle)[0]

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from braidalg import uqf
 from braidalg.algebra import (
     GradedPoly,
     Letter,
@@ -18,7 +19,7 @@ from braidalg.algebra import (
     scalar_mat_inverse,
 )
 from braidalg.braided import Z_LETTER
-from braidalg.graphalg import GraphData, check_dagger, cuntz_graph, cycle_graph, normalized_ftilde
+from braidalg.graphalg import GraphData, check_dagger, cuntz_graph, cycle_graph, kms_state, normalized_ftilde
 from braidalg.scalars import ONE, Scalar, ZetaSpec, sqrt, zeta
 from braidalg.simplify import (
     CuntzFamilyRel,
@@ -333,6 +334,35 @@ def test_kms_preservation_checks_every_pair_once(n, d, L):
     assert len(names) == sum(n**k for k in range(L + 1)) ** 2
     assert len(set(names)) == len(names)
     assert set(names) == {f"alpha={a} beta={b}" for a in paths for b in paths}
+
+
+def test_kms_preservation_fails_with_a_wrong_partner(monkeypatch):
+    # starred but not reversed: S_1 S_2 is paired with S*_1 S*_2, on which the state is zero
+    monkeypatch.setattr(uqf, "path_partner", lambda head: tuple(l.star() for l in head))
+    report = verify_kms_preservation(2, (0, 1), 2)
+    assert not report.verified
+    assert dict(report.checks)["alpha=[1, 2] beta=[1, 2]"] == "Unverified"
+
+
+def test_kms_preservation_evaluates_the_state_only_on_its_diagonal(monkeypatch):
+    seen = []
+
+    def counted_kms_state(g, k):
+        tau = kms_state(g, k)
+
+        def evaluate(word):
+            seen.append(word)
+            return tau(word)
+
+        return evaluate
+
+    monkeypatch.setattr(uqf, "kms_state", counted_kms_state)
+    assert verify_kms_preservation(2, (0, 1), 2).verified
+    assert len(seen) == 1 + 2 + 4  # the state is cached: each S_g S*_g with |g| <= 2 once
+    for word in seen:
+        head = word[: len(word) // 2]
+        assert all(l.name == "S" and not l.starred for l in head)
+        assert word == head + tuple(l.star() for l in reversed(head))
 
 
 # -- abstract constraints and quotient identities ---------------------------------------
