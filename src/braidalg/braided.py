@@ -4,7 +4,8 @@ An element of an n-fold braided product is a :class:`GradedPoly` on ``n``
 legs: its letters carry leg indices and its words stay leg-sorted, each
 cross-leg swap costing ``z^(deg * deg)`` (see :mod:`braidalg.algebra`).  This
 module puts a one-block polynomial on consecutive legs of a larger product
-(``embed``) and evaluates a functional on leg 1 (``apply_state_leg1``).
+(``embed``) and evaluates a functional on leg 1 (``apply_state_leg1``, or
+``apply_state_pairs`` for every pair of two families of factors).
 
 ``psi_flatten`` implements the flattening used by the bosonization: a
 three-leg word over (circle ``Z_LETTER``, X, Y) maps into an ordinary
@@ -28,6 +29,7 @@ __all__ = [
     "embed",
     "psi_flatten",
     "apply_state_leg1",
+    "apply_state_pairs",
 ]
 
 
@@ -97,35 +99,54 @@ def _by_leg1_prefix(p: GradedPoly) -> dict:
     return groups
 
 
-def apply_state_leg1(p: GradedPoly, state, right: GradedPoly | None = None, partner=None) -> GradedPoly:
+def apply_state_leg1(p: GradedPoly, state, right: GradedPoly | None = None) -> GradedPoly:
     """Evaluate a functional on the leg-1 prefix of every normal-form monomial of ``p * right``.
 
     ``state`` maps a tuple of letters (the leg-1 word) to a Scalar, Fraction
     or int; ``right`` defaults to one.  The remaining letters are shifted down
     one leg.  Both factors are grouped by leg-1 prefix and the state is
-    evaluated once per pair of prefixes, so a product word is leg-sorted and
-    phased only when its prefix pair has a nonzero value.  Moving the right
+    evaluated once on every pair of prefixes, so a product word is leg-sorted
+    and phased only when its prefix pair has a nonzero value.  Moving the right
     prefix left past the left rest costs ``z^(deg rest * deg prefix)``.
-
-    ``partner`` declares where a diagonal state is supported: for a left
-    prefix that holds no starred letter, ``partner(prefix)`` names the one
-    right prefix without unstarred letters on which the state can be nonzero
-    (see ``graphalg.path_partner``).  Such a left prefix is tried only against
-    that right prefix and against right prefixes that hold an unstarred
-    letter; every other left prefix is tried against every right prefix.
-    Without ``partner``, every pair of prefixes is tried.
     """
+    _check_state_legs(p)
+    other = {(): [((), ONE)]} if right is None else _by_leg1_prefix(p._coerce(right))
+    return _apply_grouped(_by_leg1_prefix(p), other, p.legs[0], state)
+
+
+def apply_state_pairs(lefts: dict, rights: dict, state, partner):
+    """Yield ``((a, b), apply_state_leg1(lefts[a], state, right=rights[b]))`` for every a, then b.
+
+    Every factor must have the legs of the first left one and is grouped by
+    leg-1 prefix once, not once per pair.  ``partner`` declares where a
+    diagonal state is supported: for a left prefix that holds no starred
+    letter, ``partner(prefix)`` names the one right prefix without unstarred
+    letters on which the state can be nonzero (see ``graphalg.path_partner``).
+    Such a left prefix is tried only against that right prefix and against
+    right prefixes that hold an unstarred letter; every other left prefix is
+    tried against every right prefix.  A wrong ``partner`` drops terms.
+    """
+    if not lefts or not rights:
+        return iter(())
+    first = next(iter(lefts.values()))
+    _check_state_legs(first)
+    left = {a: _by_leg1_prefix(first._coerce(p)) for a, p in lefts.items()}
+    right = {b: _by_leg1_prefix(first._coerce(q)) for b, q in rights.items()}
+    num_legs = first.legs[0]
+    return (
+        ((a, b), _apply_grouped(left[a], right[b], num_legs, state, partner))
+        for a in left
+        for b in right
+    )
+
+
+def _check_state_legs(p: GradedPoly) -> None:
     if len(p.legs) != 1 or p.legs[0] < 2:
         raise BadShape("need at least two braided legs to apply a leg-1 state")
-    other = {(): [((), ONE)]} if right is None else _by_leg1_prefix(p._coerce(right))
-    return _apply_grouped(_by_leg1_prefix(p), other, p.legs[0], state, partner)
 
 
 def _apply_grouped(left: dict, right: dict, num_legs: int, state, partner=None) -> GradedPoly:
-    """``apply_state_leg1`` on factors of ``num_legs`` legs already grouped by ``_by_leg1_prefix``.
-
-    Lets a caller that pairs the same factors many times group each once.
-    """
+    """The pair loop of ``apply_state_leg1`` and ``apply_state_pairs`` on grouped factors."""
     if partner is not None:
         mixed = [(h, r) for h, r in right.items() if not all(l.starred for l in h)]
     products = []

@@ -336,13 +336,14 @@ def kms_state(g: GraphData, k: KmsData):
     edges = {(e + 1,) for e in range(g.num_edges)}
 
     def evaluate(word) -> Scalar:
+        for b in word:
+            if b.name != _EDGE or b.index not in edges:
+                raise ValueError(f"foreign letter in state argument: {b}")
         # One left-to-right pass: the kept letters never hold a starred letter
         # before an unstarred one, so each S*_e S_f pair is met as it forms, in
         # the order that repeatedly contracting the leftmost pair would take.
         letters = []
         for b in word:
-            if b.name != _EDGE or b.index not in edges:
-                raise ValueError(f"foreign letter in state argument: {b}")
             if not (letters and letters[-1].starred and not b.starred):
                 letters.append(b)
                 continue
@@ -367,7 +368,7 @@ def kms_state(g: GraphData, k: KmsData):
 
 
 def path_partner(head):
-    """``head`` starred and reversed: the ``partner`` of ``kms_state`` in ``apply_state_leg1``.
+    """``head`` starred and reversed: the ``partner`` of ``kms_state`` in ``apply_state_pairs``.
 
     S_g S*_h is zero unless h = g, so this is the one starred word that the
     state can pair with a word S_g of unstarred letters.

@@ -25,7 +25,7 @@ from .algebra import (
     mat_mul,
     scalar_mat_inverse,
 )
-from .braided import Z_LETTER, _apply_grouped, _by_leg1_prefix, apply_state_leg1, embed, psi_flatten
+from .braided import Z_LETTER, apply_state_leg1, apply_state_pairs, embed, psi_flatten
 from .graphalg import (
     GraphData,
     KmsData,
@@ -410,23 +410,20 @@ def verify_kms_preservation(n: int, d, L: int, spec: ZetaSpec = FORMAL) -> Verif
     paths = {}
     for alpha in indices:
         paths[alpha] = paths[alpha[:-1]] * eta[alpha[-1]] if alpha else GradedPoly.one(2)
-    left = {alpha: _by_leg1_prefix(p) for alpha, p in paths.items()}
-    right = {beta: _by_leg1_prefix(p.star()) for beta, p in paths.items()}
+    starred = {beta: p.star() for beta, p in paths.items()}
 
     reports = []
-    for alpha in indices:
-        for beta in indices:
-            applied = _apply_grouped(left[alpha], right[beta], 2, tau, path_partner)
-            expected_value = Fraction(1, n ** len(alpha)) if alpha == beta else Fraction(0)
-            reports.append(
-                verify_identity(
-                    applied,
-                    GradedPoly.from_scalar(expected_value),
-                    rels,
-                    spec,
-                    f"alpha={list(a + 1 for a in alpha)} beta={list(b + 1 for b in beta)}",
-                )
+    for (alpha, beta), applied in apply_state_pairs(paths, starred, tau, path_partner):
+        expected_value = Fraction(1, n ** len(alpha)) if alpha == beta else Fraction(0)
+        reports.append(
+            verify_identity(
+                applied,
+                GradedPoly.from_scalar(expected_value),
+                rels,
+                spec,
+                f"alpha={list(a + 1 for a in alpha)} beta={list(b + 1 for b in beta)}",
             )
+        )
     return VerificationReport.merge("kms-preservation", reports)
 
 

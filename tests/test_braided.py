@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidalg.algebra import BadLeg, GradedPoly, LegMismatch, Letter, NOT_HOMOGENEOUS
-from braidalg.braided import BadShape, apply_state_leg1, embed, psi_flatten
+from braidalg.braided import BadShape, apply_state_leg1, apply_state_pairs, embed, psi_flatten
 from braidalg.graphalg import check_dagger, cuntz_graph, kms_state, path_partner
 from braidalg.scalars import ONE, Scalar, zeta
 
@@ -328,12 +328,28 @@ def test_kms_state_applied_while_multiplying_matches_the_product(seed, num_legs,
     fused = apply_state_leg1(p, state, right=q)
     assert fused == apply_state_leg1(p * q, state)
     assert fused == state_then_shift(p * q, state)
-    assert apply_state_leg1(p, state, right=q, partner=path_partner) == fused
+    assert list(apply_state_pairs({0: p}, {0: q}, state, path_partner)) == [((0, 0), fused)]
 
 
 def test_state_with_a_right_factor_checks_legs():
     with pytest.raises(LegMismatch):
         apply_state_leg1(GradedPoly.one(2), lambda word: 1, right=GradedPoly.one(3))
+    with pytest.raises(LegMismatch):
+        apply_state_pairs({0: GradedPoly.one(2)}, {0: GradedPoly.one(3)}, lambda word: 1, path_partner)
+    with pytest.raises(BadShape):
+        apply_state_pairs({0: GradedPoly.one(1)}, {0: GradedPoly.one(1)}, lambda word: 1, path_partner)
+
+
+def test_state_pairs_visit_every_pair_in_order():
+    g = cuntz_graph(2)
+    state = kms_state(g, check_dagger(g))
+    S = [L("S", 1, 1), L("S", 1, 2)]
+    one = GradedPoly.one(2)
+    p = GradedPoly.from_letter(S[0], 2) + GradedPoly.from_letter(on_leg(2, S[1]), 2)
+    lefts, rights = {"a": one, "b": p}, {"c": one, "d": p.star()}
+    assert list(apply_state_pairs(lefts, rights, state, path_partner)) == [
+        ((a, b), apply_state_leg1(x, state, right=y)) for a, x in lefts.items() for b, y in rights.items()
+    ]
 
 
 def test_embed_rejects_a_polynomial_of_several_blocks():

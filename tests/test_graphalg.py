@@ -201,8 +201,10 @@ def test_kms_state_rejects_foreign_letters_and_inner_contractions():
         tau((Letter("T", (1,), 1).star(), s))
     g = cuntz_graph(2)
     tau = kms_state(g, check_dagger(g))
+    S = edge_letters(g)
     u = Letter("u", (1, 2), 0)
-    for word in ((u, u.star()), (edge_letters(g)[0], u.star()), (Letter("S", (3,), 1),)):
+    # the last word is zero by its S*_1 S_2 contraction before its u is read
+    for word in ((u, u.star()), (S[0], u.star()), (Letter("S", (3,), 1),), (S[0].star(), S[1], u)):
         with pytest.raises(ValueError, match="foreign letter"):
             tau(word)
     cycle = cycle_graph(2)
