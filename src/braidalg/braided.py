@@ -126,7 +126,7 @@ def apply_state_pairs(lefts: dict, rights: dict, state, partner):
     right prefixes that hold an unstarred letter; every other left prefix is
     tried against every right prefix.  A wrong ``partner`` drops terms.
     """
-    if not lefts or not rights:
+    if not lefts:
         return iter(())
     first = next(iter(lefts.values()))
     _check_state_legs(first)

@@ -328,7 +328,11 @@ def test_kms_state_applied_while_multiplying_matches_the_product(seed, num_legs,
     fused = apply_state_leg1(p, state, right=q)
     assert fused == apply_state_leg1(p * q, state)
     assert fused == state_then_shift(p * q, state)
-    assert list(apply_state_pairs({0: p}, {0: q}, state, path_partner)) == [((0, 0), fused)]
+    # every pair of both families, in order, equals the partner-free call
+    lefts, rights = {"p": p, "q": q}, {"q": q, "p": p}
+    assert list(apply_state_pairs(lefts, rights, state, path_partner)) == [
+        ((a, b), apply_state_leg1(x, state, right=y)) for a, x in lefts.items() for b, y in rights.items()
+    ]
 
 
 def test_state_with_a_right_factor_checks_legs():
@@ -338,18 +342,6 @@ def test_state_with_a_right_factor_checks_legs():
         apply_state_pairs({0: GradedPoly.one(2)}, {0: GradedPoly.one(3)}, lambda word: 1, path_partner)
     with pytest.raises(BadShape):
         apply_state_pairs({0: GradedPoly.one(1)}, {0: GradedPoly.one(1)}, lambda word: 1, path_partner)
-
-
-def test_state_pairs_visit_every_pair_in_order():
-    g = cuntz_graph(2)
-    state = kms_state(g, check_dagger(g))
-    S = [L("S", 1, 1), L("S", 1, 2)]
-    one = GradedPoly.one(2)
-    p = GradedPoly.from_letter(S[0], 2) + GradedPoly.from_letter(on_leg(2, S[1]), 2)
-    lefts, rights = {"a": one, "b": p}, {"c": one, "d": p.star()}
-    assert list(apply_state_pairs(lefts, rights, state, path_partner)) == [
-        ((a, b), apply_state_leg1(x, state, right=y)) for a, x in lefts.items() for b, y in rights.items()
-    ]
 
 
 def test_embed_rejects_a_polynomial_of_several_blocks():
