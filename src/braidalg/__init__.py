@@ -23,7 +23,7 @@ Subpackages:
 
 from .scalars import FORMAL, Scalar, ZetaSpec, zeta, sqrt
 from .algebra import GradedPoly, Letter, NOT_HOMOGENEOUS, adjoint, conjugate_matrix, diag_matrix, mat_mul
-from .braided import apply_state_leg1, embed, psi_flatten
+from .braided import apply_state_pairs, embed, psi_flatten
 from .simplify import RelationSet, VerificationReport, verify_identity
 from .graphalg import GraphData, KmsData, check_dagger, kms_eval, vertex_matrix
 from .fusion import Irrep, Word, conjugate_irrep, dimension, fuse, word_bar

@@ -4,8 +4,8 @@ An element of an n-fold braided product is a :class:`GradedPoly` on ``n``
 legs: its letters carry leg indices and its words stay leg-sorted, each
 cross-leg swap costing ``z^(deg * deg)`` (see :mod:`braidalg.algebra`).  This
 module puts a one-block polynomial on consecutive legs of a larger product
-(``embed``) and evaluates a functional on leg 1 (``apply_state_leg1``, or
-``apply_state_pairs`` for every pair of two families of factors).
+(``embed``) and evaluates a functional on leg 1 of the product of every
+pair of factors from two families (``apply_state_pairs``).
 
 ``psi_flatten`` implements the flattening used by the bosonization: a
 three-leg word over (circle ``Z_LETTER``, X, Y) maps into an ordinary
@@ -22,13 +22,12 @@ from .algebra import (
     _collect,
     word_degree,
 )
-from .scalars import ONE, as_scalar, zeta
+from .scalars import as_scalar, zeta
 
 __all__ = [
     "BadShape",
     "embed",
     "psi_flatten",
-    "apply_state_leg1",
     "apply_state_pairs",
 ]
 
@@ -99,64 +98,49 @@ def _by_leg1_prefix(p: GradedPoly) -> dict:
     return groups
 
 
-def apply_state_leg1(p: GradedPoly, state, right: GradedPoly | None = None) -> GradedPoly:
-    """Evaluate a functional on the leg-1 prefix of every normal-form monomial of ``p * right``.
-
-    ``state`` maps a tuple of letters (the leg-1 word) to a Scalar, Fraction
-    or int; ``right`` defaults to one.  The remaining letters are shifted down
-    one leg.  Both factors are grouped by leg-1 prefix and the state is
-    evaluated once on every pair of prefixes, so a product word is leg-sorted
-    and phased only when its prefix pair has a nonzero value.  Moving the right
-    prefix left past the left rest costs ``z^(deg rest * deg prefix)``.
-    """
-    _check_state_legs(p)
-    other = {(): [((), ONE)]} if right is None else _by_leg1_prefix(p._coerce(right))
-    return _apply_grouped(_by_leg1_prefix(p), other, p.legs[0], state)
-
-
 def apply_state_pairs(lefts: dict, rights: dict, state, partner):
-    """Yield ``((a, b), apply_state_leg1(lefts[a], state, right=rights[b]))`` for every a, then b.
+    """Yield ``((a, b), (state x id)(lefts[a] * rights[b]))`` for every a, then b.
 
-    Every factor must have the legs of the first left one and is grouped by
-    leg-1 prefix once, not once per pair.  ``partner`` declares where a
-    diagonal state is supported: for a left prefix that holds no starred
-    letter, ``partner(prefix)`` names the one right prefix without unstarred
-    letters on which the state can be nonzero (see ``graphalg.path_partner``).
-    Such a left prefix is tried only against that right prefix and against
-    right prefixes that hold an unstarred letter; every other left prefix is
-    tried against every right prefix.  A wrong ``partner`` drops terms.
+    ``state`` maps a leg-1 word (a tuple of letters) to a Scalar, Fraction or
+    int; the other letters move down one leg.  Every factor must have the legs
+    of the first left one, at least two, and is grouped by leg-1 prefix once.
+    The state is evaluated on pairs of prefixes, so a product word is formed
+    only when its prefix pair has a nonzero value; moving the right prefix
+    left past the left rest costs ``z^(deg rest * deg prefix)``.
+
+    ``partner`` declares where a diagonal state is supported: for a left
+    prefix that holds no starred letter, ``partner(prefix)`` names the one
+    right prefix without unstarred letters on which the state can be nonzero
+    (see ``graphalg.path_partner``).  Such a left prefix is tried only against
+    that right prefix and the right prefixes that hold an unstarred letter;
+    every other left prefix meets every right prefix.  A wrong ``partner``
+    drops terms.
     """
     if not lefts:
         return iter(())
     first = next(iter(lefts.values()))
-    _check_state_legs(first)
+    if len(first.legs) != 1 or first.legs[0] < 2:
+        raise BadShape("need at least two braided legs to apply a leg-1 state")
     left = {a: _by_leg1_prefix(first._coerce(p)) for a, p in lefts.items()}
     right = {b: _by_leg1_prefix(first._coerce(q)) for b, q in rights.items()}
-    num_legs = first.legs[0]
+    mixed = {b: [(h, r) for h, r in g.items() if not all(l.starred for l in h)] for b, g in right.items()}
+    legs = (first.legs[0] - 1,)
     return (
-        ((a, b), _apply_grouped(left[a], right[b], num_legs, state, partner))
+        ((a, b), _apply_grouped(left[a], right[b], mixed[b], legs, state, partner))
         for a in left
         for b in right
     )
 
 
-def _check_state_legs(p: GradedPoly) -> None:
-    if len(p.legs) != 1 or p.legs[0] < 2:
-        raise BadShape("need at least two braided legs to apply a leg-1 state")
-
-
-def _apply_grouped(left: dict, right: dict, num_legs: int, state, partner=None) -> GradedPoly:
-    """The pair loop of ``apply_state_leg1`` and ``apply_state_pairs`` on grouped factors."""
-    if partner is not None:
-        mixed = [(h, r) for h, r in right.items() if not all(l.starred for l in h)]
+def _apply_grouped(left: dict, right: dict, mixed: list, legs: tuple, state, partner) -> GradedPoly:
+    """The pair loop of ``apply_state_pairs``; ``mixed`` lists the right prefixes with an unstarred letter."""
     products = []
     for head, rests in left.items():
-        if partner is None or any(l.starred for l in head):
+        if any(l.starred for l in head):
             candidates = right.items()
         else:
             mate = partner(head)
-            found = right.get(mate)
-            candidates = mixed if found is None else mixed + [(mate, found)]
+            candidates = mixed + [(mate, right[mate])] if mate in right else mixed
         for head_r, rests_r in candidates:
             value = as_scalar(state(head + head_r))
             if value.is_zero():
@@ -168,5 +152,4 @@ def _apply_grouped(left: dict, right: dict, num_legs: int, state, partner=None) 
                 if exponent:
                     c = c * zeta(exponent)
                 products.extend((rest + rest_r, c * v) for rest_r, v in scaled)
-    legs = (num_legs - 1,)
     return GradedPoly._make(_collect(products, _block_of(legs)), legs)

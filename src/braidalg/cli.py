@@ -48,6 +48,12 @@ def _parse_matrix_text(text: str) -> list[list[Scalar]]:
     return rows
 
 
+def _degrees(args) -> tuple[tuple[int, ...], int]:
+    """--d and the size n: --n when given, else the length of --d."""
+    d = _parse_int_list(args.d)
+    return d, len(d) if args.n is None else args.n
+
+
 def _load_F(spec_text: str | None, n: int | None) -> list[list[Scalar]]:
     if spec_text is None or spec_text == "I":
         if n is None:
@@ -81,8 +87,9 @@ def _emit_report(report: VerificationReport, out, with_trace: bool) -> int:
 
 
 def _cmd_admissible(args, out) -> int:
-    F = _load_F(args.F, args.n)
-    d = _parse_int_list(args.d) if args.d else tuple(range(len(F)))
+    d, n = _degrees(args) if args.d else (None, args.n)
+    F = _load_F(args.F, n)
+    d = d or tuple(range(len(F)))
     if len(d) != len(F):
         raise ValueError("length of --d must match the matrix size")
     datum = uqf.solve_admissible(F, d)
@@ -96,16 +103,17 @@ def _cmd_admissible(args, out) -> int:
 
 
 def _cmd_presentation(args, out) -> int:
-    F = _load_F(args.F, args.n)
-    d = _parse_int_list(args.d)
+    d, n = _degrees(args)
+    F = _load_F(args.F, n)
     pres = uqf.build_uqf(uqf.make_datum(F, d))
     out.write(pres.presentation.dump())
     return 0
 
 
 def _cmd_bosonize(args, out) -> int:
-    F = _load_F(args.F, args.n)
-    d = _parse_int_list(args.d)
+    spec = _parse_zeta(args.zeta)
+    d, n = _degrees(args)
+    F = _load_F(args.F, n)
     datum = uqf.make_datum(F, d)
     boso = uqf.build_bosonization(datum)
     out.write(boso.presentation.dump())
@@ -113,7 +121,7 @@ def _cmd_bosonize(args, out) -> int:
     for letter in boso.presentation.generators:
         out.write(f"Delta({letter}) = {boso.coproduct[letter]}\n")
     out.write("\n")
-    report = uqf.derive_boso_coproduct(datum, _parse_zeta(args.zeta))
+    report = uqf.derive_boso_coproduct(datum, spec)
     return _emit_report(report, out, args.trace)
 
 
@@ -138,8 +146,7 @@ def _cmd_kms(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     spec = _parse_zeta(args.zeta)
-    d = _parse_int_list(args.d)
-    n = args.n if args.n is not None else len(d)
+    d, n = _degrees(args)
     if n < 1:
         raise ValueError("need --n >= 1")
     if len(d) != n:

@@ -25,7 +25,7 @@ from .algebra import (
     mat_mul,
     scalar_mat_inverse,
 )
-from .braided import Z_LETTER, apply_state_leg1, apply_state_pairs, embed, psi_flatten
+from .braided import Z_LETTER, apply_state_pairs, embed, psi_flatten
 from .graphalg import (
     GraphData,
     KmsData,
@@ -140,10 +140,13 @@ def u_matrix(letters) -> list[list[GradedPoly]]:
     return [[GradedPoly.from_letter(l) for l in row] for row in letters]
 
 
+_MAX_Z_POWER = 10**4  # z^power is spelled out letter by letter, and every reduction walks it
+
+
 def z_word(power: int) -> tuple[Letter, ...]:
-    if power >= 0:
-        return (Z_LETTER,) * power
-    return (Z_LETTER.star(),) * (-power)
+    if abs(power) > _MAX_Z_POWER:
+        raise ValueError(f"circle power z^{power} above 10^4 in absolute value")
+    return (Z_LETTER if power >= 0 else Z_LETTER.star(),) * abs(power)
 
 
 def conjugated_unitary(F, F_inv, d, u) -> list[list[GradedPoly]]:
@@ -165,10 +168,11 @@ class UqfPresentation:
 
 
 def build_uqf(datum: AdmissibilityDatum) -> UqfPresentation:
-    """u_ij of degree d_j - d_i with u and u' = F u-conj F^-1 unitary; F is inverted once.
+    """u_ij of degree d_j - d_i with u and u' = F u-conj F^-1 unitary, F^-1 kept in ``F_inv``.
 
-    Admissibility makes u' homogeneous: a nonzero F_ik u-conj_kl (F^-1)_lj forces
-    d'_i = d0 - d_k and d'_j = d0 - d_l, and u-conj_kl has degree d_k - d_l = d'_j - d'_i.
+    F is inverted here and once before, by ``solve_admissible``.  Admissibility
+    makes u' homogeneous: a nonzero F_ik u-conj_kl (F^-1)_lj forces d'_i = d0 - d_k
+    and d'_j = d0 - d_l, and u-conj_kl has degree d_k - d_l = d'_j - d'_i.
     """
     F, F_inv, pairs = _support(datum.F)
     if not _vanishes(pairs, datum.d, datum.d_prime, datum.d0):
@@ -479,12 +483,14 @@ def derive_action_constraints(ftilde, d, spec: ZetaSpec = FORMAL):
             return Scalar.from_fraction(ftilde[ia]) if ia == ib else ZERO
         return ZERO
 
-    # eta_i eta*_j is the outer product of the column eta with the row eta*,
-    # eta*_i eta_j the Gram matrix of the row eta
-    E = [eta]
-    outer = mat_mul([[e] for e in eta], _map(GradedPoly.star, E))
-    computed1 = _map(lambda p: apply_state_leg1(p, tau_pairs), outer)
-    computed2 = _map(lambda p: apply_state_leg1(p, tau_pairs), mat_mul(adjoint(E), E))
+    def state_matrix(lefts, rights):
+        """Entry (i,j): the leg-1 state of lefts[i] rights[j]; tau_pairs is zero on S_k S*_l, k != l."""
+        applied = dict(apply_state_pairs(dict(enumerate(lefts)), dict(enumerate(rights)), tau_pairs, path_partner))
+        return [[applied[i, j] for j in range(n)] for i in range(n)]
+
+    eta_star = [e.star() for e in eta]
+    computed1 = state_matrix(eta, eta_star)  # eta_i eta*_j
+    computed2 = state_matrix(eta_star, eta)  # eta*_i eta_j
     display1, display2 = _displays(q, d, ftilde)
     reports = _entrywise(
         RelationSet(),

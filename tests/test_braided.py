@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidalg.algebra import BadLeg, GradedPoly, LegMismatch, Letter, NOT_HOMOGENEOUS
-from braidalg.braided import BadShape, apply_state_leg1, apply_state_pairs, embed, psi_flatten
+from braidalg.braided import BadShape, apply_state_pairs, embed, psi_flatten
 from braidalg.graphalg import check_dagger, cuntz_graph, kms_state, path_partner
 from braidalg.scalars import ONE, Scalar, zeta
 
@@ -252,6 +252,12 @@ def test_psi_rejects_foreign_letters_on_leg_one():
         psi_flatten(one_term(3, (1, L("u", 1, 1, 2))))
 
 
+def state_of_product(p, q, state, partner=path_partner):
+    """The one pair of apply_state_pairs over a single left and a single right factor."""
+    ((_, applied),) = apply_state_pairs({0: p}, {0: q}, state, partner)
+    return applied
+
+
 def test_apply_state_on_leg_one():
     s1, s2 = L("S", 1, 1), L("S", 1, 2)
     x = L("x", 0, 7)
@@ -259,8 +265,9 @@ def test_apply_state_on_leg_one():
     def state(word):
         return 1 if word == (s1,) else 0
 
+    # the state is supported on a left prefix alone: its partner is the empty prefix
     p = one_term(2, (1, s1), (2, x)) + one_term(2, (1, s2), (2, x)) * 5
-    out = apply_state_leg1(p, state)
+    out = state_of_product(p, GradedPoly.one(2), state, lambda head: ())
     assert out == GradedPoly.from_letter(x)
 
 
@@ -275,15 +282,27 @@ def state_then_shift(p, state):
 
 
 def sparse_state(seed):
-    """A word-to-scalar functional that is zero on most words and not diagonal."""
+    """A word-to-scalar functional that is zero on most words and not diagonal.
 
-    def state(word):
+    It honours the ``path_partner`` contract: on a word u s with u all
+    unstarred and s all starred it is zero unless s is u starred and reversed.
+    Every other word keeps its hashed, phased value.
+    """
+
+    def hashed(word):
         h = zlib.crc32(repr((seed, [(l.sort_key, l.degree) for l in word])).encode())
         if h % 4:
             return 0
         if h & 16:
             return Fraction(h % 5 - 2, 3)
         return zeta(h % 7 - 3) * (h % 3 + 1)
+
+    def state(word):
+        k = next((i for i, l in enumerate(word) if l.starred), len(word))
+        u, s = word[:k], word[k:]
+        if all(l.starred for l in s) and s != path_partner(u):
+            return 0
+        return hashed(word)
 
     return state
 
@@ -308,16 +327,16 @@ def test_state_applied_while_multiplying_matches_the_product(seed, num_legs):
     state = sparse_state(seed)
     p = random_phased_poly(rng, num_legs, letters[:2], letters)
     q = random_phased_poly(rng, num_legs, letters[:2], letters)
-    fused = apply_state_leg1(p, state, right=q)
-    assert fused == apply_state_leg1(p * q, state)
+    fused = state_of_product(p, q, state)
+    assert fused == state_of_product(p * q, GradedPoly.one(num_legs), state)
     assert fused == state_then_shift(p * q, state)
 
 
 @given(st.integers(0, 400), st.sampled_from([2, 3]), st.sampled_from([2, 3]))
 @settings(max_examples=80)
 def test_kms_state_applied_while_multiplying_matches_the_product(seed, num_legs, n):
-    # leg-1 words mix starred and unstarred letters, so the partner call takes
-    # both the every-pair branch and the partner branch
+    # leg-1 words mix starred and unstarred letters, so the pair loop takes
+    # both the every-prefix branch and the partner branch
     rng = random.Random(seed)
     g = cuntz_graph(n)
     state = kms_state(g, check_dagger(g))
@@ -325,19 +344,17 @@ def test_kms_state_applied_while_multiplying_matches_the_product(seed, num_legs,
     others = S + [L("u", -1, 1, 2), L("u", 1, 2, 1)]
     p = random_phased_poly(rng, num_legs, S, others)
     q = random_phased_poly(rng, num_legs, S, others)
-    fused = apply_state_leg1(p, state, right=q)
-    assert fused == apply_state_leg1(p * q, state)
+    fused = state_of_product(p, q, state)
+    assert fused == state_of_product(p * q, GradedPoly.one(num_legs), state)
     assert fused == state_then_shift(p * q, state)
-    # every pair of both families, in order, equals the partner-free call
+    # every pair of both families, in order, each grouped once
     lefts, rights = {"p": p, "q": q}, {"q": q, "p": p}
     assert list(apply_state_pairs(lefts, rights, state, path_partner)) == [
-        ((a, b), apply_state_leg1(x, state, right=y)) for a, x in lefts.items() for b, y in rights.items()
+        ((a, b), state_then_shift(x * y, state)) for a, x in lefts.items() for b, y in rights.items()
     ]
 
 
 def test_state_with_a_right_factor_checks_legs():
-    with pytest.raises(LegMismatch):
-        apply_state_leg1(GradedPoly.one(2), lambda word: 1, right=GradedPoly.one(3))
     with pytest.raises(LegMismatch):
         apply_state_pairs({0: GradedPoly.one(2)}, {0: GradedPoly.one(3)}, lambda word: 1, path_partner)
     with pytest.raises(BadShape):

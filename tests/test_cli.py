@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidalg.cli import build_parser, run
+from braidalg.uqf import _MAX_Z_POWER
 
 
 def invoke(argv):
@@ -235,6 +236,11 @@ def test_quotient_with_a_non_real_F_is_an_input_error():
         ["verify", "--prop", "fundamental", "--n", "2", "--d", "0,0", "--F", "{dense}"],
         # an empty term is an error, not 0: "1 +  + 2" must not read as 3
         ["verify", "--prop", "quotient", "--n", "2", "--d", "0,1", "--F", "diag:1 +  + 2,1"],
+        # --zeta is checked before the presentation dump is written
+        ["bosonize", "--n", "2", "--d", "0,1", "--zeta", "root:"],
+        # a circle power z^d is spelled out letter by letter, so a huge d is refused
+        ["verify", "--prop", "fundamental", "--n", "1", "--d", "9999999999"],
+        ["bosonize", "--n", "2", "--d", f"0,{_MAX_Z_POWER + 1}"],
     ],
     ids=[
         "matricial-singular",
@@ -245,6 +251,9 @@ def test_quotient_with_a_non_real_F_is_an_input_error():
         "coproduct-dense",
         "fundamental-dense",
         "quotient-empty-term",
+        "bosonize-bad-zeta",
+        "fundamental-huge-degree",
+        "bosonize-circle-power-above-bound",
     ],
 )
 def test_input_errors_print_nothing(tmp_path, argv):
@@ -254,6 +263,23 @@ def test_input_errors_print_nothing(tmp_path, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_a_huge_degree_outside_the_circle_power_still_verifies():
+    code, out, _ = invoke(["verify", "--prop", "coproduct", "--n", "2", "--d", "0,9999999999"])
+    assert code == 0
+    assert "Unverified" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["admissible", "--F", "I", "--d", "0,1"], ["presentation", "--d", "0,1"], ["bosonize", "--d", "0,1"]],
+    ids=["admissible", "presentation", "bosonize"],
+)
+def test_n_is_read_from_d_when_missing(argv):
+    code, out, err = invoke(argv)
+    assert (code, err) == (0, "")
+    assert out == invoke(argv + ["--n", "2"])[1]
 
 
 def test_diag_zero_denominator_is_an_input_error():

@@ -385,6 +385,14 @@ def test_derive_action_constraints_displays():
     assert lhs2 == expect2 and rhs2.is_zero()
 
 
+def test_derive_action_constraints_fails_with_a_partner_naming_no_head(monkeypatch):
+    # no right prefix is S*_k, so display (1) loses every S_k S*_k term
+    monkeypatch.setattr(uqf, "path_partner", lambda head: None)
+    _, report = derive_action_constraints([1, 2], (0, 1))
+    assert not report.verified
+    assert dict(report.checks)["display1(1,1)"] == "Unverified"
+
+
 @pytest.mark.parametrize("ftilde", [[0, 1], [1, -2]])
 def test_action_constraints_reject_a_non_positive_ftilde(ftilde):
     # a zero or negative entry is no sesquilinear weight; the displays would still match
