@@ -24,7 +24,6 @@ adjoint used for braided conjugate representations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import attrgetter
@@ -83,31 +82,43 @@ class _Marker:
 NOT_HOMOGENEOUS = _Marker("NotHomogeneous")
 
 
-@dataclass(frozen=True)
 class Letter:
-    """A generator symbol: family name, optional index, degree, star flag, tensor leg."""
+    """A generator symbol: family name, optional index, degree, star flag, tensor leg.
 
-    name: str
-    index: tuple[int, ...]
-    degree: int
-    starred: bool = False
-    leg: int = 1
+    Letters are interned: equal fields give the same object, so letters compare
+    and hash by identity.  ``symbol`` (the generator, on whatever leg) and
+    ``sort_key`` (leg, family, index, star flag) are computed once, at creation.
+    """
+
+    __slots__ = ("name", "index", "degree", "starred", "leg", "symbol", "sort_key", "_star")
+    _interned: dict[tuple, "Letter"] = {}
+
+    def __new__(cls, name: str, index, degree: int, starred: bool = False, leg: int = 1):
+        key = (name, tuple(index), degree, starred, leg)
+        self = cls._interned.get(key)
+        if self is None:
+            self = cls._interned[key] = object.__new__(cls)
+            symbol = (name, key[1], starred)
+            for attr, value in zip(cls.__slots__, (*key, symbol, (leg, *symbol))):
+                object.__setattr__(self, attr, value)
+            # the starred letter's own star finds this one in the table
+            object.__setattr__(self, "_star", Letter(name, index, -degree, not starred, leg))
+        return self
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"Letter is immutable; cannot set {attr!r}")
+
+    def __reduce__(self):  # pickle and copy go back through the table
+        return Letter, tuple(getattr(self, attr) for attr in self.__slots__[:5])
+
+    def __repr__(self) -> str:
+        return f"Letter({', '.join(f'{attr}={getattr(self, attr)!r}' for attr in self.__slots__[:5])})"
 
     def star(self) -> "Letter":
-        return Letter(self.name, self.index, -self.degree, not self.starred, self.leg)
+        return self._star
 
     def on_leg(self, leg: int) -> "Letter":
         return Letter(self.name, self.index, self.degree, self.starred, leg)
-
-    @property
-    def symbol(self):
-        """The generator this letter stands for, on whatever leg."""
-        return (self.name, self.index, self.starred)
-
-    @property
-    def sort_key(self):
-        # Total order by (leg, family, index, star flag); degree is determined by these.
-        return (self.leg, self.name, self.index, self.starred)
 
     def __str__(self) -> str:
         star = "*" if self.starred else ""

@@ -11,7 +11,9 @@ unsatisfied; 1 is an input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import sys
 
 from . import algebra as algebra_errors
@@ -279,9 +281,14 @@ def run(argv=None, out=None, err=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(_attach_negative_values(argv))
+        with contextlib.redirect_stderr(io.StringIO()) as usage:
+            args = parser.parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
+        if exc.code in (0, None):
+            return 0
+        # argparse ends its complaint with "<prog>: error: <message>"
+        err.write("error: " + usage.getvalue().rpartition(": error: ")[2])
+        return 1
     try:
         return args.fn(args, out)
     except (ValueError, OSError, KeyError) as exc:

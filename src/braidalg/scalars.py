@@ -205,6 +205,13 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not self._terms or not other._terms:
+            return ZERO
+        if len(self._terms) == 1 == len(other._terms):
+            ((k1, r1), c1), = self._terms.items()
+            ((k2, r2), c2), = other._terms.items()
+            if r1 == 1 == r2:  # one rational phase term times another: no radical to merge
+                return Scalar._make({(k1 + k2, 1): c1 * c2})
         terms: dict[tuple[int, int], Fraction] = {}
         for (k1, r1), c1 in self._terms.items():
             for (k2, r2), c2 in other._terms.items():
@@ -320,7 +327,9 @@ ZERO = Scalar()
 ONE = Scalar.from_fraction(1)
 
 
+@lru_cache(maxsize=None)
 def zeta(k: int = 1) -> Scalar:
+    """z^k; cached, which is safe because a Scalar is never changed after construction."""
     return Scalar._make({(k, 1): Fraction(1)})
 
 

@@ -1,5 +1,8 @@
 """Letters, graded polynomials, star, degrees, matrix conjugation."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -28,6 +31,37 @@ def test_letter_star_negates_degree():
     assert l.star().degree == -2
     assert l.star().starred
     assert l.star().star() == l
+
+
+def test_letters_are_interned():
+    l = Letter("u", (1, 2), 2)
+    assert Letter("u", (1, 2), 2) is l
+    assert Letter("u", [1, 2], 2) is l
+    assert l.star().star() is l
+    assert l.on_leg(2).on_leg(l.leg) is l
+    assert pickle.loads(pickle.dumps(l)) is l
+    assert copy.copy(l) is l and copy.deepcopy(l) is l
+    assert Letter("u", (1, 2), 2, leg=2) is not l
+    assert Letter("u", (1, 2), 2, leg=2) != l
+
+
+@pytest.mark.parametrize(
+    "letter, symbol, sort_key, text, rep",
+    [
+        (Letter("u", (1, 2), 2), ("u", (1, 2), False), (1, "u", (1, 2), False), "u[1,2]",
+         "Letter(name='u', index=(1, 2), degree=2, starred=False, leg=1)"),
+        (Letter("u", (1, 2), 2).star(), ("u", (1, 2), True), (1, "u", (1, 2), True), "u*[1,2]",
+         "Letter(name='u', index=(1, 2), degree=-2, starred=True, leg=1)"),
+        (Letter("u", (1, 2), 2).on_leg(3), ("u", (1, 2), False), (3, "u", (1, 2), False), "u[1,2]",
+         "Letter(name='u', index=(1, 2), degree=2, starred=False, leg=3)"),
+        (Letter("z", (), 1), ("z", (), False), (1, "z", (), False), "z",
+         "Letter(name='z', index=(), degree=1, starred=False, leg=1)"),
+        (Letter("S", (1,), 1, True, 2), ("S", (1,), True), (2, "S", (1,), True), "S*[1]",
+         "Letter(name='S', index=(1,), degree=1, starred=True, leg=2)"),
+    ],
+)
+def test_letter_symbol_sort_key_and_rendering(letter, symbol, sort_key, text, rep):
+    assert (letter.symbol, letter.sort_key, str(letter), repr(letter)) == (symbol, sort_key, text, rep)
 
 
 def test_poly_star_single_letter():

@@ -1,6 +1,7 @@
 """The batch front end: output shapes, exit-code contract, determinism."""
 
 import io
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -241,6 +242,10 @@ def test_quotient_with_a_non_real_F_is_an_input_error():
         # a circle power z^d is spelled out letter by letter, so a huge d is refused
         ["verify", "--prop", "fundamental", "--n", "1", "--d", "9999999999"],
         ["bosonize", "--n", "2", "--d", f"0,{_MAX_Z_POWER + 1}"],
+        # argparse's own rejections are reported on the error stream given to run
+        ["dims", "--maxlen", "1"],
+        ["verify", "--prop", "kms-preserve", "--d", "0,1", "--len", "x"],
+        ["verify", "--prop", "no-such-prop", "--d", "0,1"],
     ],
     ids=[
         "matricial-singular",
@@ -254,6 +259,9 @@ def test_quotient_with_a_non_real_F_is_an_input_error():
         "bosonize-bad-zeta",
         "fundamental-huge-degree",
         "bosonize-circle-power-above-bound",
+        "argparse-missing-option",
+        "argparse-bad-int",
+        "argparse-bad-choice",
     ],
 )
 def test_input_errors_print_nothing(tmp_path, argv):
@@ -397,3 +405,82 @@ def test_admissible_singular_matrix_is_an_input_error(tmp_path):
     assert code == 1
     assert out == ""
     assert "SingularMatrix" in err
+
+
+# -- grammar fuzz ------------------------------------------------------------
+
+# Edge-case pools, a valid value first.  Sizes stay small (n <= 3, --len <= 2),
+# because --len and --maxlen have no upper bound and cost grows exponentially.
+FUZZ_FILES = {
+    "{ident}": "1 0\n0 1\n",
+    "{dense}": "1 1\n0 1\n",
+    "{ragged}": "1 0\n0\n",
+    "{blank}": "# nothing\n",
+    "{word}": "1 x\n0 1\n",
+    "{cuntz}": "vertices 1\nedge 1 1 1 deg 1\nedge 2 1 1 deg 1\n",
+    "{sink}": "vertices 2\nedge 1 1 2 deg 1\n",
+    "{outside}": "vertices 2\nedge 1 0 1 deg 1\nedge 2 1 2 deg 1\n",
+    "{json}": '{"vertices": 1, "edges": [{"id": 1, "src": 1, "dst": 1}, {"id": 2, "src": 1, "dst": 1}]}',
+    "{json-far}": '{"vertices": 1, "edges": [{"id": 1, "src": 1, "dst": 5}]}',
+    "{json-no-dst}": '{"vertices": 1, "edges": [{"id": 1, "src": 1}]}',
+    "{json-null}": '{"vertices": null, "edges": null}',
+    "{json-cut}": '{"vertices": 1, ',
+}
+FUZZ_POOLS = {
+    "--n": ["2", "1", "3", "0", "-1", "x", ""],
+    "--d": ["0,1", "1,2", "0,1,2", "0", "-1,2", "0,0", "", ",", "0,,1", "a", "1.5", "0,99999999999", f"0,{_MAX_Z_POWER + 1}"],
+    "--F": ["diag:1,2", "I", "{ident}", "diag:", "diag:0,1", "diag:z,1", "diag:1/0", "diag:sqrt(2),1",
+            "diag:-1,1", "diag:1,", "diag:1 + z,1", "diag:1,2,3,4", "{dense}", "{ragged}", "{blank}", "{word}",
+            "{missing}"],
+    "--zeta": ["formal", "root:8", "root:3", "root:1", "root:0", "root:", "root:-2", "root:x", "sideways"],
+    "--len": ["1", "2", "0", "-1", "x", ""],
+    "--maxlen": ["2", "0", "-1", "x"],
+    "--graph": ["{cuntz}", "{json}", "{sink}", "{outside}", "{json-far}", "{json-no-dst}", "{json-null}",
+                "{json-cut}", "{blank}", "{missing}"],
+    "--left": ["(0; a)", "(1; ab)", "(0; e)", "(-1; ba)", "(; a)", "(0 a)", "(x; a)", "(0; c)", "(0; )", ""],
+    "--prop": ["coproduct", "fundamental", "cuntz-action", "kms-preserve", "matricial", "quotient", "nope"],
+}
+FUZZ_POOLS["--right"] = FUZZ_POOLS["--left"]
+FUZZ_OPTIONS = {
+    "admissible": ("--F", "--d", "--n"),
+    "presentation": ("--F", "--d", "--n"),
+    "bosonize": ("--F", "--d", "--n", "--zeta"),
+    "kms": ("--graph", "--len"),
+    "verify": ("--prop", "--n", "--d", "--F", "--zeta", "--len"),
+    "fusion": ("--left", "--right", "--n"),
+    "dims": ("--n", "--maxlen"),
+}
+
+
+def fuzz_argv(rng: random.Random) -> list[str]:
+    """One argv: a subcommand, each option dropped 1 time in 8, each value valid 4 times in 5 or more."""
+    command = rng.choice(sorted(FUZZ_OPTIONS))
+    argv = [command]
+    for option in FUZZ_OPTIONS[command]:
+        if (command, option) == ("verify", "--len") or rng.random() < 7 / 8:
+            pool = FUZZ_POOLS[option]
+            argv += [option, rng.choice(pool[:2] if rng.random() < 0.8 else pool)]
+    if command in ("bosonize", "verify") and rng.random() < 0.2:
+        argv.append("--trace")
+    if rng.random() < 0.05:
+        argv.insert(rng.randrange(1, len(argv) + 1), rng.choice(["--bogus", "-x", "7"]))
+    return argv
+
+
+def test_cli_grammar_fuzz(tmp_path, capsys):
+    files = {name: tmp_path / name.strip("{}") for name in [*FUZZ_FILES, "{missing}"]}
+    for name, text in FUZZ_FILES.items():
+        files[name].write_text(text)
+    rng = random.Random(0)
+    codes = []
+    for _ in range(500):
+        argv = [str(files[a]) if a in files else a for a in fuzz_argv(rng)]
+        code, out, err = invoke(argv)
+        assert code in (0, 1, 2), argv
+        if code == 1:
+            assert out == "" and err.startswith("error:"), (argv, out, err)
+        # nothing reaches the process's own streams, argparse's complaints included
+        assert capsys.readouterr() == ("", ""), argv
+        codes.append(code)
+    # the pools reach both verdicts and input errors, not only one of them
+    assert codes.count(0) >= 100 and codes.count(1) >= 100

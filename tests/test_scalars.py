@@ -81,6 +81,41 @@ def test_inverse_of_a_unit_term(k, r, p, q):
         ONE / (x + zeta(k + 1))
 
 
+# c * sqrt(r) * z^k through the constructor, which square-frees r: 4, 9 and 25 are rational
+terms = st.builds(
+    lambda k, r, p, q: Scalar({(k, r): Fraction(p, q)}),
+    st.integers(-5, 5),
+    st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 25]),
+    st.integers(-7, 7).filter(bool),
+    st.integers(1, 7),
+)
+
+
+@given(terms, terms)
+def test_term_times_term_matches_the_general_product(a, b):
+    # a + t has two terms, so (a + t) * b runs the general loop; t never shares a's key
+    t = zeta(99)
+    assert a * b == (a + t) * b - t * b
+    assert str(a * b) == str((a + t) * b - t * b)
+    assert a * b == b * a
+
+
+@given(terms)
+def test_a_zero_operand_gives_zero(a):
+    for product in (a * ZERO, ZERO * a, a * 0, 0 * a, (a - a) * a):
+        assert product is ZERO
+
+
+def test_cached_zeta_is_not_changed_by_arithmetic():
+    assert zeta(2) is zeta(2)
+    x = zeta(2)
+    x *= zeta(3)
+    x += 1
+    assert (x, zeta(2) * zeta(3)) == (zeta(5) + 1, zeta(5))
+    assert zeta(2) == Scalar({(2, 1): Fraction(1)})
+    assert repr(zeta(2)) == "Scalar(z^2)"
+
+
 scalars = st.builds(
     lambda terms: Scalar({(k, r): Fraction(p, q) for (k, r, p, q) in terms}),
     st.lists(

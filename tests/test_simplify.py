@@ -330,6 +330,16 @@ def test_verify_under_root_of_unity_specialization():
     assert verify_identity(lhs, rhs, RelationSet(), ZetaSpec.root_of_unity(4)).verified
 
 
+def test_verify_specializes_a_multi_term_coefficient():
+    # 1 + z + z^2 is the third cyclotomic polynomial: zero at root:3 and at no other order
+    x = Letter("x", (), 0)
+    lhs = word_poly(x, coeff=1 + zeta(1) + zeta(2))
+    zero = GradedPoly.zero()
+    assert verify_identity(lhs, zero, RelationSet()).verdict == "Unverified"
+    assert verify_identity(lhs, zero, RelationSet(), ZetaSpec.root_of_unity(3)).verdict == "Verified"
+    assert verify_identity(lhs, zero, RelationSet(), ZetaSpec.root_of_unity(4)).verdict == "Unverified"
+
+
 def test_unitary_letter_rules():
     z = Letter("z", (), 1)
     rels = RelationSet([UnitaryMatrixRel("z", ((GradedPoly.from_letter(z),),))])
