@@ -1,7 +1,8 @@
 """Graded letters, the sparse word polynomial, and matrix helpers.
 
 A :class:`Letter` is a generator symbol with an integer degree, a star flag
-and a tensor leg; starring toggles the flag and negates the degree.  A
+and a tensor leg; starring toggles the flag and negates the degree.  Letters
+are interned, so equal letters are one object and compare by identity.  A
 :class:`GradedPoly` is a finite linear combination of words of letters with
 :class:`~braidalg.scalars.Scalar` coefficients, together with a leg
 structure: a tuple of block sizes.  Legs of one block braid: commuting two
@@ -102,7 +103,7 @@ class Letter:
             for attr, value in zip(cls.__slots__, (*key, symbol, (leg, *symbol))):
                 object.__setattr__(self, attr, value)
             # the starred letter's own star finds this one in the table
-            object.__setattr__(self, "_star", Letter(name, index, -degree, not starred, leg))
+            object.__setattr__(self, "_star", cls(name, index, -degree, not starred, leg))
         return self
 
     def __setattr__(self, attr, value):

@@ -327,9 +327,10 @@ ZERO = Scalar()
 ONE = Scalar.from_fraction(1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def zeta(k: int = 1) -> Scalar:
-    """z^k; cached, which is safe because a Scalar is never changed after construction."""
+    """z^k; cached (bounded, as exponents come from input degrees), which is safe
+    because a Scalar is never changed after construction."""
     return Scalar._make({(k, 1): Fraction(1)})
 
 

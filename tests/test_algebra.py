@@ -43,6 +43,8 @@ def test_letters_are_interned():
     assert copy.copy(l) is l and copy.deepcopy(l) is l
     assert Letter("u", (1, 2), 2, leg=2) is not l
     assert Letter("u", (1, 2), 2, leg=2) != l
+    with pytest.raises(AttributeError):
+        l.degree = 3
 
 
 @pytest.mark.parametrize(
