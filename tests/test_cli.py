@@ -457,6 +457,7 @@ def fuzz_argv(rng: random.Random) -> list[str]:
     command = rng.choice(sorted(FUZZ_OPTIONS))
     argv = [command]
     for option in FUZZ_OPTIONS[command]:
+        # verify always gets a --len from the pool: its default of 3 is slow at n = 3
         if (command, option) == ("verify", "--len") or rng.random() < 7 / 8:
             pool = FUZZ_POOLS[option]
             argv += [option, rng.choice(pool[:2] if rng.random() < 0.8 else pool)]
