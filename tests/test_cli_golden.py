@@ -52,6 +52,9 @@ KMS_N3 = ["--n", "3", "--d", "1,2,3", "--len", "2"]
 # the two Hopf-structure props at n=5, the largest size the suites are timed at
 N5 = ["--n", "5", "--d", "0,1,2,3,4"]
 N5_PROPS = ("coproduct", "fundamental")
+# the two Hopf-structure props at n=1, the only ones whose traces show local
+# rules on a u letter (compiled from a 1x1 u or u')
+N1 = {"coproduct": ["--n", "1", "--d", "0"], "fundamental": ["--n", "1", "--d", "2"]}
 
 # case name -> (argv, expected exit code); "{graph}" is the file of GRAPHS[case]
 CASES = {
@@ -82,6 +85,10 @@ for _zeta in ("formal", "root:8"):
     for _prop in N5_PROPS:
         CASES[f"verify-{_prop}-n5-{_tag}"] = (
             ["verify", "--prop", _prop, *N5, "--zeta", _zeta], 0
+        )
+    for _prop, _args in N1.items():
+        CASES[f"verify-{_prop}-n1-trace-{_tag}"] = (
+            ["verify", "--prop", _prop, *_args, "--zeta", _zeta, "--trace"], 0
         )
     CASES[f"verify-kms-preserve-n3-trace-{_tag}"] = (
         ["verify", "--prop", "kms-preserve", *KMS_N3, "--zeta", _zeta, "--trace"], 0
