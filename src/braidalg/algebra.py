@@ -280,8 +280,6 @@ class GradedPoly:
         return parts
 
     def items(self):
-        if len(self.legs) == 1:
-            return sorted(self._terms.items(), key=lambda kv: word_key(kv[0]))
         return sorted(
             self._terms.items(),
             key=lambda kv: tuple(word_key(part) for part in self._blocks(kv[0])),

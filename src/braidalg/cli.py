@@ -123,7 +123,7 @@ def _cmd_bosonize(args, out) -> int:
     for letter in boso.presentation.generators:
         out.write(f"Delta({letter}) = {boso.coproduct[letter]}\n")
     out.write("\n")
-    report = uqf.derive_boso_coproduct(datum, spec)
+    report = uqf.derive_boso_coproduct(boso, spec)
     return _emit_report(report, out, args.trace)
 
 

@@ -90,9 +90,6 @@ class FusionResult:
     def items(self):
         return sorted(self._counts.items())
 
-    def multiplicity(self, irrep: Irrep) -> int:
-        return self._counts.get(irrep, 0)
-
     def total_dimension(self, n: int) -> int:
         return sum(m * dimension(r.w, n) for r, m in self._counts.items())
 

@@ -423,13 +423,6 @@ def parse_graph(text: str) -> GraphData:
     )
 
 
-def render_graph(g: GraphData) -> str:
-    lines = [f"vertices {g.num_vertices}"]
-    for e, (s, r) in enumerate(g.edges):
-        lines.append(f"edge {e + 1} {s + 1} {r + 1} deg {g.gauge_degrees[e]}")
-    return "\n".join(lines) + "\n"
-
-
 def kms_table(g: GraphData, k: KmsData, max_len: int) -> str:
     """TSV: path, path, state value, for all path pairs up to the length bound."""
     def fmt_path(p):

@@ -4,9 +4,10 @@ Each relation kind of a :class:`Presentation` renders its own dump lines
 (``lines``) and compiles its own engine rules (``compile``) into the one
 :class:`RelationSet`, ``Presentation.rules``.  Three rule kinds result:
 
-* local pair rules: ``S*[i] S[j] -> delta_ij`` for a Cuntz family, and
-  ``x x* -> 1``, ``x* x -> 1`` for any declared 1x1 unitary;
-* directed phase commutations ``a b -> phase * b a``;
+* pair rules, one table keyed by adjacent letter pairs: the local rules
+  ``S*[i] S[j] -> delta_ij`` for a Cuntz family and ``x x* -> 1``,
+  ``x* x -> 1`` for any declared 1x1 unitary, and the directed phase
+  commutations ``a b -> phase * b a`` (a local rule wins a shared pair);
 * complete contraction families ``sum_k c_k A_k B_k = r``, derived from the
   rows and columns of declared unitary matrices with monomial entries and
   from the full Cuntz sum ``sum_i S[i] S*[i] = 1``.
@@ -42,7 +43,6 @@ __all__ = [
     "RelationSet",
     "PairFamily",
     "VerificationReport",
-    "cuntz_reduce",
     "verify_identity",
     "reduce_poly",
 ]
@@ -92,8 +92,8 @@ class UnitaryMatrixRel:
             c, l = entries[0][0]
             # x x* -> 1 / (c c*), x* x -> same: a unitary single letter
             inv = ONE / (c * c.star())
-            rules.local_rules[(l.symbol, l.star().symbol)] = inv
-            rules.local_rules[(l.star().symbol, l.symbol)] = inv
+            rules.pair_rules[(l.symbol, l.star().symbol)] = (inv, False)
+            rules.pair_rules[(l.star().symbol, l.symbol)] = (inv, False)
             return
 
         for i in range(n):
@@ -125,7 +125,7 @@ class CuntzFamilyRel:
         letters = self.letters
         for a in letters:
             for b in letters:
-                rules.local_rules[(a.star().symbol, b.symbol)] = ONE if a == b else ZERO
+                rules.pair_rules[(a.star().symbol, b.symbol)] = (ONE if a == b else ZERO, False)
         members = tuple((a, a.star(), ONE) for a in letters)
         rules.families.append(PairFamily(f"cuntz-sum({letters[0].name})", members, ONE))
 
@@ -142,10 +142,10 @@ class PhaseCommutationRel:
     def compile(self, rules: "RelationSet") -> None:
         for a, b, phase in self.pairs:
             inverse = ONE / phase
-            rules.swap_rules[(b.symbol, a.symbol)] = inverse
-            rules.swap_rules[(b.star().symbol, a.star().symbol)] = inverse
-            rules.swap_rules[(b.symbol, a.star().symbol)] = phase
-            rules.swap_rules[(b.star().symbol, a.symbol)] = phase
+            for x, y, c in ((b, a, inverse), (b.star(), a.star(), inverse), (b, a.star(), phase), (b.star(), a, phase)):
+                pair = (x.symbol, y.symbol)
+                if rules.pair_rules.get(pair, (None, True))[1]:  # a local rule wins its pair
+                    rules.pair_rules[pair] = (c, True)
 
 
 @dataclass
@@ -180,17 +180,18 @@ class Presentation:
 
 
 class RelationSet:
-    """Declared relations, compiled into local rules and contraction families.
+    """Declared relations, compiled into pair rules and contraction families.
 
     ``relations`` are relation-kind objects, such as ``Presentation.relations``;
     each compiles itself into this set, in the order given.  Rules are keyed
-    by pairs of letter symbols (``Letter.symbol``), so they apply on every leg.
+    by pairs of letter symbols (``Letter.symbol``), so they apply on every leg;
+    ``pair_rules`` maps a pair to ``(coefficient, swap)``, where ``swap`` is
+    False for a local rule (the pair is deleted) and True for a directed swap.
     """
 
     def __init__(self, relations=()):
         self.relations = tuple(relations)
-        self.local_rules: dict[tuple, Scalar] = {}
-        self.swap_rules: dict[tuple, Scalar] = {}
+        self.pair_rules: dict[tuple, tuple[Scalar, bool]] = {}
         self.families: list[PairFamily] = []
         for rel in self.relations:
             rel.compile(self)
@@ -207,7 +208,7 @@ class RelationSet:
 # -- reduction passes -----------------------------------------------------------
 
 
-def _rewrite(word: Word, coeff: Scalar, local_rules, swap_rules, trace: list[str]) -> tuple[Word, Scalar]:
+def _rewrite(word: Word, coeff: Scalar, pair_rules, trace: list[str]) -> tuple[Word, Scalar]:
     """Exhaustively apply local pair rules and directed swaps to one monomial."""
     word = list(word)
     rewriting = True
@@ -215,23 +216,19 @@ def _rewrite(word: Word, coeff: Scalar, local_rules, swap_rules, trace: list[str
         rewriting = False
         for t in range(len(word) - 1):
             a, b = word[t], word[t + 1]
-            if a.leg != b.leg:
+            rule = pair_rules.get((a.symbol, b.symbol)) if a.leg == b.leg else None
+            if rule is None:
                 continue
-            pair = (a.symbol, b.symbol)
-            rule = local_rules.get(pair)
-            if rule is not None:
-                trace.append(f"rule local {a}{b}->({rule}) at {lword_str(tuple(word))}")
-                coeff = coeff * rule
-                del word[t : t + 2]
-                rewriting = True
-                break
-            swap = swap_rules.get(pair)
-            if swap is not None:
-                trace.append(f"rule swap {a}{b}->({swap})*{b}{a} at {lword_str(tuple(word))}")
-                coeff = coeff * swap
+            c, swap = rule
+            if swap:
+                trace.append(f"rule swap {a}{b}->({c})*{b}{a} at {lword_str(tuple(word))}")
                 word[t], word[t + 1] = b, a
-                rewriting = True
-                break
+            else:
+                trace.append(f"rule local {a}{b}->({c}) at {lword_str(tuple(word))}")
+                del word[t : t + 2]
+            coeff = coeff * c
+            rewriting = True
+            break
         if coeff.is_zero():
             break
     return tuple(word), coeff
@@ -285,9 +282,8 @@ def reduce_poly(p: GradedPoly, rels: RelationSet):
     Returns (reduced polynomial on the same legs, trace lines).
     """
     trace: list[str] = []
-    local, swap = rels.local_rules, rels.swap_rules
     words = sorted(p._terms, key=word_key)
-    terms = _collect(_rewrite(w, p._terms[w], local, swap, trace) for w in words)
+    terms = _collect(_rewrite(w, p._terms[w], rels.pair_rules, trace) for w in words)
     index = _ContractionIndex(rels)
     for word, coeff in terms.items():
         index.add(word, coeff)
@@ -306,7 +302,7 @@ def reduce_poly(p: GradedPoly, rels: RelationSet):
         add = ratio * fam.rhs
         if add.is_zero():
             continue
-        word, coeff = _rewrite(prefix + suffix, add, local, swap, trace)
+        word, coeff = _rewrite(prefix + suffix, add, rels.pair_rules, trace)
         if coeff.is_zero():
             continue
         old = terms.pop(word, None)
@@ -317,13 +313,6 @@ def reduce_poly(p: GradedPoly, rels: RelationSet):
             terms[word] = coeff
             index.add(word, coeff)
     return GradedPoly._make(terms, p.legs), trace
-
-
-def cuntz_reduce(p: GradedPoly, rels: RelationSet) -> GradedPoly:
-    """Apply only the local pair rules (S*[i]S[j] -> delta_ij, x x* -> 1), per leg."""
-    words = sorted(p._terms, key=word_key)
-    rewritten = (_rewrite(w, p._terms[w], rels.local_rules, {}, []) for w in words)
-    return GradedPoly._make(_collect(rewritten), p.legs)
 
 
 # -- verification reports ---------------------------------------------------
@@ -355,7 +344,7 @@ class VerificationReport:
             trace.extend(f"[{r.name}] {line}" for line in r.trace)
         return cls(name, verdict, residual, trace, checks)
 
-    def lines(self, with_trace: bool = False) -> list[str]:
+    def render(self, with_trace: bool = False) -> str:
         out = [f"{self.name}: {self.verdict}"]
         for check, verdict in self.checks:
             out.append(f"  {check}: {verdict}")
@@ -363,10 +352,7 @@ class VerificationReport:
             out.append(f"  residual: {self.residual}")
         if with_trace:
             out.extend(f"  step {k}: {line}" for k, line in enumerate(self.trace, 1))
-        return out
-
-    def render(self, with_trace: bool = False) -> str:
-        return "\n".join(self.lines(with_trace)) + "\n"
+        return "\n".join(out) + "\n"
 
 
 def verify_identity(lhs, rhs, rels: RelationSet, spec: ZetaSpec = FORMAL, name: str = "identity") -> VerificationReport:

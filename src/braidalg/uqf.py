@@ -44,7 +44,7 @@ from .simplify import (
     RelationSet,
     UnitaryMatrixRel,
     VerificationReport,
-    cuntz_reduce,
+    reduce_poly,
     verify_identity,
 )
 
@@ -76,19 +76,17 @@ class NotAdmissible(Exception):
 @dataclass(frozen=True)
 class AdmissibilityDatum:
     F: tuple  # tuple of tuples of Scalar
+    F_inv: tuple  # the inverse of F, computed once, by solve_admissible
     d: tuple[int, ...]
     d_prime: tuple[int, ...]
     d0: int
 
-    @property
-    def n(self) -> int:
-        return len(self.d)
 
-
-def _support(F) -> tuple[tuple, list, list[tuple[int, int]]]:
-    """F as scalars, F^-1, and the pairs (i, j) where F_ij or (F^-1)_ji is nonzero."""
+def _support(F, F_inv=None) -> tuple[tuple, tuple, list[tuple[int, int]]]:
+    """F as scalars, F^-1 (inverted here unless given), and the pairs (i, j)
+    where F_ij or (F^-1)_ji is nonzero."""
     F = tuple(tuple(map(as_scalar, row)) for row in F)
-    F_inv = scalar_mat_inverse(F)
+    F_inv = F_inv or tuple(map(tuple, scalar_mat_inverse(F)))
     n = len(F)
     pairs = [(i, j) for i in range(n) for j in range(n) if F[i][j] or F_inv[j][i]]
     return F, F_inv, pairs
@@ -112,13 +110,13 @@ def solve_admissible(F, d):
     """
     if len(F) < 1 or len(F) != len(d):
         raise ValueError("need a nonempty square matrix and matching degrees")
-    F, _, pairs = _support(F)
+    F, F_inv, pairs = _support(F)
     forced = [{d[j] for r, j in pairs if r == i} for i in range(len(F))]
     if any(len(s) != 1 for s in forced):
         return None
     d0 = 0
     d_prime = tuple(d0 - s.pop() for s in forced)
-    return AdmissibilityDatum(F, tuple(d), d_prime, d0)
+    return AdmissibilityDatum(F, F_inv, tuple(d), d_prime, d0)
 
 
 def make_datum(F, d) -> AdmissibilityDatum:
@@ -160,7 +158,6 @@ def conjugated_unitary(F, F_inv, d, u) -> list[list[GradedPoly]]:
 @dataclass
 class UqfPresentation:
     datum: AdmissibilityDatum
-    F_inv: list  # the inverse of datum.F that u' was built from
     letters: list  # n x n Letter
     u: list  # n x n GradedPoly
     u_prime: list  # n x n GradedPoly
@@ -168,28 +165,23 @@ class UqfPresentation:
 
 
 def build_uqf(datum: AdmissibilityDatum) -> UqfPresentation:
-    """u_ij of degree d_j - d_i with u and u' = F u-conj F^-1 unitary, F^-1 kept in ``F_inv``.
+    """u_ij of degree d_j - d_i with u and u' = F u-conj F^-1 unitary, F^-1 read from the datum.
 
-    F is inverted here and once before, by ``solve_admissible``.  Admissibility
-    makes u' homogeneous: a nonzero F_ik u-conj_kl (F^-1)_lj forces d'_i = d0 - d_k
-    and d'_j = d0 - d_l, and u-conj_kl has degree d_k - d_l = d'_j - d'_i.
+    Admissibility makes u' homogeneous: a nonzero F_ik u-conj_kl (F^-1)_lj
+    forces d'_i = d0 - d_k and d'_j = d0 - d_l, and u-conj_kl has degree
+    d_k - d_l = d'_j - d'_i.
     """
-    F, F_inv, pairs = _support(datum.F)
-    if not _vanishes(pairs, datum.d, datum.d_prime, datum.d0):
+    if not _vanishes(_support(datum.F, datum.F_inv)[2], datum.d, datum.d_prime, datum.d0):
         raise NotAdmissible("datum fails the vanishing condition")
     letters = u_letters(datum.d)
     u = u_matrix(letters)
-    u_prime = conjugated_unitary(F, F_inv, datum.d, u)
+    u_prime = conjugated_unitary(datum.F, datum.F_inv, datum.d, u)
     pres = Presentation(
         generators=[l for row in letters for l in row],
         degree_tuples={"d": datum.d, "d'": datum.d_prime, "d0": datum.d0},
-        relations=[UnitaryMatrixRel("u", _rows(u)), UnitaryMatrixRel("u'", _rows(u_prime))],
+        relations=[UnitaryMatrixRel(name, tuple(map(tuple, m))) for name, m in (("u", u), ("u'", u_prime))],
     )
-    return UqfPresentation(datum, F_inv, letters, u, u_prime, pres)
-
-
-def _rows(matrix) -> tuple:
-    return tuple(tuple(row) for row in matrix)
+    return UqfPresentation(datum, letters, u, u_prime, pres)
 
 
 # -- matrix identities --------------------------------------------------------------
@@ -255,7 +247,7 @@ def verify_coproduct(pres: UqfPresentation, spec: ZetaSpec = FORMAL) -> Verifica
     """
     u, rels = pres.u, pres.presentation.rules
     U = _coproduct(u)
-    U_prime = conjugated_unitary(pres.datum.F, pres.F_inv, pres.datum.d, U)
+    U_prime = conjugated_unitary(pres.datum.F, pres.datum.F_inv, pres.datum.d, U)
     cancel = mat_mul(U, adjoint(_leg(2, u, 2)))
     reports = _unitarity_checks(U, rels, spec, "U unitary")
     reports += _entrywise(rels, spec, ("coassoc({i},{j})", *_coassociativity(u, U, u, U)))
@@ -315,13 +307,12 @@ def _closed_coproduct_u(letters, d, i, j) -> GradedPoly:
     return total
 
 
-def derive_boso_coproduct(datum: AdmissibilityDatum, spec: ZetaSpec = FORMAL) -> VerificationReport:
+def derive_boso_coproduct(boso: BosoPresentation, spec: ZetaSpec = FORMAL) -> VerificationReport:
     """Recompute the bosonized comultiplication through the flattening map.
 
     Applies (id x Delta) in the three-leg picture, flattens, and compares
     against the closed form on z and on every u_ij.
     """
-    boso = build_bosonization(datum)
     plain = RelationSet()
     three_z = GradedPoly.from_letter(Z_LETTER, legs=3)
     flattened = _map(psi_flatten, _leg(2, _coproduct(u_matrix(boso.letters)), 3))
@@ -352,7 +343,7 @@ def verify_fundamental_rep(datum: AdmissibilityDatum, spec: ZetaSpec = FORMAL) -
     delta_u = _map(boso.coproduct.get, boso.letters)
     delta_t = mat_mul(diag_matrix([_closed_coproduct_z(di) for di in d]), delta_u)
     t_t = mat_mul(_map(lambda p: p.tensor(one), t), _map(one.tensor, t))
-    lhs, rhs = (_map(lambda p: cuntz_reduce(p, rels), m) for m in (delta_t, t_t))
+    lhs, rhs = (_map(lambda p: reduce_poly(p, rels)[0], m) for m in (delta_t, t_t))
     reports += _entrywise(RelationSet(), spec, ("Delta(t[{i},{j}])", lhs, rhs))
 
     # t-bar = diag(z^{-d_i}) u-conj, entrywise in the two-leg picture
@@ -365,15 +356,20 @@ def verify_fundamental_rep(datum: AdmissibilityDatum, spec: ZetaSpec = FORMAL) -
 # -- the action on the one-vertex graph algebra ------------------------------------
 
 
+def _cuntz_setup(n: int, d):
+    """The one-vertex graph with n loops of degrees d: its F = I presentation, isometries and state."""
+    base = build_uqf(make_datum(diag_matrix([ONE] * n), d))
+    g = cuntz_graph(n, d)
+    return base, edge_letters(g), kms_state(g, check_dagger(g))
+
+
 def cuntz_action(n: int, d, spec: ZetaSpec = FORMAL):
     """The linear action on n isometries: S'_j = sum_i j1(S_i) j2(u_ij).
 
     Verifies the isometry relations, the full sum, and the star formula
     S'*_j = sum_i j1(S*_i) j2(u-conj_ij).  Returns (action table, report).
     """
-    d = tuple(d)
-    base = build_uqf(make_datum(diag_matrix([ONE] * n), d))
-    S = edge_letters(cuntz_graph(n, d))
+    base, S, _ = _cuntz_setup(n, d)
     rels = RelationSet([CuntzFamilyRel(tuple(S))] + base.presentation.relations)
     action = _linear_action(S, base.u)
     A, S_row = [action], [[GradedPoly.from_letter(s) for s in S]]
@@ -388,12 +384,6 @@ def cuntz_action(n: int, d, spec: ZetaSpec = FORMAL):
     return action, VerificationReport.merge("cuntz-action", reports)
 
 
-def _cuntz_tau(n: int):
-    """The equilibrium state on words in n isometries: delta(paths) n^-len."""
-    g = cuntz_graph(n)
-    return kms_state(g, check_dagger(g))
-
-
 def verify_kms_preservation(n: int, d, L: int, spec: ZetaSpec = FORMAL) -> VerificationReport:
     """(state x id) applied to the action of a span element returns its state value.
 
@@ -404,11 +394,9 @@ def verify_kms_preservation(n: int, d, L: int, spec: ZetaSpec = FORMAL) -> Verif
     are grouped by leg-1 prefix once, and the state is applied while they are
     multiplied, visiting only the prefix pairs that ``path_partner`` allows.
     """
-    d = tuple(d)
-    base = build_uqf(make_datum(diag_matrix([ONE] * n), d))
+    base, S, tau = _cuntz_setup(n, d)
     rels = base.presentation.rules
-    tau = functools.cache(_cuntz_tau(n))
-    eta = _linear_action(edge_letters(cuntz_graph(n, d)), base.u)
+    eta = _linear_action(S, base.u)
 
     indices = [a for k in range(L + 1) for a in itertools.product(range(n), repeat=k)]
     paths = {}
@@ -417,7 +405,7 @@ def verify_kms_preservation(n: int, d, L: int, spec: ZetaSpec = FORMAL) -> Verif
     starred = {beta: p.star() for beta, p in paths.items()}
 
     reports = []
-    for (alpha, beta), applied in apply_state_pairs(paths, starred, tau, path_partner):
+    for (alpha, beta), applied in apply_state_pairs(paths, starred, functools.cache(tau), path_partner):
         expected_value = Fraction(1, n ** len(alpha)) if alpha == beta else Fraction(0)
         reports.append(
             verify_identity(
@@ -549,10 +537,10 @@ def graph_universal_presentation(g: GraphData, k: KmsData, spec: ZetaSpec = FORM
 
     With u = F t F^-1, the graph relations "F t F^-1 and t-conj unitary" are
     those of ``build_uqf``: F is real diagonal, so u' = F^-1 u-conj F = t-conj
-    entry by entry.  Returns (presentation, t, coproduct report).
+    entry by entry.  The datum's F is F^-1 = diag(1 / sqrt(ftilde)), and its
+    ``F_inv`` is F.  Returns (presentation, t, coproduct report).
     """
-    F = diag_matrix([sqrt(w) for w in normalized_ftilde(g, k)])
-    F_inv = scalar_mat_inverse(F)
-    pres = build_uqf(make_datum(F_inv, g.gauge_degrees))
-    t = mat_mul(mat_mul(F_inv, pres.u), F)
+    datum = make_datum(diag_matrix([ONE / sqrt(w) for w in normalized_ftilde(g, k)]), g.gauge_degrees)
+    pres = build_uqf(datum)
+    t = mat_mul(mat_mul(datum.F, pres.u), datum.F_inv)
     return pres, t, verify_coproduct(pres, spec)

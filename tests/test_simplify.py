@@ -11,11 +11,11 @@ from braidalg.braided import embed
 from braidalg.scalars import FORMAL, ONE, ZERO, Scalar, ZetaSpec, sqrt, zeta
 from braidalg.simplify import (
     CuntzFamilyRel,
+    PhaseCommutationRel,
     RelationSet,
     UnitaryMatrixRel,
     VerificationReport,
     _rewrite,
-    cuntz_reduce,
     reduce_poly,
     verify_identity,
 )
@@ -49,17 +49,17 @@ def unitary_rels(d):
 
 
 def test_cuntz_star_same_index():
-    assert cuntz_reduce(word_poly(S(1).star(), S(1)), cuntz_rels(2)) == GradedPoly.one()
+    assert reduce_poly(word_poly(S(1).star(), S(1)), cuntz_rels(2))[0] == GradedPoly.one()
 
 
 def test_cuntz_star_different_index():
-    assert cuntz_reduce(word_poly(S(1).star(), S(2)), cuntz_rels(2)).is_zero()
+    assert reduce_poly(word_poly(S(1).star(), S(2)), cuntz_rels(2))[0].is_zero()
 
 
 def test_cuntz_inner_contraction():
     # S1 S*2 S2 S*3: one inner contraction leaves S1 S*3
     p = word_poly(S(1), S(2).star(), S(2), S(3).star())
-    got = cuntz_reduce(p, cuntz_rels(3))
+    got = reduce_poly(p, cuntz_rels(3))[0]
     assert got == word_poly(S(1), S(3).star())
 
 
@@ -68,7 +68,7 @@ def test_cuntz_reduction_redex_order_independent():
     p = word_poly(S(1).star(), S(1), S(2).star(), S(2))
     # left redex first: (S*1 S1) -> 1, then S*2 S2 -> 1
     # right redex first: S*2 S2 -> 1, then S*1 S1 -> 1; both give 1
-    assert cuntz_reduce(p, cuntz_rels(2)) == GradedPoly.one()
+    assert reduce_poly(p, cuntz_rels(2))[0] == GradedPoly.one()
 
 
 def _random_reduce(word, rng, n):
@@ -99,12 +99,26 @@ def test_cuntz_confluence_random_orders(seed):
         rng.choice(fam) if rng.random() < 0.5 else rng.choice(fam).star()
         for _ in range(rng.randint(0, 10))
     )
-    engine = cuntz_reduce(GradedPoly({word: ONE}), cuntz_rels(n))
+    engine = reduce_poly(GradedPoly({word: ONE}), cuntz_rels(n))[0]
     ref_word, ref_coeff = _random_reduce(word, rng, n)
     if ref_coeff == 0:
         assert engine.is_zero()
     else:
         assert engine == GradedPoly({ref_word: ONE})
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["unitary-first", "commutation-first"])
+def test_a_local_rule_wins_a_pair_shared_with_a_commutation(order):
+    # x commuting with x* compiles swaps on (x, x*) and (x*, x), the pairs of x's local rules
+    x = Letter("x", (), 1)
+    unitary = UnitaryMatrixRel("x", ((GradedPoly.from_letter(x),),))
+    commutation = PhaseCommutationRel(((x.star(), x, zeta(1)),))
+    rels = RelationSet([unitary, commutation][::order])
+    for word in ((x, x.star()), (x.star(), x)):
+        assert rels.pair_rules[word[0].symbol, word[1].symbol] == (ONE, False)
+        reduced, trace = reduce_poly(word_poly(*word), rels)
+        assert reduced == GradedPoly.one()
+        assert trace == [f"rule local {word[0]}{word[1]}->(1) at {lword_str(word)}"]
 
 
 # -- complete contractions ------------------------------------------------------------
@@ -386,7 +400,7 @@ def rescan_reduce(p, rels):
     terms = p._terms
     while True:
         rewritten = (
-            _rewrite(w, terms[w], rels.local_rules, rels.swap_rules, trace)
+            _rewrite(w, terms[w], rels.pair_rules, trace)
             for w in sorted(terms, key=word_key)
         )
         terms = _collect(rewritten)

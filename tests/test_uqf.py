@@ -118,8 +118,8 @@ def test_uprime_degrees_match_dprime():
     for F, d in [(ident(2), (0, 1)), ([[1, 0], [0, 2]], (1, 2)), (ident(3), (0, 1, 1))]:
         datum = make_datum(F, d)
         pres = build_uqf(datum)
-        for i in range(datum.n):
-            for j in range(datum.n):
+        for i in range(len(d)):
+            for j in range(len(d)):
                 assert pres.u_prime[i][j].degree() == datum.d_prime[j] - datum.d_prime[i]
 
 
@@ -255,7 +255,7 @@ def test_bosonization_1x1_z_commutes_with_u():
 
 @pytest.mark.parametrize("F, d", [(ident(1), (2,)), (ident(2), (0, 1)), ([[1, 0], [0, 2]], (1, 2))])
 def test_derive_boso_coproduct(F, d):
-    report = derive_boso_coproduct(make_datum(F, d))
+    report = derive_boso_coproduct(build_bosonization(make_datum(F, d)))
     assert report.verified, report.render()
 
 
@@ -609,7 +609,7 @@ def test_solved_datum_is_admissible_and_builds(case):
         assert check_admissible(datum.F, datum.d, datum.d_prime, datum.d0)
         pres = build_uqf(datum)
         # u' = F u-bar F^-1 entry by entry, homogeneous of degree d'_j - d'_i
-        F, F_inv, n = datum.F, scalar_mat_inverse(datum.F), datum.n
+        F, F_inv, n = datum.F, scalar_mat_inverse(datum.F), len(datum.d)
         ubar = conjugate_matrix(pres.u, list(d))
         for i in range(n):
             for j in range(n):
