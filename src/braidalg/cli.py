@@ -15,6 +15,7 @@ import contextlib
 import functools
 import io
 import sys
+from itertools import accumulate
 
 from . import algebra as algebra_errors
 from .algebra import diag_matrix
@@ -80,6 +81,15 @@ def _diag_entries(F: list[list[Scalar]]) -> list[Scalar]:
     return [F[i][i] for i in range(n)]
 
 
+_MAX_SIZE = 10**6  # the most path pairs (kms), words (dims) or checks (kms-preserve) one request may reach
+
+
+def _refuse_above_bound(sizes, what: str, pairs: bool = False) -> None:
+    """ValueError once the running total of sizes (its square, for pairs) passes _MAX_SIZE."""
+    if any((total * total if pairs else total) > _MAX_SIZE for total in accumulate(sizes)):
+        raise ValueError(f"more than 10^6 {what}")
+
+
 def _emit_report(report: VerificationReport, out, with_trace: bool) -> int:
     out.write(report.render(with_trace))
     return 0 if report.verified else 2
@@ -132,6 +142,7 @@ def _cmd_kms(args, out) -> int:
         raise ValueError("--len must be >= 0")
     with open(args.graph, "r", encoding="utf-8") as fh:
         g = graphalg.parse_graph(fh.read())
+    _refuse_above_bound(g.path_counts(args.len), f"path pairs up to --len {args.len}", pairs=True)
     k = graphalg.check_dagger(g)
     out.write(f"graph: {g.num_vertices} vertices, {g.num_edges} edges\n")
     if k is graphalg.NOT_SATISFIED:
@@ -153,27 +164,23 @@ def _cmd_verify(args, out) -> int:
         raise ValueError("need --n >= 1")
     if len(d) != n:
         raise ValueError("length of --d must equal --n")
+    F = _load_F(args.F, n)  # checked for every suite; cuntz-action and kms-preserve use F = I
     prop = args.prop
     if prop == "coproduct":
-        F = _load_F(args.F, n)
         report = uqf.verify_coproduct(uqf.build_uqf(uqf.make_datum(F, d)), spec)
     elif prop == "fundamental":
-        F = _load_F(args.F, n)
         report = uqf.verify_fundamental_rep(uqf.make_datum(F, d), spec)
     elif prop == "cuntz-action":
         _, report = uqf.cuntz_action(n, d, spec)
     elif prop == "kms-preserve":
+        _refuse_above_bound((n**k for k in range(args.len + 1)), f"checks up to --len {args.len}", pairs=True)
         report = uqf.verify_kms_preservation(n, d, args.len, spec)
     elif prop == "matricial":
-        F = _load_F(args.F, n)
         diag = _diag_entries(F)
         ftilde = [(c * c.star()).as_fraction() for c in diag]
         _, report = uqf.derive_action_constraints(ftilde, d, spec)
-    elif prop == "quotient":
-        F = _load_F(args.F, n)
+    else:  # quotient: argparse restricts --prop to these six
         report = uqf.verify_quotient_identities(_diag_entries(F), d, spec)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown proposition {prop!r}")
     out.write(f"prop: {prop}  n={n}  d=({','.join(map(str, d))})  zeta={spec}\n")
     return _emit_report(report, out, args.trace)
 
@@ -197,6 +204,7 @@ def _cmd_fusion(args, out) -> int:
 def _cmd_dims(args, out) -> int:
     if args.maxlen < 0:
         raise ValueError("--maxlen must be >= 0")
+    _refuse_above_bound((2**k for k in range(args.maxlen + 1)), f"words up to --maxlen {args.maxlen}")
     for word in fusion_mod.all_words(args.maxlen):
         out.write(f"{word}\t{fusion_mod.dimension(word, args.n)}\n")
     return 0

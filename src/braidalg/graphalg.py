@@ -107,6 +107,15 @@ class GraphData:
             ]
         return paths
 
+    def path_counts(self, max_len: int):
+        """The number of paths of each length 0..max_len, counted without listing them."""
+        yield 1
+        ends = [1] * self.num_edges  # paths of the current length, by last edge
+        for _ in range(max_len):
+            yield sum(ends)
+            into = [sum(c for f, c in enumerate(ends) if self.range(f) == v) for v in range(self.num_vertices)]
+            ends = [into[self.source(e)] for e in range(self.num_edges)]
+
     def path_pairs(self, max_len: int):
         """All pairs of paths of length at most max_len, ordered by (|alpha|, |beta|)."""
         for la in range(max_len + 1):

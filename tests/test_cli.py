@@ -6,7 +6,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidalg.cli import build_parser, run
+from braidalg import uqf
+from braidalg.algebra import scalar_mat_inverse
+from braidalg.cli import _refuse_above_bound, build_parser, run
+from braidalg.graphalg import check_dagger, cycle_graph
 from braidalg.uqf import _MAX_Z_POWER
 
 
@@ -222,6 +225,14 @@ def test_quotient_with_a_non_real_F_is_an_input_error():
     assert err.startswith("error:")
 
 
+# the files named in argv as "{name}"
+ERROR_FILES = {
+    "dense": "1 1\n0 1\n",
+    "cycle": "vertices 2\nedge 1 1 2 deg 1\nedge 2 2 1 deg 1\n",
+    "cuntz": "vertices 1\nedge 1 1 1 deg 1\nedge 2 1 1 deg 1\n",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -246,6 +257,18 @@ def test_quotient_with_a_non_real_F_is_an_input_error():
         ["dims", "--maxlen", "1"],
         ["verify", "--prop", "kms-preserve", "--d", "0,1", "--len", "x"],
         ["verify", "--prop", "no-such-prop", "--d", "0,1"],
+        # --F is read for every suite, also for the two that do not use it
+        ["verify", "--prop", "cuntz-action", "--n", "2", "--d", "0,1", "--F", "/nonexistent"],
+        ["verify", "--prop", "kms-preserve", "--n", "2", "--d", "0,1", "--F", "/nonexistent"],
+        ["verify", "--prop", "cuntz-action", "--n", "2", "--d", "0,1", "--F", "diag:1,2,3"],
+        ["verify", "--prop", "kms-preserve", "--n", "2", "--d", "0,1", "--F", "diag:1"],
+        # more than 10^6 path pairs, words or checks are refused before any output
+        ["kms", "--graph", "{cycle}", "--len", "99999999999"],
+        ["dims", "--n", "2", "--maxlen", "99999999999"],
+        ["verify", "--prop", "kms-preserve", "--d", "1,2", "--len", "99999999999"],
+        ["kms", "--graph", "{cuntz}", "--len", "9"],
+        ["dims", "--n", "2", "--maxlen", "19"],
+        ["verify", "--prop", "kms-preserve", "--d", "1,2", "--len", "9"],
     ],
     ids=[
         "matricial-singular",
@@ -262,15 +285,71 @@ def test_quotient_with_a_non_real_F_is_an_input_error():
         "argparse-missing-option",
         "argparse-bad-int",
         "argparse-bad-choice",
+        "cuntz-action-missing-F",
+        "kms-preserve-missing-F",
+        "cuntz-action-F-too-large",
+        "kms-preserve-F-too-small",
+        "kms-huge-len",
+        "dims-huge-maxlen",
+        "kms-preserve-huge-len",
+        "kms-1023-paths",
+        "dims-1048575-words",
+        "kms-preserve-1023-paths",
     ],
 )
 def test_input_errors_print_nothing(tmp_path, argv):
-    dense = tmp_path / "dense.mat"
-    dense.write_text("1 1\n0 1\n")
-    code, out, err = invoke([arg.format(dense=dense) for arg in argv])
+    for name, text in ERROR_FILES.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = invoke([arg.format(**{name: tmp_path / name for name in ERROR_FILES}) for arg in argv])
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_the_size_bound_admits_exactly_10_to_the_6():
+    _refuse_above_bound([10**6 - 1, 1], "words")
+    _refuse_above_bound([999, 1], "path pairs", pairs=True)
+    with pytest.raises(ValueError, match="more than 10\\^6 words"):
+        _refuse_above_bound([10**6, 1], "words")
+    with pytest.raises(ValueError, match="more than 10\\^6 path pairs"):
+        _refuse_above_bound([1000, 1], "path pairs", pairs=True)
+
+
+@pytest.mark.parametrize("prop", ["cuntz-action", "kms-preserve"])
+def test_a_valid_F_is_ignored_by_the_cuntz_suites(prop):
+    argv = ["verify", "--prop", prop, "--n", "2", "--d", "0,1", "--len", "1"]
+    plain = invoke(argv)
+    assert plain[0] == 0
+    assert invoke(argv + ["--F", "diag:1,2"]) == plain
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--prop", "coproduct", "--n", "2", "--d", "0,1", "--F", "diag:1,2"],
+        ["verify", "--prop", "fundamental", "--n", "2", "--d", "0,1", "--F", "diag:1,2"],
+        ["verify", "--prop", "cuntz-action", "--n", "2", "--d", "0,1"],
+        ["verify", "--prop", "kms-preserve", "--n", "2", "--d", "0,1", "--len", "1"],
+        ["bosonize", "--F", "diag:1,2", "--d", "0,1"],
+        ["verify", "--prop", "quotient", "--n", "2", "--d", "0,1", "--F", "diag:1,2"],
+        None,  # graph_universal_presentation on the 2-cycle
+    ],
+    ids=["coproduct", "fundamental", "cuntz-action", "kms-preserve", "bosonize", "quotient", "graph-two-cycle"],
+)
+def test_F_is_inverted_once_per_request(monkeypatch, argv):
+    calls = []
+
+    def counting_inverse(F):
+        calls.append(F)
+        return scalar_mat_inverse(F)
+
+    monkeypatch.setattr(uqf, "scalar_mat_inverse", counting_inverse)
+    if argv is None:
+        g = cycle_graph(2, (0, 1))
+        assert uqf.graph_universal_presentation(g, check_dagger(g))[2].verified
+    else:
+        assert invoke(argv)[0] == 0
+    assert len(calls) == 1
 
 
 def test_a_huge_degree_outside_the_circle_power_still_verifies():
@@ -409,8 +488,9 @@ def test_admissible_singular_matrix_is_an_input_error(tmp_path):
 
 # -- grammar fuzz ------------------------------------------------------------
 
-# Edge-case pools, a valid value first.  Sizes stay small (n <= 3, --len <= 2),
-# because --len and --maxlen have no upper bound and cost grows exponentially.
+# Edge-case pools, a valid value first.  Sizes stay small (n <= 3, --len <= 2)
+# or pass the size bound by far, because the cost of an accepted --len or
+# --maxlen grows exponentially up to that bound of 10^6.
 FUZZ_FILES = {
     "{ident}": "1 0\n0 1\n",
     "{dense}": "1 1\n0 1\n",
@@ -433,8 +513,8 @@ FUZZ_POOLS = {
             "diag:-1,1", "diag:1,", "diag:1 + z,1", "diag:1,2,3,4", "{dense}", "{ragged}", "{blank}", "{word}",
             "{missing}"],
     "--zeta": ["formal", "root:8", "root:3", "root:1", "root:0", "root:", "root:-2", "root:x", "sideways"],
-    "--len": ["1", "2", "0", "-1", "x", ""],
-    "--maxlen": ["2", "0", "-1", "x"],
+    "--len": ["1", "2", "0", "-1", "x", "", "99999999999"],
+    "--maxlen": ["2", "0", "-1", "x", "99999999999"],
     "--graph": ["{cuntz}", "{json}", "{sink}", "{outside}", "{json-far}", "{json-no-dst}", "{json-null}",
                 "{json-cut}", "{blank}", "{missing}"],
     "--left": ["(0; a)", "(1; ab)", "(0; e)", "(-1; ba)", "(; a)", "(0 a)", "(x; a)", "(0; c)", "(0; )", ""],

@@ -253,6 +253,15 @@ def test_cuntz_kms_lemma_random_triples():
             assert lhs == expected, (n, alpha, x, beta)
 
 
+@pytest.mark.parametrize(
+    "g",
+    [cuntz_graph(2), cycle_graph(3), GraphData(3, ((0, 0), (0, 1), (1, 2), (2, 0), (2, 1)), (1,) * 5)],
+    ids=["two-loops", "three-cycle", "mixed"],
+)
+def test_path_counts_match_the_listed_paths(g):
+    assert list(g.path_counts(5)) == [len(g.paths(k)) for k in range(6)]
+
+
 def test_graph_file_roundtrip():
     g = GraphData(2, ((0, 1), (1, 0)), (0, 1))
     text = "vertices 2\nedge 1 1 2 deg 0\nedge 2 2 1 deg 1\n"
