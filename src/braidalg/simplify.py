@@ -2,7 +2,8 @@
 
 Each relation kind of a :class:`Presentation` renders its own dump lines
 (``lines``) and compiles its own engine rules (``compile``) into the one
-:class:`RelationSet`, ``Presentation.rules``.  Three rule kinds result:
+:class:`RelationSet`, ``Presentation.rules``.  Three rule kinds result, in
+two tables:
 
 * pair rules, one table keyed by adjacent letter pairs: the local rules
   ``S*[i] S[j] -> delta_ij`` for a Cuntz family and ``x x* -> 1``,
