@@ -118,9 +118,9 @@ class GraphData:
 
     def path_pairs(self, max_len: int):
         """All pairs of paths of length at most max_len, ordered by (|alpha|, |beta|)."""
-        for la in range(max_len + 1):
-            for lb in range(max_len + 1):
-                yield from product(self.paths(la), self.paths(lb))
+        paths = [self.paths(length) for length in range(max_len + 1)]
+        for alphas, betas in product(paths, repeat=2):
+            yield from product(alphas, betas)
 
 
 @dataclass(frozen=True)

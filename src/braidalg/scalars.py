@@ -7,7 +7,9 @@ rationals.  Internally it is a finite sum of terms
     c * sqrt(r) * z^k
 
 indexed by ``(k, r)`` with ``k`` an integer, ``r`` a square-free positive
-integer (``r == 1`` is the rational part) and ``c`` a nonzero ``Fraction``.
+integer (``r == 1`` is the rational part) and ``c`` a nonzero rational, kept as
+a reduced int pair ``(numerator, denominator)`` with a positive denominator.
+Coefficients enter as ``int`` or ``Fraction`` only; others raise ``TypeError``.
 
 Since the phase lives on the unit circle, complex conjugation (``star``)
 sends ``z^k`` to ``z^-k`` and fixes rationals and radicals.
@@ -57,6 +59,25 @@ def _square_free(n: int) -> tuple[int, int]:
             n //= d
         d += 1
     return g, s * n
+
+
+def _ratio(n: int, d: int) -> tuple[int, int]:
+    """n/d as a reduced pair with a positive denominator; d == 1 skips the gcd."""
+    if d == 1:
+        return n, 1
+    g = gcd(n, d) if d > 0 else -gcd(n, d)
+    return n // g, d // g
+
+
+def _accumulate(terms: dict, key, c: tuple[int, int]) -> None:
+    """terms[key] += c for a nonzero reduced pair c, dropping the key if the sum is 0."""
+    old = terms.get(key)
+    if old is None:
+        terms[key] = c
+    elif n := old[0] * c[1] + c[0] * old[1]:
+        terms[key] = _ratio(n, old[1] * c[1])
+    else:
+        del terms[key]
 
 
 @lru_cache(maxsize=None)
@@ -121,26 +142,22 @@ class Scalar:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None):
-        cleaned: dict[tuple[int, int], Fraction] = {}
-        if terms:
-            for (k, r), c in terms.items():
-                if c == 0:
-                    continue
-                if r < 1:
-                    raise ValueError(f"radical key must be positive, got {r}")
-                g, s = _square_free(r)
-                key = (k, s)
-                new = cleaned.get(key, Fraction(0)) + c * g
-                if new == 0:
-                    cleaned.pop(key, None)
-                else:
-                    cleaned[key] = new
+    def __init__(self, terms: dict[tuple[int, int], int | Fraction] | None = None):
+        cleaned: dict[tuple[int, int], tuple[int, int]] = {}
+        for (k, r), c in (terms or {}).items():
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"scalar coefficients must be int or Fraction, got {c!r}")
+            if c == 0:
+                continue
+            if r < 1:
+                raise ValueError(f"radical key must be positive, got {r}")
+            g, s = _square_free(r)
+            _accumulate(cleaned, (k, s), _ratio(c.numerator * g, c.denominator))
         self._terms = cleaned
 
     @classmethod
-    def _make(cls, terms: dict[tuple[int, int], Fraction]) -> "Scalar":
-        """Wrap terms that are already in normal form with nonzero coefficients."""
+    def _make(cls, terms: dict[tuple[int, int], tuple[int, int]]) -> "Scalar":
+        """Wrap terms already in normal form: nonzero reduced (numerator, denominator) pairs."""
         out = cls.__new__(cls)
         out._terms = terms
         return out
@@ -148,8 +165,8 @@ class Scalar:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def from_fraction(cls, c) -> "Scalar":
-        return cls({(0, 1): Fraction(c)})
+    def from_fraction(cls, c: int | Fraction) -> "Scalar":
+        return cls({(0, 1): c})
 
     # -- structure --------------------------------------------------------
 
@@ -169,7 +186,7 @@ class Scalar:
         if not self._terms:
             return Fraction(0)
         if set(self._terms) == {(0, 1)}:
-            return self._terms[(0, 1)]
+            return Fraction(*self._terms[(0, 1)])
         raise ValueError(f"not a plain rational: {self}")
 
     # -- ring operations ---------------------------------------------------
@@ -180,17 +197,13 @@ class Scalar:
             return NotImplemented
         terms = dict(self._terms)
         for key, c in other._terms.items():
-            new = terms.get(key, Fraction(0)) + c
-            if new == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = new
+            _accumulate(terms, key, c)
         return Scalar._make(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar._make({k: -c for k, c in self._terms.items()})
+        return Scalar._make({k: (-n, d) for k, (n, d) in self._terms.items()})
 
     def __sub__(self, other) -> "Scalar":
         other = _coerce(other)
@@ -208,21 +221,16 @@ class Scalar:
         if not self._terms or not other._terms:
             return ZERO
         if len(self._terms) == 1 == len(other._terms):
-            ((k1, r1), c1), = self._terms.items()
-            ((k2, r2), c2), = other._terms.items()
+            ((k1, r1), (n1, d1)), = self._terms.items()
+            ((k2, r2), (n2, d2)), = other._terms.items()
             if r1 == 1 == r2:  # one rational phase term times another: no radical to merge
-                return Scalar._make({(k1 + k2, 1): c1 * c2})
-        terms: dict[tuple[int, int], Fraction] = {}
-        for (k1, r1), c1 in self._terms.items():
-            for (k2, r2), c2 in other._terms.items():
+                return Scalar._make({(k1 + k2, 1): _ratio(n1 * n2, d1 * d2)})
+        terms: dict[tuple[int, int], tuple[int, int]] = {}
+        for (k1, r1), (n1, d1) in self._terms.items():
+            for (k2, r2), (n2, d2) in other._terms.items():
                 # sqrt(r1) * sqrt(r2) = g * sqrt(s) with r1*r2 = g^2 * s
                 g = gcd(r1, r2)
-                key = (k1 + k2, (r1 // g) * (r2 // g))
-                new = terms.get(key, Fraction(0)) + c1 * c2 * g
-                if new == 0:
-                    terms.pop(key, None)
-                else:
-                    terms[key] = new
+                _accumulate(terms, (k1 + k2, (r1 // g) * (r2 // g)), _ratio(n1 * n2 * g, d1 * d2))
         return Scalar._make(terms)
 
     __rmul__ = __mul__
@@ -238,9 +246,9 @@ class Scalar:
         """1 / self, for a single-term scalar."""
         if len(self._terms) != 1:
             raise ValueError(f"can only divide by a single-term scalar, got {self}")
-        ((k, r), c), = self._terms.items()
-        # 1 / (c sqrt(r) z^k) = (1/(c r)) sqrt(r) z^-k; r is already square-free
-        return Scalar._make({(-k, r): 1 / (c * r)})
+        ((k, r), (n, d)), = self._terms.items()
+        # 1 / ((n/d) sqrt(r) z^k) = (d/(n r)) sqrt(r) z^-k; r is already square-free
+        return Scalar._make({(-k, r): _ratio(d, n * r)})
 
     def star(self) -> "Scalar":
         """Complex conjugation: z^k -> z^-k, rationals and radicals fixed."""
@@ -256,7 +264,7 @@ class Scalar:
         by_radical: dict[int, list[Fraction]] = {}
         for (k, r), c in self._terms.items():
             coeffs = by_radical.setdefault(r, [Fraction(0)] * n)
-            coeffs[k % n] += c
+            coeffs[k % n] += Fraction(*c)
         terms: dict[tuple[int, int], Fraction] = {}
         for r, coeffs in by_radical.items():
             # reduce mod phi_n (monic), then collect
@@ -293,25 +301,25 @@ class Scalar:
         if not self._terms:
             return "0"
         parts: list[str] = []
-        for (k, r), c in self.items():
+        for (k, r), (n, d) in self.items():
             factors = []
             if r != 1:
                 factors.append(f"sqrt({r})")
             if k != 0:
                 factors.append("z" if k == 1 else f"z^{k}")
-            mag = abs(c)
-            if mag != 1 or not factors:
-                factors.insert(0, str(mag))
+            mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
+            if mag != "1" or not factors:
+                factors.insert(0, mag)
             body = "*".join(factors)
             if not parts:
-                parts.append(body if c > 0 else f"-{body}")
+                parts.append(body if n > 0 else f"-{body}")
             else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
+                parts.append(f" + {body}" if n > 0 else f" - {body}")
         return "".join(parts)
 
 
 def as_scalar(value) -> Scalar:
-    """A Scalar as it is; any other number (int, Fraction, ...) as a rational."""
+    """A Scalar as it is; an int or Fraction as a rational; anything else is a TypeError."""
     if isinstance(value, Scalar):
         return value
     return Scalar.from_fraction(value)
@@ -331,12 +339,12 @@ ONE = Scalar.from_fraction(1)
 def zeta(k: int = 1) -> Scalar:
     """z^k; cached (bounded, as exponents come from input degrees), which is safe
     because a Scalar is never changed after construction."""
-    return Scalar._make({(k, 1): Fraction(1)})
+    return Scalar._make({(k, 1): (1, 1)})
 
 
 def sqrt(value) -> Scalar:
     """sqrt of a positive rational: sqrt(p/q) = sqrt(p*q) / q."""
-    v = Fraction(value)
+    v = Scalar.from_fraction(value).as_fraction()
     if v <= 0:
         raise ValueError("radicand must be positive")
     return Scalar({(0, v.numerator * v.denominator): Fraction(1, v.denominator)})

@@ -305,6 +305,17 @@ def test_kms_table_contains_header_and_values():
     assert "1\t1\t1/2" in lines
 
 
+def test_kms_table_lists_the_paths_of_each_length_once(monkeypatch):
+    g = cuntz_graph(2)
+    k = check_dagger(g)
+    nested = [(a, b) for la in range(5) for lb in range(5) for a in g.paths(la) for b in g.paths(lb)]
+    assert list(g.path_pairs(4)) == nested  # ordered by (|alpha|, |beta|), then by edge ids
+    calls, paths = [], GraphData.paths
+    monkeypatch.setattr(GraphData, "paths", lambda self, length: calls.append(length) or paths(self, length))
+    assert len(kms_table(g, k, 4).splitlines()) == 1 + 31**2
+    assert sorted(calls) == [0, 1, 2, 3, 4]
+
+
 def test_dagger_not_satisfied_is_falsy():
     assert not NOT_SATISFIED
 

@@ -2,6 +2,7 @@
 
 import re
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,6 +13,7 @@ from braidalg.scalars import (
     ZERO,
     Scalar,
     ZetaSpec,
+    as_scalar,
     cyclotomic,
     parse_scalar,
     sqrt,
@@ -164,6 +166,121 @@ def test_formal_zero_specializes_to_zero(a, n):
 @given(scalars)
 def test_render_parse_roundtrip(a):
     assert parse_scalar(str(a)) == a
+
+
+# -- the integer-pair coefficients against a dict-of-Fraction model ---------------------
+
+# sqrt(r1) * sqrt(r2) for square-free r1, r2 in {1, 2, 3, 6}, as (g, s) with g * sqrt(s),
+# read off the prime sets: shared primes leave the root, the others stay under it
+_PRIMES = {1: set(), 2: {2}, 3: {3}, 6: {2, 3}}
+_RADICAL_PRODUCT = {
+    (r1, r2): (prod(p1 & p2), prod(p1 ^ p2)) for r1, p1 in _PRIMES.items() for r2, p2 in _PRIMES.items()
+}
+# the cyclotomic polynomials, constant coefficient first, written out by hand
+_PHI = {3: (1, 1, 1), 4: (1, 0, 1), 5: (1, 1, 1, 1, 1), 8: (1, 0, 0, 0, 1), 12: (1, 0, -1, 0, 1)}
+
+
+def _model_sum(*pairs):
+    out = {}
+    for key, c in pairs:
+        out[key] = out.get(key, Fraction(0)) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def _model_mul(a, b):
+    return _model_sum(
+        *(((k1 + k2, _RADICAL_PRODUCT[r1, r2][1]), c1 * c2 * _RADICAL_PRODUCT[r1, r2][0])
+          for (k1, r1), c1 in a.items() for (k2, r2), c2 in b.items())
+    )
+
+
+def _model_specialize(a, n):
+    """Reduce z^k to z^(k mod n), then divide each radical's polynomial by Phi_n."""
+    phi, out = _PHI[n], {}
+    for r in {r for _, r in a}:
+        poly = [Fraction(0)] * n
+        for (k, rr), c in a.items():
+            if rr == r:
+                poly[k % n] += c
+        for top in range(n - 1, len(phi) - 2, -1):
+            c, shift = poly[top], top - (len(phi) - 1)
+            for j, pj in enumerate(phi):
+                poly[shift + j] -= c * pj
+        out.update({(k, r): c for k, c in enumerate(poly[: len(phi) - 1]) if c})
+    return out
+
+
+def _as_model(x):
+    """The value of a Scalar as {(k, r): Fraction}, after checking how it is stored."""
+    for (k, r), c in x._terms.items():
+        assert type(k) is int and r in _PRIMES
+        assert type(c) is tuple and len(c) == 2 and type(c[0]) is int and type(c[1]) is int
+        assert c[0] != 0 and c[1] > 0 and gcd(*c) == 1
+    return {key: Fraction(*c) for key, c in x._terms.items()}
+
+
+model_terms = st.dictionaries(
+    st.tuples(st.integers(-6, 6), st.sampled_from([1, 2, 3, 6])),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+    max_size=4,
+)
+
+
+@given(model_terms, model_terms)
+def test_pair_arithmetic_matches_a_fraction_model(a, b):
+    x, y = Scalar(a), Scalar(b)
+    a, b = _model_sum(*a.items()), _model_sum(*b.items())
+    assert _as_model(x) == a and _as_model(y) == b
+    assert _as_model(x + y) == _model_sum(*a.items(), *b.items())
+    assert _as_model(x - y) == _model_sum(*a.items(), *((key, -c) for key, c in b.items()))
+    assert _as_model(-x) == _model_sum(*((key, -c) for key, c in a.items()))
+    assert _as_model(x * y) == _model_mul(a, b)
+    assert _as_model(x.star()) == {(-k, r): c for (k, r), c in a.items()}
+    for key, c in a.items():  # each term of x is a unit: 1/(c sqrt(r) z^k) = 1/(c r) sqrt(r) z^-k
+        (k, r), term = key, Scalar({key: c})
+        assert _as_model(term.inverse()) == {(-k, r): 1 / (c * r)}
+        assert _as_model(y / term) == _model_mul(b, {(-k, r): 1 / (c * r)})
+    for n in _PHI:
+        assert _as_model(x.specialize(ZetaSpec.root_of_unity(n))) == _model_specialize(a, n)
+
+
+def test_the_pair_operations_build_no_fraction(monkeypatch):
+    x = Scalar({(1, 2): Fraction(-3, 4), (0, 1): Fraction(5, 6), (-2, 3): 2})
+    y, unit = Scalar({(2, 6): Fraction(7, 10), (-1, 1): -1}), Scalar({(3, 2): Fraction(-2, 9)})
+    built, new = [], Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw))
+    results = [x + y, x - y, -x, x * y, y * x, unit.inverse(), x / unit, x.star(), x * 3, 2 + y, x == y]
+    monkeypatch.undo()
+    assert built == [] and len(results) == 11
+
+
+@pytest.mark.parametrize("value", [0.5, 0.1, "1/2", 1j])
+def test_scalars_take_exact_coefficients_only(value):
+    with pytest.raises(TypeError):
+        Scalar({(0, 1): value})
+    with pytest.raises(TypeError):
+        as_scalar(value)
+    with pytest.raises(TypeError):
+        sqrt(value)
+
+
+def test_as_fraction_gives_a_fraction():
+    for x, value in ((Scalar.from_fraction(2), 2), (ZERO, 0), (sqrt(3) * sqrt(3) / 4, Fraction(3, 4))):
+        assert type(x.as_fraction()) is Fraction and x.as_fraction() == value
+    with pytest.raises(ValueError):
+        zeta(1).as_fraction()
+
+
+def test_equal_values_from_each_boundary_are_equal_and_hash_equal():
+    values = [Scalar({(0, 1): Fraction(4, 2)}), Scalar.from_fraction(2), ONE + ONE, as_scalar(2), Scalar({(0, 4): 1})]
+    assert all(v == values[0] and hash(v) == hash(values[0]) for v in values)
+    assert values[0] == 2 and values[0] == Fraction(2)
+
+
+def test_render_parse_roundtrip_of_a_negative_proper_fraction():
+    s = Scalar({(-1, 2): Fraction(-3, 4)})
+    assert str(s) == "-3/4*sqrt(2)*z^-1"
+    assert parse_scalar(str(s)) == s and str(parse_scalar("-3/4*sqrt(2)*z^-1")) == str(s)
 
 
 def test_render_canonical_form():

@@ -1,6 +1,7 @@
 """The reduction engine: local rewrites, complete contractions, verification."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -478,7 +479,7 @@ _CASES = {
     "cuntz": (RelationSet(cuntz_rels(2).relations + unitary_rels((0, 1)).relations), 1),
     "diag": (build_uqf(make_datum([[1, 0], [0, 2]], (0, 1))).presentation.rules, 2),
 }
-_COEFFS = (ONE, ONE, -ONE, zeta(1), zeta(-2) * 3, sqrt(2), Scalar.from_fraction("1/2"))
+_COEFFS = (ONE, ONE, -ONE, zeta(1), zeta(-2) * 3, sqrt(2), Scalar.from_fraction(Fraction(1, 2)))
 
 
 def _random_factor(rng, families, alphabet, legs):
