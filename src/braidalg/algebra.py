@@ -34,7 +34,6 @@ from .scalars import ONE, ZERO, Scalar, as_scalar, zeta
 __all__ = [
     "Letter",
     "GradedPoly",
-    "NOT_HOMOGENEOUS",
     "BadLeg",
     "LegMismatch",
     "DegreeMismatch",
@@ -63,24 +62,6 @@ class DegreeMismatch(Exception):
 
 class SingularMatrix(Exception):
     """Matrix inversion failed over the scalar ring."""
-
-
-class _Marker:
-    """A named, falsy singleton returned where a value does not exist."""
-
-    __slots__ = ("_name",)
-
-    def __init__(self, name: str):
-        self._name = name
-
-    def __repr__(self):
-        return self._name
-
-    def __bool__(self):
-        return False
-
-
-NOT_HOMOGENEOUS = _Marker("NotHomogeneous")
 
 
 class Letter:
@@ -258,14 +239,6 @@ class GradedPoly:
     def from_letter(cls, letter: Letter, legs=1) -> "GradedPoly":
         return cls({(letter,): ONE}, legs)
 
-    @classmethod
-    def from_scalar(cls, c, legs=1) -> "GradedPoly":
-        return cls({(): c}, legs)
-
-    @classmethod
-    def from_word(cls, word: Word, coeff=ONE, legs=1) -> "GradedPoly":
-        return cls({tuple(word): coeff}, legs)
-
     # -- structure --------------------------------------------------------
 
     def _blocks(self, word: Word) -> list[Word]:
@@ -296,12 +269,12 @@ class GradedPoly:
         return len(self._terms)
 
     def degree(self):
-        """The common degree if homogeneous, else the NOT_HOMOGENEOUS marker."""
+        """The common degree if homogeneous (0 for zero), else None."""
         degs = {word_degree(w) for w in self._terms}
         if not degs:
             return 0
         if len(degs) > 1:
-            return NOT_HOMOGENEOUS
+            return None
         return degs.pop()
 
     # -- algebra ------------------------------------------------------------
@@ -452,9 +425,8 @@ def conjugate_matrix(u: Matrix, d: list[int]) -> Matrix:
             entry = u[i][j]
             deg = entry.degree()
             if not entry.is_zero() and deg != d[j] - d[i]:
-                raise DegreeMismatch(
-                    f"entry ({i + 1},{j + 1}) has degree {deg}, expected {d[j] - d[i]}"
-                )
+                found = "is not homogeneous" if deg is None else f"has degree {deg}"
+                raise DegreeMismatch(f"entry ({i + 1},{j + 1}) {found}, expected {d[j] - d[i]}")
             row.append(entry.star() * zeta(d[i] * (d[j] - d[i])))
         out.append(row)
     return out

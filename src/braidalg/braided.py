@@ -4,7 +4,7 @@ An element of an n-fold braided product is a :class:`GradedPoly` on ``n``
 legs: its letters carry leg indices and its words stay leg-sorted, each
 cross-leg swap costing ``z^(deg * deg)`` (see :mod:`braidalg.algebra`).  This
 module puts a one-block polynomial on consecutive legs of a larger product
-(``embed``) and evaluates a functional on leg 1 of the product of every
+(``embed``) and evaluates a diagonal state on leg 1 of the product of every
 pair of factors from two families (``apply_state_pairs``).
 
 ``psi_flatten`` implements the flattening used by the bosonization: a
@@ -98,7 +98,12 @@ def _by_leg1_prefix(p: GradedPoly) -> dict:
     return groups
 
 
-def apply_state_pairs(lefts: dict, rights: dict, state, partner):
+def _partner(head):
+    """``head`` reversed and starred: S*_g, the one starred prefix a diagonal state pairs with S_g."""
+    return tuple(l.star() for l in reversed(head))
+
+
+def apply_state_pairs(lefts: dict, rights: dict, state):
     """Yield ``((a, b), (state x id)(lefts[a] * rights[b]))`` for every a, then b.
 
     ``state`` maps a leg-1 word (a tuple of letters) to a Scalar, Fraction or
@@ -108,13 +113,11 @@ def apply_state_pairs(lefts: dict, rights: dict, state, partner):
     only when its prefix pair has a nonzero value; moving the right prefix
     left past the left rest costs ``z^(deg rest * deg prefix)``.
 
-    ``partner`` declares where a diagonal state is supported: for a left
-    prefix that holds no starred letter, ``partner(prefix)`` names the one
-    right prefix without unstarred letters on which the state can be nonzero
-    (see ``graphalg.path_partner``).  Such a left prefix is tried only against
-    that right prefix and the right prefixes that hold an unstarred letter;
-    every other left prefix meets every right prefix.  A wrong ``partner``
-    drops terms.
+    The state must be diagonal: on a word S_g S*_h, unstarred letters then
+    starred ones, it is zero unless h = g.  So a left prefix S_g without a
+    starred letter is tried only against S*_g and the right prefixes that
+    hold an unstarred letter; every other left prefix meets every right
+    prefix.  A state that is not diagonal loses terms.
     """
     if not lefts:
         return iter(())
@@ -126,20 +129,20 @@ def apply_state_pairs(lefts: dict, rights: dict, state, partner):
     mixed = {b: [(h, r) for h, r in g.items() if not all(l.starred for l in h)] for b, g in right.items()}
     legs = (first.legs[0] - 1,)
     return (
-        ((a, b), _apply_grouped(left[a], right[b], mixed[b], legs, state, partner))
+        ((a, b), _apply_grouped(left[a], right[b], mixed[b], legs, state))
         for a in left
         for b in right
     )
 
 
-def _apply_grouped(left: dict, right: dict, mixed: list, legs: tuple, state, partner) -> GradedPoly:
+def _apply_grouped(left: dict, right: dict, mixed: list, legs: tuple, state) -> GradedPoly:
     """The pair loop of ``apply_state_pairs``; ``mixed`` lists the right prefixes with an unstarred letter."""
     products = []
     for head, rests in left.items():
         if any(l.starred for l in head):
             candidates = right.items()
         else:
-            mate = partner(head)
+            mate = _partner(head)
             candidates = mixed + [(mate, right[mate])] if mate in right else mixed
         for head_r, rests_r in candidates:
             value = as_scalar(state(head + head_r))

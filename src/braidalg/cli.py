@@ -145,7 +145,7 @@ def _cmd_kms(args, out) -> int:
     _refuse_above_bound(g.path_counts(args.len), f"path pairs up to --len {args.len}", pairs=True)
     k = graphalg.check_dagger(g)
     out.write(f"graph: {g.num_vertices} vertices, {g.num_edges} edges\n")
-    if k is graphalg.NOT_SATISFIED:
+    if k is None:
         out.write("dagger: NotSatisfied\n")
         return 2
     mode = "exact" if k.exact else "float"

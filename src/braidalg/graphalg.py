@@ -22,13 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .algebra import Letter, _Marker, mat_mul, row_reduce
+from .algebra import Letter, mat_mul, row_reduce
 from .scalars import Scalar
 
 __all__ = [
     "GraphData",
     "KmsData",
-    "NOT_SATISFIED",
     "InvalidPath",
     "ZeroVertexWeight",
     "IrrationalData",
@@ -41,7 +40,6 @@ __all__ = [
     "parse_graph",
     "edge_letters",
     "kms_state",
-    "path_partner",
 ]
 
 
@@ -55,9 +53,6 @@ class ZeroVertexWeight(Exception):
 
 class IrrationalData(Exception):
     """The graph's spectral data does not live in the radical scalar ring."""
-
-
-NOT_SATISFIED = _Marker("NotSatisfied")
 
 
 @dataclass(frozen=True)
@@ -239,8 +234,11 @@ def _nonnegative_kernel_vector(basis: list[list[Fraction]]) -> list[Fraction] | 
     return None
 
 
-def check_dagger(g: GraphData):
+def check_dagger(g: GraphData) -> KmsData | None:
     """Spectral radius, eigenvalue test, nonnegative weights; exact when certifiable.
+
+    Returns None when the condition fails: no nonnegative eigenvector for the
+    radius is found.
 
     A rational root of the monic integer characteristic polynomial chi is an
     integer, so the radius rho is certified exactly when it is one: take the
@@ -269,7 +267,7 @@ def check_dagger(g: GraphData):
         ]
         weights = _nonnegative_kernel_vector(_rref_kernel(shifted))
         if weights is None:
-            return NOT_SATISFIED
+            return None
         total = sum(weights)
         return KmsData(Fraction(c), tuple(w / total for w in weights), True)
 
@@ -281,7 +279,7 @@ def check_dagger(g: GraphData):
         abs(sum(mat[i][j] * weights[j] for j in range(n)) - rho_f * weights[i]) for i in range(n)
     )
     if residual >= 1e-12 or any(w < -1e-12 for w in weights):
-        return NOT_SATISFIED
+        return None
     return KmsData(rho_f, tuple(max(w, 0.0) for w in weights), False)
 
 
@@ -338,7 +336,7 @@ def kms_state(g: GraphData, k: KmsData):
     other letter; contracts star-unstar pairs to the spanning form first, then
     applies the path formula.  Exact mode only.  The state is diagonal: on a
     word S_g S*_h of unstarred letters followed by starred ones it is zero
-    unless h = g, so ``path_partner`` names its support.
+    unless h = g, as ``braided.apply_state_pairs`` requires.
     """
     if not k.exact:
         raise IrrationalData("symbolic evaluation requires exact spectral data")
@@ -374,15 +372,6 @@ def kms_state(g: GraphData, k: KmsData):
         return Scalar.from_fraction(kms_eval(g, k, gamma_t, delta_t))
 
     return evaluate
-
-
-def path_partner(head):
-    """``head`` starred and reversed: the ``partner`` of ``kms_state`` in ``apply_state_pairs``.
-
-    S_g S*_h is zero unless h = g, so this is the one starred word that the
-    state can pair with a word S_g of unstarred letters.
-    """
-    return tuple(l.star() for l in reversed(head))
 
 
 # -- file formats ---------------------------------------------------------------

@@ -210,28 +210,29 @@ class RelationSet:
 
 
 def _rewrite(word: Word, coeff: Scalar, pair_rules, trace: list[str]) -> tuple[Word, Scalar]:
-    """Exhaustively apply local pair rules and directed swaps to one monomial."""
+    """Exhaustively apply local pair rules and directed swaps to one monomial, leftmost first.
+
+    A firing at t changes no pair left of t - 1, so the scan resumes there.
+    """
     word = list(word)
-    rewriting = True
-    while rewriting:
-        rewriting = False
-        for t in range(len(word) - 1):
-            a, b = word[t], word[t + 1]
-            rule = pair_rules.get((a.symbol, b.symbol)) if a.leg == b.leg else None
-            if rule is None:
-                continue
-            c, swap = rule
-            if swap:
-                trace.append(f"rule swap {a}{b}->({c})*{b}{a} at {lword_str(tuple(word))}")
-                word[t], word[t + 1] = b, a
-            else:
-                trace.append(f"rule local {a}{b}->({c}) at {lword_str(tuple(word))}")
-                del word[t : t + 2]
-            coeff = coeff * c
-            rewriting = True
-            break
+    t = 0
+    while t < len(word) - 1:
+        a, b = word[t], word[t + 1]
+        rule = pair_rules.get((a.symbol, b.symbol)) if a.leg == b.leg else None
+        if rule is None:
+            t += 1
+            continue
+        c, swap = rule
+        if swap:
+            trace.append(f"rule swap {a}{b}->({c})*{b}{a} at {lword_str(tuple(word))}")
+            word[t], word[t + 1] = b, a
+        else:
+            trace.append(f"rule local {a}{b}->({c}) at {lword_str(tuple(word))}")
+            del word[t : t + 2]
+        coeff = coeff * c
         if coeff.is_zero():
             break
+        t = max(t - 1, 0)
     return tuple(word), coeff
 
 

@@ -34,7 +34,6 @@ from .graphalg import (
     edge_letters,
     kms_state,
     normalized_ftilde,
-    path_partner,
 )
 from .scalars import FORMAL, ONE, ZERO, Scalar, ZetaSpec, as_scalar, sqrt, zeta
 from .simplify import (
@@ -289,7 +288,7 @@ def build_bosonization(datum: AdmissibilityDatum) -> BosoPresentation:
 
 def _two_leg(circle: tuple[Letter, ...], letter: Letter | None = None) -> GradedPoly:
     """The two-leg word j1(circle word)*j2(letter) of the bosonization picture."""
-    return GradedPoly.from_word(circle + ((letter.on_leg(2),) if letter else ()), legs=2)
+    return GradedPoly({circle + ((letter.on_leg(2),) if letter else ()): ONE}, 2)
 
 
 def _closed_coproduct_z(power: int) -> GradedPoly:
@@ -392,7 +391,7 @@ def verify_kms_preservation(n: int, d, L: int, spec: ZetaSpec = FORMAL) -> Verif
     to tau(S_alpha S*_beta), where P(alpha) = eta_a1 ... eta_ak is the image
     of S_alpha.  Each P(alpha) is built once from its prefix, it and its star
     are grouped by leg-1 prefix once, and the state is applied while they are
-    multiplied, visiting only the prefix pairs that ``path_partner`` allows.
+    multiplied, visiting only the prefix pairs the diagonal state can see.
     """
     base, S, tau = _cuntz_setup(n, d)
     rels = base.presentation.rules
@@ -405,12 +404,12 @@ def verify_kms_preservation(n: int, d, L: int, spec: ZetaSpec = FORMAL) -> Verif
     starred = {beta: p.star() for beta, p in paths.items()}
 
     reports = []
-    for (alpha, beta), applied in apply_state_pairs(paths, starred, functools.cache(tau), path_partner):
+    for (alpha, beta), applied in apply_state_pairs(paths, starred, functools.cache(tau)):
         expected_value = Fraction(1, n ** len(alpha)) if alpha == beta else Fraction(0)
         reports.append(
             verify_identity(
                 applied,
-                GradedPoly.from_scalar(expected_value),
+                GradedPoly({(): expected_value}),
                 rels,
                 spec,
                 f"alpha={list(a + 1 for a in alpha)} beta={list(b + 1 for b in beta)}",
@@ -473,7 +472,7 @@ def derive_action_constraints(ftilde, d, spec: ZetaSpec = FORMAL):
 
     def state_matrix(lefts, rights):
         """Entry (i,j): the leg-1 state of lefts[i] rights[j]; tau_pairs is zero on S_k S*_l, k != l."""
-        applied = dict(apply_state_pairs(dict(enumerate(lefts)), dict(enumerate(rights)), tau_pairs, path_partner))
+        applied = dict(apply_state_pairs(dict(enumerate(lefts)), dict(enumerate(rights)), tau_pairs))
         return [[applied[i, j] for j in range(n)] for i in range(n)]
 
     eta_star = [e.star() for e in eta]
@@ -487,7 +486,7 @@ def derive_action_constraints(ftilde, d, spec: ZetaSpec = FORMAL):
         ("display2({i},{j})", computed2, display2),
     )
     rhs1 = mat_identity(n)
-    rhs2 = diag_matrix([GradedPoly.from_scalar(f) for f in ftilde])
+    rhs2 = diag_matrix([GradedPoly({(): f}) for f in ftilde])
     relations = {
         (i + 1, j + 1): ((display1[i][j], rhs1[i][j]), (display2[i][j], rhs2[i][j]))
         for i in range(n)

@@ -10,7 +10,6 @@ from braidalg.algebra import (
     DegreeMismatch,
     GradedPoly,
     Letter,
-    NOT_HOMOGENEOUS,
     adjoint,
     conjugate_matrix,
     diag_matrix,
@@ -90,7 +89,7 @@ def test_degree_of_examples():
     assert GradedPoly.from_letter(u(1, 2, d)).degree() == 2
     assert GradedPoly.from_letter(u(1, 2, d).star()).degree() == -2
     mixed = GradedPoly.from_letter(u(1, 2, d)) + GradedPoly.from_letter(u(2, 1, d))
-    assert mixed.degree() is NOT_HOMOGENEOUS
+    assert mixed.degree() is None
 
 
 def test_degree_additive_on_products():
@@ -149,6 +148,9 @@ def test_conjugate_matrix_degree_mismatch():
     bad = _u_matrix(d)
     bad[0][1] = GradedPoly.from_letter(u(2, 1, tuple(d)))  # degree -1, expected +1
     with pytest.raises(DegreeMismatch):
+        conjugate_matrix(bad, d)
+    bad[0][1] = bad[0][1] + GradedPoly.from_letter(u(1, 2, tuple(d)))
+    with pytest.raises(DegreeMismatch, match=r"entry \(1,2\) is not homogeneous, expected 1"):
         conjugate_matrix(bad, d)
 
 

@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidalg.algebra import BadLeg, GradedPoly, LegMismatch, Letter, NOT_HOMOGENEOUS
+from braidalg.algebra import BadLeg, GradedPoly, LegMismatch, Letter
 from braidalg.braided import BadShape, apply_state_pairs, embed, psi_flatten
-from braidalg.graphalg import check_dagger, cuntz_graph, kms_state, path_partner
+from braidalg.graphalg import check_dagger, cuntz_graph, kms_state
 from braidalg.scalars import ONE, Scalar, zeta
 
 Z = Letter("z", (), 1)
@@ -143,7 +143,7 @@ def test_degree_of_legged_examples():
     s1 = L("S", 1, 1)
     assert one_term(2, (1, s1)).degree() == 1
     mixed = one_term(2, (1, s1)) + one_term(2, (2, s1.star()))
-    assert mixed.degree() is NOT_HOMOGENEOUS
+    assert mixed.degree() is None
 
 
 # -- properties -------------------------------------------------------------------
@@ -252,9 +252,9 @@ def test_psi_rejects_foreign_letters_on_leg_one():
         psi_flatten(one_term(3, (1, L("u", 1, 1, 2))))
 
 
-def state_of_product(p, q, state, partner=path_partner):
+def state_of_product(p, q, state):
     """The one pair of apply_state_pairs over a single left and a single right factor."""
-    ((_, applied),) = apply_state_pairs({0: p}, {0: q}, state, partner)
+    ((_, applied),) = apply_state_pairs({0: p}, {0: q}, state)
     return applied
 
 
@@ -263,11 +263,11 @@ def test_apply_state_on_leg_one():
     x = L("x", 0, 7)
 
     def state(word):
-        return 1 if word == (s1,) else 0
+        return 1 if word == (s1, s1.star()) else 0
 
-    # the state is supported on a left prefix alone: its partner is the empty prefix
+    # a diagonal state: S_2 meets S*_1 on leg 1 and the pair drops
     p = one_term(2, (1, s1), (2, x)) + one_term(2, (1, s2), (2, x)) * 5
-    out = state_of_product(p, GradedPoly.one(2), state, lambda head: ())
+    out = state_of_product(p, one_term(2, (1, s1.star())), state)
     assert out == GradedPoly.from_letter(x)
 
 
@@ -284,8 +284,8 @@ def state_then_shift(p, state):
 def sparse_state(seed):
     """A word-to-scalar functional that is zero on most words and not diagonal.
 
-    It honours the ``path_partner`` contract: on a word u s with u all
-    unstarred and s all starred it is zero unless s is u starred and reversed.
+    It is diagonal, as ``apply_state_pairs`` requires: on a word u s with u
+    all unstarred and s all starred it is zero unless s is u reversed and starred.
     Every other word keeps its hashed, phased value.
     """
 
@@ -300,7 +300,7 @@ def sparse_state(seed):
     def state(word):
         k = next((i for i, l in enumerate(word) if l.starred), len(word))
         u, s = word[:k], word[k:]
-        if all(l.starred for l in s) and s != path_partner(u):
+        if all(l.starred for l in s) and s != tuple(l.star() for l in reversed(u)):
             return 0
         return hashed(word)
 
@@ -349,16 +349,16 @@ def test_kms_state_applied_while_multiplying_matches_the_product(seed, num_legs,
     assert fused == state_then_shift(p * q, state)
     # every pair of both families, in order, each grouped once
     lefts, rights = {"p": p, "q": q}, {"q": q, "p": p}
-    assert list(apply_state_pairs(lefts, rights, state, path_partner)) == [
+    assert list(apply_state_pairs(lefts, rights, state)) == [
         ((a, b), state_then_shift(x * y, state)) for a, x in lefts.items() for b, y in rights.items()
     ]
 
 
 def test_state_with_a_right_factor_checks_legs():
     with pytest.raises(LegMismatch):
-        apply_state_pairs({0: GradedPoly.one(2)}, {0: GradedPoly.one(3)}, lambda word: 1, path_partner)
+        apply_state_pairs({0: GradedPoly.one(2)}, {0: GradedPoly.one(3)}, lambda word: 1)
     with pytest.raises(BadShape):
-        apply_state_pairs({0: GradedPoly.one(1)}, {0: GradedPoly.one(1)}, lambda word: 1, path_partner)
+        apply_state_pairs({0: GradedPoly.one(1)}, {0: GradedPoly.one(1)}, lambda word: 1)
 
 
 def test_embed_rejects_a_polynomial_of_several_blocks():

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from braidalg.algebra import Letter, word_degree
 from braidalg.graphalg import (
-    NOT_SATISFIED,
     _char_poly,
     _poly_eval,
     _rref_kernel,
@@ -316,10 +315,6 @@ def test_kms_table_lists_the_paths_of_each_length_once(monkeypatch):
     assert sorted(calls) == [0, 1, 2, 3, 4]
 
 
-def test_dagger_not_satisfied_is_falsy():
-    assert not NOT_SATISFIED
-
-
 def test_dagger_defective_radius_is_still_exact():
     # D = [[1,1],[0,1]]: radius 1 with a Jordan block; power iteration alone
     # converges too slowly, but the polynomial certification is exact
@@ -459,7 +454,7 @@ def sink_free_graphs(draw):
 def test_dagger_certificate_agrees_with_sturm_oracle(g):
     exact, rho = sturm_radius(g)
     k = check_dagger(g)
-    if k is NOT_SATISFIED:
+    if k is None:
         # the kernel search found no nonnegative eigenvector, so the decision
         # is not visible; no such graph turned up in 3,000 random draws
         return

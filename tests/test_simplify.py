@@ -108,6 +108,23 @@ def test_cuntz_confluence_random_orders(seed):
         assert engine == GradedPoly({ref_word: ONE})
 
 
+def test_a_swap_exposes_a_redex_one_place_to_its_left():
+    # x unitary, x*y = z y*x: y moves right past x and x*; each swap at t makes
+    # a pair at t - 1 that fires next, and the leftmost redex always fires first
+    x, y = Letter("x", (), 1), Letter("y", (), 1)
+    unitary = UnitaryMatrixRel("x", ((GradedPoly.from_letter(x),),))
+    rels = RelationSet([unitary, PhaseCommutationRel(((x, y, zeta(1)),))])
+    trace = []
+    assert _rewrite((x.star(), y, x, x, x.star()), ONE, rels.pair_rules, trace) == ((y,), zeta(-1))
+    assert trace == [
+        "rule swap yx->(z^-1)*xy at j1(x**y*x*x*x*)",
+        "rule local x*x->(1) at j1(x**x*y*x*x*)",
+        "rule swap yx->(z^-1)*xy at j1(y*x*x*)",
+        "rule swap yx*->(z)*x*y at j1(x*y*x*)",
+        "rule local xx*->(1) at j1(x*x**y)",
+    ]
+
+
 @pytest.mark.parametrize("order", [1, -1], ids=["unitary-first", "commutation-first"])
 def test_a_local_rule_wins_a_pair_shared_with_a_commutation(order):
     # x commuting with x* compiles swaps on (x, x*) and (x*, x), the pairs of x's local rules
@@ -170,7 +187,7 @@ def test_contraction_with_common_unit_coefficient():
     p = GradedPoly.zero()
     for k in range(2):
         p = p + word_poly(u(k + 1, 1, d).star(), u(k + 1, 1, d), coeff=c)
-    assert reduce_poly(p, rels)[0] == GradedPoly.from_scalar(c)
+    assert reduce_poly(p, rels)[0] == GradedPoly({(): c})
 
 
 def test_numeric_spot_check_of_collapses_at_unbraided_specialization():
