@@ -199,6 +199,10 @@ class GradedPoly:
 
     ``legs`` lists the block sizes (an int n means one block of n legs);
     letters carry legs 1..sum(legs), numbered consecutively across blocks.
+    ``+``, ``-``, ``*`` and ``==`` take polynomials on the same legs, and a
+    scalar (``Scalar``, ``int`` or ``Fraction``) multiplies on either side.
+    Other operands raise ``TypeError`` (``==`` says False); other legs raise
+    ``LegMismatch``.
     """
 
     __slots__ = ("legs", "_terms")
@@ -280,30 +284,21 @@ class GradedPoly:
     # -- algebra ------------------------------------------------------------
 
     def _coerce(self, value) -> "GradedPoly":
-        if isinstance(value, GradedPoly):
-            if value.legs != self.legs:
-                raise LegMismatch(f"legs {self.legs} vs {value.legs}")
-            return value
-        if isinstance(value, Letter):
-            return GradedPoly({(value,): ONE}, self.legs)
-        if isinstance(value, (Scalar, int, Fraction)):
-            return GradedPoly({(): as_scalar(value)}, self.legs)
-        raise TypeError(f"cannot interpret {value!r} as a polynomial")
+        if not isinstance(value, GradedPoly):
+            raise TypeError(f"cannot interpret {value!r} as a polynomial")
+        if value.legs != self.legs:
+            raise LegMismatch(f"legs {self.legs} vs {value.legs}")
+        return value
 
     def __add__(self, other) -> "GradedPoly":
         other = self._coerce(other)
         return self._make(_collect(other._terms.items(), None, dict(self._terms)), self.legs)
-
-    __radd__ = __add__
 
     def __neg__(self) -> "GradedPoly":
         return self._make({w: -c for w, c in self._terms.items()}, self.legs)
 
     def __sub__(self, other) -> "GradedPoly":
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "GradedPoly":
-        return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "GradedPoly":
         if isinstance(other, (Scalar, int, Fraction)):
@@ -315,9 +310,7 @@ class GradedPoly:
         return self._make(_collect(products, _block_of(self.legs)), self.legs)
 
     def __rmul__(self, other) -> "GradedPoly":
-        if isinstance(other, (Scalar, int, Fraction)):
-            return self * other
-        return self._coerce(other) * self
+        return self * other  # scalars are central; any other left operand raises in __mul__
 
     def star(self) -> "GradedPoly":
         """Antimultiplicative star: words reversed, letters and scalars conjugated."""
@@ -340,13 +333,8 @@ class GradedPoly:
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedPoly):
-            if not isinstance(other, (Scalar, int, Fraction, Letter)):
-                return NotImplemented
-            other = self._coerce(other)
+            return NotImplemented
         return self.legs == other.legs and self._terms == other._terms
-
-    def __hash__(self):
-        return hash((self.legs, frozenset(self._terms.items())))
 
     def __str__(self) -> str:
         if not self._terms:
@@ -396,7 +384,7 @@ def adjoint(m: Matrix) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product; entries may be scalars or polynomials (of one leg structure), in any mix."""
+    """Matrix product of scalar or polynomial matrices; a scalar times a polynomial is a polynomial."""
     m = len(b)
     assert all(len(row) == m for row in a)
     out = []

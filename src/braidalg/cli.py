@@ -153,7 +153,7 @@ def _cmd_kms(args, out) -> int:
     out.write(f"rho = {k.rho}\n")
     weights = ", ".join(str(w) for w in k.vertex_weights)
     out.write(f"weights = ({weights})\n")
-    out.write(graphalg.kms_table(g, k, args.len))
+    out.writelines(graphalg.kms_table(g, k, args.len))
     return 0
 
 
@@ -289,7 +289,7 @@ def run(argv=None, out=None, err=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        with contextlib.redirect_stderr(io.StringIO()) as usage:
+        with contextlib.redirect_stderr(io.StringIO()) as usage, contextlib.redirect_stdout(out):
             args = parser.parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         if exc.code in (0, None):

@@ -50,9 +50,6 @@ class Word:
         if any(ch not in "ab" for ch in self.letters):
             raise ValueError(f"word letters must be 'a' or 'b', got {self.letters!r}")
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
     def __mul__(self, other: "Word") -> "Word":
         return Word(self.letters + other.letters)
 

@@ -155,9 +155,7 @@ def _power_iteration(mat: list[list[int]]) -> tuple[float, list[float]]:
     lam = 0.0
     for _ in range(600):
         y = [sum(mat[i][j] * x[j] for j in range(n)) + x[i] for i in range(n)]  # (D + I) x
-        norm = sum(y)
-        if norm == 0.0:
-            return 0.0, x
+        norm = sum(y)  # >= sum(x) = 1, as D >= 0
         y = [v / norm for v in y]
         if abs(norm - lam) < 1e-16 and max(abs(a - b) for a, b in zip(x, y)) < 1e-16:
             return norm - 1.0, y
@@ -214,12 +212,10 @@ def _rref_kernel(mat: list[list[Fraction]]) -> list[list[Fraction]]:
 
 
 def _nonnegative_kernel_vector(basis: list[list[Fraction]]) -> list[Fraction] | None:
+    # every candidate has a coordinate equal to 1: a basis vector's free
+    # coordinate, or the chosen free coordinates of a 0/1 combination
     def usable(vec):
-        if all(c >= 0 for c in vec) and any(c > 0 for c in vec):
-            return vec
-        if all(c <= 0 for c in vec) and any(c < 0 for c in vec):
-            return [-c for c in vec]
-        return None
+        return vec if all(c >= 0 for c in vec) else None
 
     for vec in basis:
         got = usable(vec)
@@ -421,16 +417,15 @@ def parse_graph(text: str) -> GraphData:
     )
 
 
-def kms_table(g: GraphData, k: KmsData, max_len: int) -> str:
-    """TSV: path, path, state value, for all path pairs up to the length bound."""
+def kms_table(g: GraphData, k: KmsData, max_len: int):
+    """TSV lines, each ending in a newline: path, path, state value, for every path pair up to max_len."""
     def fmt_path(p):
         return ".".join(str(e + 1) for e in p) if p else "-"
 
     def fmt_value(v):
         return str(v) if isinstance(v, Fraction) else repr(v)
 
-    lines = ["alpha\tbeta\tvalue"]
+    yield "alpha\tbeta\tvalue\n"
     for alpha, beta in g.path_pairs(max_len):
         value = kms_eval(g, k, alpha, beta)
-        lines.append(f"{fmt_path(alpha)}\t{fmt_path(beta)}\t{fmt_value(value)}")
-    return "\n".join(lines) + "\n"
+        yield f"{fmt_path(alpha)}\t{fmt_path(beta)}\t{fmt_value(value)}\n"

@@ -211,9 +211,6 @@ class Scalar:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "Scalar":
-        return _coerce(other) + (-self)
-
     def __mul__(self, other) -> "Scalar":
         other = _coerce(other)
         if other is NotImplemented:

@@ -334,17 +334,13 @@ class VerificationReport:
 
     @classmethod
     def merge(cls, name: str, reports: list["VerificationReport"]) -> "VerificationReport":
+        """One suite report from leaf reports (``verify_identity``'s, whose checks are empty)."""
         if not reports:
             raise ValueError(f"{name}: the suite has no checks to run")
         verdict = "Verified" if all(r.verified for r in reports) else "Unverified"
         residual = next((r.residual for r in reports if not r.verified), None)
-        trace: list[str] = []
-        checks: list[tuple[str, str]] = []
-        for r in reports:
-            checks.append((r.name, r.verdict))
-            checks.extend((f"{r.name}: {n}", v) for n, v in r.checks)
-            trace.extend(f"[{r.name}] {line}" for line in r.trace)
-        return cls(name, verdict, residual, trace, checks)
+        trace = [f"[{r.name}] {line}" for r in reports for line in r.trace]
+        return cls(name, verdict, residual, trace, [(r.name, r.verdict) for r in reports])
 
     def render(self, with_trace: bool = False) -> str:
         out = [f"{self.name}: {self.verdict}"]

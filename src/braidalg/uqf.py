@@ -458,10 +458,7 @@ def derive_action_constraints(ftilde, d, spec: ZetaSpec = FORMAL):
     eta = _linear_action(edge_letters(cuntz_graph(n, d)), u_matrix(q))
 
     def tau_pairs(word):
-        if len(word) == 0:
-            return ONE
-        if len(word) != 2:
-            raise ValueError(f"expected a length-2 edge word, got {word}")
+        # every eta term has one leg-1 letter, so a prefix pair has two; others fail the unpack
         a, b = word
         ia, ib = a.index[0] - 1, b.index[0] - 1
         if not a.starred and b.starred:

@@ -2,11 +2,13 @@
 
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from braidalg.algebra import (
+    BadLeg,
     DegreeMismatch,
     GradedPoly,
     Letter,
@@ -224,3 +226,24 @@ def test_star_antimultiplicative_on_random_polys(p, q):
 def test_scalar_mat_inverse_names_the_first_column_without_a_unit_pivot(F):
     with pytest.raises(SingularMatrix, match="no invertible pivot in column 2"):
         scalar_mat_inverse(F)
+
+
+def test_polynomials_take_polynomials_and_scalars_only():
+    x = Letter("x", (), 1)
+    p = GradedPoly.from_letter(x)
+    for op in (lambda: p + 1, lambda: 1 + p, lambda: 1 - p, lambda: p - ONE, lambda: p * x, lambda: x * p):
+        with pytest.raises(TypeError):
+            op()
+    assert (p == 1) is False and (GradedPoly.one() == ONE) is False
+    for c in (2, Fraction(1, 2), zeta(1)):
+        assert c * p == p * c == GradedPoly({(x,): c})
+
+
+@pytest.mark.parametrize(
+    "terms, legs",
+    [(None, (0,)), (None, (2, 0)), ({(Letter("x", (), 1, leg=3),): 1}, 2), ({(Letter("x", (), 1, leg=0),): 1}, 1)],
+    ids=["empty-block", "second-block-empty", "leg-above-range", "leg-zero"],
+)
+def test_graded_poly_rejects_bad_legs(terms, legs):
+    with pytest.raises(BadLeg):
+        GradedPoly(terms, legs)

@@ -252,6 +252,12 @@ def test_psi_rejects_foreign_letters_on_leg_one():
         psi_flatten(one_term(3, (1, L("u", 1, 1, 2))))
 
 
+@pytest.mark.parametrize("legs", [(2,), (4,), (1, 2)])
+def test_psi_rejects_other_leg_structures(legs):
+    with pytest.raises(BadShape, match="expects 3 legs"):
+        psi_flatten(GradedPoly.one(legs))
+
+
 def state_of_product(p, q, state):
     """The one pair of apply_state_pairs over a single left and a single right factor."""
     ((_, applied),) = apply_state_pairs({0: p}, {0: q}, state)

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidalg import uqf
+from braidalg import graphalg, uqf
 from braidalg.algebra import scalar_mat_inverse
 from braidalg.cli import _refuse_above_bound, build_parser, run
 from braidalg.graphalg import check_dagger, cycle_graph
@@ -56,6 +56,14 @@ def test_kms_command(tmp_path):
     assert "rho = 2" in out
     assert "exact mode" in out
     assert "1\t1\t1/2" in out
+
+
+def test_kms_reports_an_unsatisfied_condition(tmp_path, monkeypatch):
+    graph = tmp_path / "o2.graph"
+    graph.write_text("vertices 1\nedge 1 1 1 deg 1\nedge 2 1 1 deg 1\n")
+    monkeypatch.setattr(graphalg, "check_dagger", lambda g: None)
+    code, out, err = invoke(["kms", "--graph", str(graph), "--len", "1"])
+    assert (code, out, err) == (2, "graph: 1 vertices, 2 edges\ndagger: NotSatisfied\n", "")
 
 
 def test_kms_float_mode_flagged(tmp_path):
@@ -117,6 +125,13 @@ def test_dims_command():
     code, out, _ = invoke(["dims", "--n", "2", "--maxlen", "2"])
     assert code == 0
     assert "ab\t3" in out
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "-h"]])
+def test_help_goes_to_the_output_stream(argv, capsys):
+    code, out, err = invoke(argv)
+    assert code == 0 and out.startswith("usage: braidalg") and err == ""
+    assert capsys.readouterr() == ("", "")
 
 
 def test_usage_error_exit_one():
@@ -230,6 +245,7 @@ ERROR_FILES = {
     "dense": "1 1\n0 1\n",
     "cycle": "vertices 2\nedge 1 1 2 deg 1\nedge 2 2 1 deg 1\n",
     "cuntz": "vertices 1\nedge 1 1 1 deg 1\nedge 2 1 1 deg 1\n",
+    "badline": "vertices 1\nedge 1 1 1 deg 1\nedge 2 1 1 deg 1\nloops 2\n",
 }
 
 
@@ -269,6 +285,8 @@ ERROR_FILES = {
         ["kms", "--graph", "{cuntz}", "--len", "9"],
         ["dims", "--n", "2", "--maxlen", "19"],
         ["verify", "--prop", "kms-preserve", "--d", "1,2", "--len", "9"],
+        # a graph line that is neither 'vertices m' nor 'edge i s r deg k'
+        ["kms", "--graph", "{badline}", "--len", "1"],
     ],
     ids=[
         "matricial-singular",
@@ -295,6 +313,7 @@ ERROR_FILES = {
         "kms-1023-paths",
         "dims-1048575-words",
         "kms-preserve-1023-paths",
+        "kms-bad-graph-line",
     ],
 )
 def test_input_errors_print_nothing(tmp_path, argv):

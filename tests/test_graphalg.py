@@ -37,6 +37,16 @@ def test_no_sinks_enforced():
         GraphData(1, (), ())  # empty edge set rejected
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [((0, (), ()), "at least one vertex"), ((1, ((0, 0),), (1, 2)), "one gauge degree per edge")],
+    ids=["no-vertex", "gauge-degree-count"],
+)
+def test_graph_data_checks_its_counts(args, message):
+    with pytest.raises(ValueError, match=message):
+        GraphData(*args)
+
+
 def test_vertex_matrix_cuntz():
     for n in (2, 3, 5):
         assert vertex_matrix(cuntz_graph(n)) == [[n]]
@@ -298,7 +308,7 @@ def test_graph_json_format():
 def test_kms_table_contains_header_and_values():
     g = cuntz_graph(2)
     k = check_dagger(g)
-    table = kms_table(g, k, 1)
+    table = "".join(kms_table(g, k, 1))
     lines = table.splitlines()
     assert lines[0] == "alpha\tbeta\tvalue"
     assert "1\t1\t1/2" in lines
@@ -311,7 +321,7 @@ def test_kms_table_lists_the_paths_of_each_length_once(monkeypatch):
     assert list(g.path_pairs(4)) == nested  # ordered by (|alpha|, |beta|), then by edge ids
     calls, paths = [], GraphData.paths
     monkeypatch.setattr(GraphData, "paths", lambda self, length: calls.append(length) or paths(self, length))
-    assert len(kms_table(g, k, 4).splitlines()) == 1 + 31**2
+    assert len("".join(kms_table(g, k, 4)).splitlines()) == 1 + 31**2
     assert sorted(calls) == [0, 1, 2, 3, 4]
 
 

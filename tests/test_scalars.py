@@ -264,6 +264,12 @@ def test_scalars_take_exact_coefficients_only(value):
         sqrt(value)
 
 
+@pytest.mark.parametrize("r", [0, -3])
+def test_radical_keys_must_be_positive(r):
+    with pytest.raises(ValueError, match="radical key must be positive"):
+        Scalar({(0, r): 1})
+
+
 def test_as_fraction_gives_a_fraction():
     for x, value in ((Scalar.from_fraction(2), 2), (ZERO, 0), (sqrt(3) * sqrt(3) / 4, Fraction(3, 4))):
         assert type(x.as_fraction()) is Fraction and x.as_fraction() == value
