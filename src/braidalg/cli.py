@@ -5,7 +5,7 @@ the graph state, and compute fusion products.  All numeric output is exact
 (rationals, radicals, phase-Laurent) unless a graph falls back to float
 mode, which is flagged in the header line.  Exit code 0 means every
 requested check passed; 2 means some check came back Unverified or
-unsatisfied; 1 is an input error.
+unsatisfied; 1 is an input error; 141, that the reader closed stdout.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import functools
 import io
+import os
 import sys
 from itertools import accumulate
 
@@ -57,6 +58,14 @@ def _degrees(args) -> tuple[tuple[int, ...], int]:
     return d, len(d) if args.n is None else args.n
 
 
+def _read_file(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:  # a --graph or --F file that cannot be read is an input error
+        raise ValueError(str(exc)) from exc
+
+
 def _load_F(spec_text: str | None, n: int | None) -> list[list[Scalar]]:
     if spec_text is None or spec_text == "I":
         if n is None:
@@ -65,8 +74,7 @@ def _load_F(spec_text: str | None, n: int | None) -> list[list[Scalar]]:
     if spec_text.startswith("diag:"):
         F = diag_matrix([parse_scalar(tok) for tok in spec_text[5:].split(",")])
     else:
-        with open(spec_text, "r", encoding="utf-8") as fh:
-            F = _parse_matrix_text(fh.read())
+        F = _parse_matrix_text(_read_file(spec_text))
     if n is not None and len(F) != n:
         raise ValueError(f"--F is {len(F)}x{len(F)}, expected {n}x{n}")
     return F
@@ -140,8 +148,7 @@ def _cmd_bosonize(args, out) -> int:
 def _cmd_kms(args, out) -> int:
     if args.len < 0:
         raise ValueError("--len must be >= 0")
-    with open(args.graph, "r", encoding="utf-8") as fh:
-        g = graphalg.parse_graph(fh.read())
+    g = graphalg.parse_graph(_read_file(args.graph))
     _refuse_above_bound(g.path_counts(args.len), f"path pairs up to --len {args.len}", pairs=True)
     k = graphalg.check_dagger(g)
     out.write(f"graph: {g.num_vertices} vertices, {g.num_edges} edges\n")
@@ -299,7 +306,7 @@ def run(argv=None, out=None, err=None) -> int:
         return 1
     try:
         return args.fn(args, out)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:
         err.write(f"error: {exc}\n")
         return 1
     except (
@@ -315,7 +322,13 @@ def run(argv=None, out=None, err=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader went away: end quietly, as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -46,6 +46,7 @@ __all__ = [
     "VerificationReport",
     "verify_identity",
     "reduce_poly",
+    "render_step",
 ]
 
 
@@ -209,7 +210,7 @@ class RelationSet:
 # -- reduction passes -----------------------------------------------------------
 
 
-def _rewrite(word: Word, coeff: Scalar, pair_rules, trace: list[str]) -> tuple[Word, Scalar]:
+def _rewrite(word: Word, coeff: Scalar, pair_rules, trace: list) -> tuple[Word, Scalar]:
     """Exhaustively apply local pair rules and directed swaps to one monomial, leftmost first.
 
     A firing at t changes no pair left of t - 1, so the scan resumes there.
@@ -223,11 +224,10 @@ def _rewrite(word: Word, coeff: Scalar, pair_rules, trace: list[str]) -> tuple[W
             t += 1
             continue
         c, swap = rule
+        trace.append(("swap" if swap else "local", tuple(word), t, c))
         if swap:
-            trace.append(f"rule swap {a}{b}->({c})*{b}{a} at {lword_str(tuple(word))}")
             word[t], word[t + 1] = b, a
         else:
-            trace.append(f"rule local {a}{b}->({c}) at {lword_str(tuple(word))}")
             del word[t : t + 2]
         coeff = coeff * c
         if coeff.is_zero():
@@ -281,9 +281,10 @@ def reduce_poly(p: GradedPoly, rels: RelationSet):
 
     Local rules are pair rules, so after the first pass every term is
     irreducible and a firing can only create a redex in its collapsed word.
-    Returns (reduced polynomial on the same legs, trace lines).
+    Returns (reduced polynomial on the same legs, trace): the firings as events,
+    ``("local" | "swap", word before, t, coefficient)`` and ``("contract", family, prefix, suffix)``.
     """
-    trace: list[str] = []
+    trace: list[tuple] = []
     words = sorted(p._terms, key=word_key)
     terms = _collect(_rewrite(w, p._terms[w], rels.pair_rules, trace) for w in words)
     index = _ContractionIndex(rels)
@@ -298,9 +299,7 @@ def reduce_poly(p: GradedPoly, rels: RelationSet):
         for word, _ in list(found.values()):
             del terms[word]
             index.remove(word)
-        trace.append(
-            f"rule contract {fam.name} at {lword_str(prefix)}|...|{lword_str(suffix)} -> ({fam.rhs})"
-        )
+        trace.append(("contract", fam, prefix, suffix))
         add = ratio * fam.rhs
         if add.is_zero():
             continue
@@ -317,16 +316,32 @@ def reduce_poly(p: GradedPoly, rels: RelationSet):
     return GradedPoly._make(terms, p.legs), trace
 
 
+def render_step(event: tuple) -> str:
+    """The trace line of one ``reduce_poly`` event."""
+    if event[0] == "contract":
+        _, fam, prefix, suffix = event
+        return f"rule contract {fam.name} at {lword_str(prefix)}|...|{lword_str(suffix)} -> ({fam.rhs})"
+    kind, word, t, c = event
+    a, b = word[t], word[t + 1]
+    rhs = f"({c})*{b}{a}" if kind == "swap" else f"({c})"
+    return f"rule {kind} {a}{b}->{rhs} at {lword_str(word)}"
+
+
 # -- verification reports ---------------------------------------------------
 
 
 @dataclass
 class VerificationReport:
+    """A verdict and the events behind it, ``("local" | "swap", word, t, coefficient)``
+    and ``("contract", family, prefix, suffix)``: a leaf's in ``trace``, a ``merge``d
+    suite's in ``check_traces``; only ``render(with_trace=True)`` makes them text."""
+
     name: str
     verdict: str  # "Verified" | "Unverified"
     residual: object | None = None
-    trace: list[str] = field(default_factory=list)
+    trace: list[tuple] = field(default_factory=list)
     checks: list[tuple[str, str]] = field(default_factory=list)  # (check name, verdict)
+    check_traces: list[tuple[str, list[tuple]]] = field(default_factory=list)  # (check name, its trace)
 
     @property
     def verified(self) -> bool:
@@ -339,8 +354,8 @@ class VerificationReport:
             raise ValueError(f"{name}: the suite has no checks to run")
         verdict = "Verified" if all(r.verified for r in reports) else "Unverified"
         residual = next((r.residual for r in reports if not r.verified), None)
-        trace = [f"[{r.name}] {line}" for r in reports for line in r.trace]
-        return cls(name, verdict, residual, trace, [(r.name, r.verdict) for r in reports])
+        checks = [(r.name, r.verdict) for r in reports]
+        return cls(name, verdict, residual, [], checks, [(r.name, r.trace) for r in reports])
 
     def render(self, with_trace: bool = False) -> str:
         out = [f"{self.name}: {self.verdict}"]
@@ -349,7 +364,9 @@ class VerificationReport:
         if not self.verified and self.residual is not None:
             out.append(f"  residual: {self.residual}")
         if with_trace:
-            out.extend(f"  step {k}: {line}" for k, line in enumerate(self.trace, 1))
+            labelled = [("", self.trace)] + [(f"[{check}] ", trace) for check, trace in self.check_traces]
+            steps = (label + render_step(e) for label, trace in labelled for e in trace)
+            out.extend(f"  step {k}: {line}" for k, line in enumerate(steps, 1))
         return "\n".join(out) + "\n"
 
 

@@ -2,11 +2,13 @@
 
 import io
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidalg import graphalg, uqf
+from braidalg import graphalg, simplify, uqf
 from braidalg.algebra import scalar_mat_inverse
 from braidalg.cli import _refuse_above_bound, build_parser, run
 from braidalg.graphalg import check_dagger, cycle_graph
@@ -403,6 +405,59 @@ def test_unknown_command_exit_one():
 def test_missing_file_exit_one():
     code, _, err = invoke(["kms", "--graph", "/nonexistent/file.graph"])
     assert code == 1
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["kms", "--graph", "{cuntz}", "--len", "8"], ["verify", "--prop", "coproduct", "--n", "2", "--d", "0,1"]],
+    ids=["kms", "verify"],
+)
+def test_a_failed_write_is_not_an_input_error(tmp_path, argv):
+    (tmp_path / "cuntz").write_text(ERROR_FILES["cuntz"])
+    err = io.StringIO()
+    with pytest.raises(BrokenPipeError):
+        run([arg.format(cuntz=tmp_path / "cuntz") for arg in argv], _ClosedPipe(), err)
+    assert err.getvalue() == ""
+
+
+def test_main_ends_quietly_when_the_reader_closes_the_pipe(tmp_path):
+    # `braidalg kms --graph o2 --len 8 | head -1`: 7.8 MB of table, of which one line is read
+    graph = tmp_path / "o2.graph"
+    graph.write_text(ERROR_FILES["cuntz"])
+    cmd = [sys.executable, "-m", "braidalg.cli", "kms", "--graph", str(graph), "--len", "8"]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"graph: 1 vertices, 2 edges\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+class _Formatted(Exception):
+    pass
+
+
+def test_an_untraced_verdict_formats_no_step(monkeypatch):
+    argvs = [
+        ["verify", "--prop", "coproduct", "--n", "2", "--d", "0,1"],
+        ["verify", "--prop", "kms-preserve", "--n", "2", "--d", "0,1", "--len", "2"],
+    ]
+    unpatched = [invoke(argv) for argv in argvs]
+
+    def refuse(word):
+        raise _Formatted(word)
+
+    monkeypatch.setattr(simplify, "lword_str", refuse)
+    for argv, (code, out, err) in zip(argvs, unpatched):
+        assert code == 0 and err == ""
+        assert invoke(argv) == (0, out, "")
+        with pytest.raises(_Formatted):
+            invoke(argv + ["--trace"])
 
 
 def test_bad_zeta_flag():

@@ -18,6 +18,7 @@ from braidalg.simplify import (
     VerificationReport,
     _rewrite,
     reduce_poly,
+    render_step,
     verify_identity,
 )
 from braidalg.uqf import build_uqf, make_datum
@@ -116,7 +117,7 @@ def test_a_swap_exposes_a_redex_one_place_to_its_left():
     rels = RelationSet([unitary, PhaseCommutationRel(((x, y, zeta(1)),))])
     trace = []
     assert _rewrite((x.star(), y, x, x, x.star()), ONE, rels.pair_rules, trace) == ((y,), zeta(-1))
-    assert trace == [
+    assert [render_step(e) for e in trace] == [
         "rule swap yx->(z^-1)*xy at j1(x**y*x*x*x*)",
         "rule local x*x->(1) at j1(x**x*y*x*x*)",
         "rule swap yx->(z^-1)*xy at j1(y*x*x*)",
@@ -136,7 +137,7 @@ def test_a_local_rule_wins_a_pair_shared_with_a_commutation(order):
         assert rels.pair_rules[word[0].symbol, word[1].symbol] == (ONE, False)
         reduced, trace = reduce_poly(word_poly(*word), rels)
         assert reduced == GradedPoly.one()
-        assert trace == [f"rule local {word[0]}{word[1]}->(1) at {lword_str(word)}"]
+        assert [render_step(e) for e in trace] == [f"rule local {word[0]}{word[1]}->(1) at {lword_str(word)}"]
 
 
 # -- complete contractions ------------------------------------------------------------
@@ -312,7 +313,7 @@ def test_trace_steps_name_declared_relations():
     assert report.verified
     assert report.trace, "a contraction step should be recorded"
     names = [fam.name for fam in rels.families] + ["local", "swap"]
-    for line in report.trace:
+    for line in map(render_step, report.trace):
         assert any(name in line for name in names)
 
 
@@ -410,18 +411,31 @@ def test_contraction_group_must_lie_on_one_leg():
 # -- the incremental engine against a full-rescan oracle ----------------------------
 
 
+def _rescan_line(event):
+    """The oracle's own text of a ``_rewrite`` event (kind, word before, t, coefficient)."""
+    kind, word, t, c = event
+    a, b = word[t], word[t + 1]
+    if kind == "swap":
+        return f"rule swap {a}{b}->({c})*{b}{a} at {lword_str(word)}"
+    return f"rule local {a}{b}->({c}) at {lword_str(word)}"
+
+
 def rescan_reduce(p, rels):
     """Reference engine: after a full local pass, rebuild every (prefix, suffix,
     family, leg) bucket, dividing each coefficient by its member's, and fire
-    the first complete proportional group in canonical order."""
+    the first complete proportional group in canonical order.  Returns the
+    residual and the trace as text, formatted here independently of
+    ``render_step``."""
     trace = []
     terms = p._terms
     while True:
+        events = []
         rewritten = (
-            _rewrite(w, terms[w], rels.pair_rules, trace)
+            _rewrite(w, terms[w], rels.pair_rules, events)
             for w in sorted(terms, key=word_key)
         )
         terms = _collect(rewritten)
+        trace += map(_rescan_line, events)
         buckets = {}
         for word, coeff in terms.items():
             for t in range(len(word) - 1):
@@ -465,8 +479,8 @@ def test_contraction_rewrites_its_junction():
         p = p + word_poly(S(1).star(), u(k, 1, d).star(), u(k, 1, d), S(2))
     got, trace = reduce_poly(p, rels)
     assert got.is_zero()
-    assert [line.split()[1] for line in trace] == ["contract", "local"]
-    assert (got, trace) == rescan_reduce(p, rels)
+    assert [render_step(e).split()[1] for e in trace] == ["contract", "local"]
+    assert (got, [render_step(e) for e in trace]) == rescan_reduce(p, rels)
 
 
 def test_contraction_that_cancels_a_member_of_another_group():
@@ -482,8 +496,8 @@ def test_contraction_that_cancels_a_member_of_another_group():
         p = p + word_poly(u(1, 1, d), u(k, 1, d).star(), u(k, 1, d), u(1, 1, d).star())
     got, trace = reduce_poly(p, rels)
     assert got == word_poly(u(1, 1, d), u(1, 1, d).star()) - row
-    assert len(trace) == 1 and "u.col[1,1]" in trace[0]
-    assert (got, trace) == rescan_reduce(p, rels)
+    assert len(trace) == 1 and "u.col[1,1]" in render_step(trace[0])
+    assert (got, [render_step(e) for e in trace]) == rescan_reduce(p, rels)
 
 
 # relation set and number of legs of each differential case.  "cuntz" adds a
@@ -530,4 +544,4 @@ def test_incremental_reduction_matches_rescan_oracle(case, seed):
     got, got_trace = reduce_poly(p, rels)
     want, want_trace = rescan_reduce(p, rels)
     assert got == want
-    assert got_trace == want_trace
+    assert [render_step(e) for e in got_trace] == want_trace

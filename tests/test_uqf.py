@@ -549,7 +549,7 @@ def test_graph_presentation_unequal_weights():
 
 def test_boso_commutation_rules_reduce_conjugation():
     # z u_ij z* = z^{d_i - d_j} u_ij inside the crossed-product presentation
-    from braidalg.simplify import reduce_poly
+    from braidalg.simplify import reduce_poly, render_step
     from braidalg.uqf import Z_LETTER
 
     d = (0, 1)
@@ -560,7 +560,7 @@ def test_boso_commutation_rules_reduce_conjugation():
             word = GradedPoly({(Z_LETTER, l, Z_LETTER.star()): ONE})
             reduced, trace = reduce_poly(word, boso.presentation.rules)
             assert reduced == GradedPoly({(l,): zeta(d[i] - d[j])}), (i, j, reduced)
-            assert any("swap" in line for line in trace)
+            assert any("swap" in render_step(e) for e in trace)
 
 
 # -- specialization regression ------------------------------------------------------------
