@@ -128,6 +128,9 @@ FORMAL = ZetaSpec()
 class Scalar:
     """An exact sum of terms c * sqrt(r) * z^k, immutable after construction.
 
+    Units are shared: a product with ``ONE`` is the other operand itself, and
+    a product of rational phase terms that comes to 1 is ``ONE``.
+
     >>> zeta(2) * zeta(3)
     Scalar(z^5)
     >>> (zeta(1) + 1) * (zeta(-1) + 1)
@@ -215,13 +218,18 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self is ONE:
+            return other
+        if other is ONE:
+            return self
         if not self._terms or not other._terms:
             return ZERO
         if len(self._terms) == 1 == len(other._terms):
             ((k1, r1), (n1, d1)), = self._terms.items()
             ((k2, r2), (n2, d2)), = other._terms.items()
             if r1 == 1 == r2:  # one rational phase term times another: no radical to merge
-                return Scalar._make({(k1 + k2, 1): _ratio(n1 * n2, d1 * d2)})
+                k, c = k1 + k2, _ratio(n1 * n2, d1 * d2)
+                return ONE if k == 0 and c == (1, 1) else Scalar._make({(k, 1): c})
         terms: dict[tuple[int, int], tuple[int, int]] = {}
         for (k1, r1), (n1, d1) in self._terms.items():
             for (k2, r2), (n2, d2) in other._terms.items():
@@ -286,6 +294,8 @@ class Scalar:
         return self._terms == other._terms
 
     def __hash__(self):
+        if self._terms.keys() <= {(0, 1)}:  # a plain rational hashes as the Fraction it equals
+            return hash(self.as_fraction())
         return hash(frozenset(self._terms.items()))
 
     def __bool__(self) -> bool:

@@ -21,10 +21,12 @@ coefficients are proportional to the family's.  A complete group lies on
 one leg: members found on different legs never combine.
 
 Reduction rewrites every term locally once, then fires contractions to a
-fixpoint.  Candidates come from an index of the irreducible terms that each
-firing updates only for the words it deletes, creates or re-weights; the
-next one is the first in the canonical order (largest family, family, then
-prefix, suffix and leg).  A zero residual means Verified, anything else is
+fixpoint; a zero input returns at once, and a rule set without pair rules
+skips the local pass.  Candidates come from an index of the irreducible
+terms that each firing updates only for the words it deletes, creates or
+re-weights, reading back the slots it stored for each word; the next one is
+the first in the canonical order (largest family, family, then prefix,
+suffix and leg).  A zero residual means Verified, anything else is
 Unverified (which is not a refutation).
 """
 
@@ -199,12 +201,12 @@ class RelationSet:
             rel.compile(self)
 
         # fast lookup: (left symbol, right symbol) -> [(family, member, 1 / member
-        # coefficient, or None when the coefficient is one)]
-        self.pair_index: dict[tuple, list[tuple[int, int, Scalar | None]]] = {}
+        # coefficient, or None when the coefficient is one, family size)]
+        self.pair_index: dict[tuple, list[tuple[int, int, Scalar | None, int]]] = {}
         for fi, fam in enumerate(self.families):
             for mi, (a, b, c) in enumerate(fam.members):
                 inv = None if c.is_one() else c.inverse()
-                self.pair_index.setdefault((a.symbol, b.symbol), []).append((fi, mi, inv))
+                self.pair_index.setdefault((a.symbol, b.symbol), []).append((fi, mi, inv, len(fam.members)))
 
 
 # -- reduction passes -----------------------------------------------------------
@@ -242,33 +244,36 @@ class _ContractionIndex:
     ``buckets`` maps ``(prefix, suffix, family, leg)`` to ``{member: (word,
     coeff / member coeff)}``: a key and a member fix one word, so a group
     never mixes legs.  ``ready`` holds the complete, proportional buckets
-    with their place in the canonical candidate order.
+    with their place in the canonical candidate order.  ``slots`` keeps the
+    ``(key, member)`` list of each indexed word, computed once by ``add`` and
+    read back by ``remove``.
     """
 
     def __init__(self, rels: RelationSet):
-        self.rels = rels
+        self.pair_index = rels.pair_index
         self.buckets: dict[tuple, dict[int, tuple[Word, Scalar]]] = {}
         self.ready: dict[tuple, tuple] = {}
-
-    def _slots(self, word: Word):
-        for t in range(len(word) - 1):
-            a, b = word[t], word[t + 1]
-            if a.leg == b.leg:
-                for fi, mi, inv in self.rels.pair_index.get((a.symbol, b.symbol), ()):
-                    yield (word[:t], word[t + 2 :], fi, a.leg), mi, inv
+        self.slots: dict[Word, list[tuple[tuple, int]]] = {}
 
     def add(self, word: Word, coeff: Scalar) -> None:
         """Index a term; each slot it fills was empty, so only completion is new."""
-        for key, mi, inv in self._slots(word):
-            found = self.buckets.setdefault(key, {})
-            found[mi] = (word, coeff if inv is None else coeff * inv)
-            prefix, suffix, fi, leg = key
-            size = len(self.rels.families[fi].members)
-            if len(found) == size and all(found[m][1] == found[0][1] for m in range(1, size)):
-                self.ready[key] = (-size, fi, word_key(prefix), word_key(suffix), leg)
+        slots = self.slots[word] = []
+        for t in range(len(word) - 1):
+            a, b = word[t], word[t + 1]
+            entries = self.pair_index.get((a.symbol, b.symbol)) if a.leg == b.leg else None
+            if not entries:
+                continue
+            prefix, suffix = word[:t], word[t + 2 :]
+            for fi, mi, inv, size in entries:
+                key = (prefix, suffix, fi, a.leg)
+                slots.append((key, mi))
+                found = self.buckets.setdefault(key, {})
+                found[mi] = (word, coeff if inv is None else coeff * inv)
+                if len(found) == size and all(found[m][1]._terms == found[0][1]._terms for m in range(1, size)):
+                    self.ready[key] = (-size, fi, word_key(prefix), word_key(suffix), a.leg)
 
     def remove(self, word: Word) -> None:
-        for key, mi, _ in self._slots(word):
+        for key, mi in self.slots.pop(word):
             found = self.buckets[key]
             del found[mi]
             self.ready.pop(key, None)
@@ -281,12 +286,19 @@ def reduce_poly(p: GradedPoly, rels: RelationSet):
 
     Local rules are pair rules, so after the first pass every term is
     irreducible and a firing can only create a redex in its collapsed word.
+    A zero input returns at once, and with no pair rules the first pass is
+    skipped: it would fire nothing.
     Returns (reduced polynomial on the same legs, trace): the firings as events,
     ``("local" | "swap", word before, t, coefficient)`` and ``("contract", family, prefix, suffix)``.
     """
     trace: list[tuple] = []
-    words = sorted(p._terms, key=word_key)
-    terms = _collect(_rewrite(w, p._terms[w], rels.pair_rules, trace) for w in words)
+    if not p._terms:
+        return GradedPoly._make({}, p.legs), trace
+    if rels.pair_rules:
+        words = sorted(p._terms, key=word_key)
+        terms = _collect(_rewrite(w, p._terms[w], rels.pair_rules, trace) for w in words)
+    else:
+        terms = dict(p._terms)
     index = _ContractionIndex(rels)
     for word, coeff in terms.items():
         index.add(word, coeff)

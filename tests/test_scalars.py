@@ -7,6 +7,7 @@ from math import gcd, prod
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from braidalg.algebra import GradedPoly
 from braidalg.scalars import (
     FORMAL,
     ONE,
@@ -106,6 +107,17 @@ def test_term_times_term_matches_the_general_product(a, b):
 def test_a_zero_operand_gives_zero(a):
     for product in (a * ZERO, ZERO * a, a * 0, 0 * a, (a - a) * a):
         assert product is ZERO
+
+
+@given(terms, st.integers(-5, 5))
+def test_a_unit_operand_gives_the_other_operand_itself(a, k):
+    assert a * ONE is a and ONE * a is a
+    assert zeta(k) * zeta(-k) is ONE
+    assert (zeta(k) * 2) * (zeta(-k) / 2) is ONE
+    assert ONE * 2 == 2
+    assert isinstance(ONE * GradedPoly.one(), GradedPoly)
+    with pytest.raises(TypeError):
+        ONE * "x"
 
 
 def test_cached_zeta_is_not_changed_by_arithmetic():
@@ -281,6 +293,10 @@ def test_equal_values_from_each_boundary_are_equal_and_hash_equal():
     values = [Scalar({(0, 1): Fraction(4, 2)}), Scalar.from_fraction(2), ONE + ONE, as_scalar(2), Scalar({(0, 4): 1})]
     assert all(v == values[0] and hash(v) == hash(values[0]) for v in values)
     assert values[0] == 2 and values[0] == Fraction(2)
+    assert hash(values[0]) == hash(2) == hash(Fraction(2))
+    half = Scalar.from_fraction(Fraction(1, 2))
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    assert hash(ZERO) == hash(0) and {ONE: "one"}.get(1) == "one"
 
 
 def test_render_canonical_form():

@@ -16,6 +16,7 @@ from braidalg.simplify import (
     RelationSet,
     UnitaryMatrixRel,
     VerificationReport,
+    _ContractionIndex,
     _rewrite,
     reduce_poly,
     render_step,
@@ -545,3 +546,51 @@ def test_incremental_reduction_matches_rescan_oracle(case, seed):
     want, want_trace = rescan_reduce(p, rels)
     assert got == want
     assert [render_step(e) for e in got_trace] == want_trace
+
+
+def test_unitary_and_diag_cases_have_no_pair_rules():
+    # so the oracle comparison above also covers the skipped local pass
+    assert not _CASES["unitary"][0].pair_rules and not _CASES["diag"][0].pair_rules
+    assert _CASES["cuntz"][0].pair_rules
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_zero_reduces_to_zero_with_an_empty_trace(case):
+    rels, legs = _CASES[case]
+    zero = GradedPoly.zero(legs)
+    got, trace = reduce_poly(zero, rels)
+    assert got.is_zero() and got.legs == zero.legs and trace == []
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+@given(st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_contraction_index_after_removals_matches_a_fresh_index(case, seed):
+    rng = random.Random(seed)
+    rels, legs = _CASES[case]
+    alphabet = sorted(
+        {l.on_leg(leg) for fam in rels.families for a, b, _ in fam.members for l in (a, b) for leg in range(1, legs + 1)},
+        key=lambda l: l.sort_key,
+    )
+    terms = {}
+    for _ in range(rng.randint(1, 4)):  # family groups around a shared prefix and suffix, some incomplete
+        fam, leg, coeff = rng.choice(rels.families), rng.randint(1, legs), rng.choice(_COEFFS)
+        prefix = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 2)))
+        suffix = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 2)))
+        for a, b, c in fam.members:
+            if rng.random() < 0.8:
+                terms[prefix + (a.on_leg(leg), b.on_leg(leg)) + suffix] = c * coeff
+    for _ in range(rng.randint(0, 4)):
+        terms[tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 5)))] = rng.choice(_COEFFS)
+    index = _ContractionIndex(rels)
+    for word, coeff in terms.items():
+        index.add(word, coeff)
+    survivors = dict(terms)
+    for word in rng.sample(sorted(terms, key=word_key), rng.randint(0, len(terms))):
+        index.remove(word)
+        del survivors[word]
+    fresh = _ContractionIndex(rels)
+    for word, coeff in survivors.items():
+        fresh.add(word, coeff)
+    assert index.buckets == fresh.buckets
+    assert index.ready == fresh.ready
