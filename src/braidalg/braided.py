@@ -86,7 +86,7 @@ def _by_leg1_prefix(p: GradedPoly) -> dict:
     """Group the terms of p by their leg-1 prefix: prefix -> [(rest, coeff)].
 
     The rest is shifted down one leg; a normal-form word is sorted by leg, so
-    its leg-1 letters are a prefix.
+    its leg-1 letters are a prefix.  It runs once per factor of a family.
     """
     groups: dict = {}
     for w, c in p._terms.items():
@@ -118,41 +118,51 @@ def apply_state_pairs(lefts: dict, rights: dict, state):
     starred letter is tried only against S*_g and the right prefixes that
     hold an unstarred letter; every other left prefix meets every right
     prefix.  A state that is not diagonal loses terms.
+
+    What depends on one factor alone is computed once per factor, when it is
+    grouped, not once per pair: for each left prefix, whether it holds a
+    starred letter, its partner S*_g if not, and the degree of each of its
+    rests; for each right prefix, its degree.
     """
     if not lefts:
         return iter(())
     first = next(iter(lefts.values()))
     if len(first.legs) != 1 or first.legs[0] < 2:
         raise BadShape("need at least two braided legs to apply a leg-1 state")
-    left = {a: _by_leg1_prefix(first._coerce(p)) for a, p in lefts.items()}
-    right = {b: _by_leg1_prefix(first._coerce(q)) for b, q in rights.items()}
-    mixed = {b: [(h, r) for h, r in g.items() if not all(l.starred for l in h)] for b, g in right.items()}
+    left, right = {}, {}
+    for a, p in lefts.items():
+        left[a] = []
+        for head, rests in _by_leg1_prefix(first._coerce(p)).items():
+            starred = any(l.starred for l in head)
+            rests = [(rest, word_degree(rest), c) for rest, c in rests]
+            left[a].append((head, rests, starred, None if starred else _partner(head)))
+    for b, q in rights.items():
+        groups = {h: (word_degree(h), rests) for h, rests in _by_leg1_prefix(first._coerce(q)).items()}
+        right[b] = groups, [(h, g) for h, g in groups.items() if not all(l.starred for l in h)]
     legs = (first.legs[0] - 1,)
-    return (
-        ((a, b), _apply_grouped(left[a], right[b], mixed[b], legs, state))
-        for a in left
-        for b in right
-    )
+    return (((a, b), _apply_grouped(left[a], *right[b], legs, state)) for a in left for b in right)
 
 
-def _apply_grouped(left: dict, right: dict, mixed: list, legs: tuple, state) -> GradedPoly:
-    """The pair loop of ``apply_state_pairs``; ``mixed`` lists the right prefixes with an unstarred letter."""
+def _apply_grouped(left: list, right: dict, mixed: list, legs: tuple, state) -> GradedPoly:
+    """The pair loop of ``apply_state_pairs``.
+
+    ``left`` lists ``(prefix, [(rest, deg rest, coeff)], starred, partner)``;
+    ``right`` maps a prefix to ``(degree, [(rest, coeff)])``, and ``mixed``
+    lists the right entries whose prefix holds an unstarred letter.
+    """
     products = []
-    for head, rests in left.items():
-        if any(l.starred for l in head):
+    for head, rests, starred, mate in left:
+        if starred:
             candidates = right.items()
         else:
-            mate = _partner(head)
             candidates = mixed + [(mate, right[mate])] if mate in right else mixed
-        for head_r, rests_r in candidates:
+        for head_r, (shift, rests_r) in candidates:
             value = as_scalar(state(head + head_r))
             if value.is_zero():
                 continue
-            shift = word_degree(head_r)
             scaled = [(rest_r, value * c_r) for rest_r, c_r in rests_r]
-            for rest, c in rests:
-                exponent = shift and shift * word_degree(rest)
-                if exponent:
-                    c = c * zeta(exponent)
+            for rest, degree, c in rests:
+                if shift and degree:
+                    c = c * zeta(shift * degree)
                 products.extend((rest + rest_r, c * v) for rest_r, v in scaled)
     return GradedPoly._make(_collect(products, _block_of(legs)), legs)

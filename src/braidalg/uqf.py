@@ -392,6 +392,8 @@ def verify_kms_preservation(n: int, d, L: int, spec: ZetaSpec = FORMAL) -> Verif
     of S_alpha.  Each P(alpha) is built once from its prefix, it and its star
     are grouped by leg-1 prefix once, and the state is applied while they are
     multiplied, visiting only the prefix pairs the diagonal state can see.
+    The expected values are built once before the pair loop, one polynomial
+    1/n^k for each length k and one zero, and shared by every check.
     """
     base, S, tau = _cuntz_setup(n, d)
     rels = base.presentation.rules
@@ -403,18 +405,13 @@ def verify_kms_preservation(n: int, d, L: int, spec: ZetaSpec = FORMAL) -> Verif
         paths[alpha] = paths[alpha[:-1]] * eta[alpha[-1]] if alpha else GradedPoly.one(2)
     starred = {beta: p.star() for beta, p in paths.items()}
 
+    expected = [GradedPoly({(): Fraction(1, n**k)}) for k in range(L + 1)]
+    zero = GradedPoly.zero()
     reports = []
     for (alpha, beta), applied in apply_state_pairs(paths, starred, functools.cache(tau)):
-        expected_value = Fraction(1, n ** len(alpha)) if alpha == beta else Fraction(0)
-        reports.append(
-            verify_identity(
-                applied,
-                GradedPoly({(): expected_value}),
-                rels,
-                spec,
-                f"alpha={list(a + 1 for a in alpha)} beta={list(b + 1 for b in beta)}",
-            )
-        )
+        rhs = expected[len(alpha)] if alpha == beta else zero
+        name = f"alpha={list(a + 1 for a in alpha)} beta={list(b + 1 for b in beta)}"
+        reports.append(verify_identity(applied, rhs, rels, spec, name))
     return VerificationReport.merge("kms-preservation", reports)
 
 

@@ -363,6 +363,34 @@ def test_kms_preservation_evaluates_the_state_only_on_its_diagonal(monkeypatch):
         assert word == head + tuple(l.star() for l in reversed(head))
 
 
+def test_kms_preservation_finds_each_left_partner_once_per_factor(monkeypatch):
+    # a factor P(alpha) with |alpha| = k has n^k left prefixes: 1 + 2*2 + 4*4 calls, not one per pair
+    calls = []
+    partner = braided._partner
+
+    def counted_partner(head):
+        calls.append(head)
+        return partner(head)
+
+    monkeypatch.setattr(braided, "_partner", counted_partner)
+    assert verify_kms_preservation(2, (0, 1), 2).verified
+    assert len(calls) == 1 + 4 + 16
+
+
+def test_kms_preservation_compares_every_shared_expected_value(monkeypatch):
+    # a doubled state breaks exactly the alpha = beta checks; the zero ones still hold
+    def doubled_kms_state(g, k):
+        tau = kms_state(g, k)
+        return lambda word: tau(word) * 2
+
+    monkeypatch.setattr(uqf, "kms_state", doubled_kms_state)
+    checks = verify_kms_preservation(2, (0, 1), 2).checks
+    assert len(checks) == 7 * 7
+    for name, verdict in checks:
+        alpha, _, beta = name.removeprefix("alpha=").partition(" beta=")
+        assert verdict == ("Unverified" if alpha == beta else "Verified"), name
+
+
 # -- abstract constraints and quotient identities ---------------------------------------
 
 
