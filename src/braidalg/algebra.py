@@ -420,7 +420,7 @@ def conjugate_matrix(u: Matrix, d: list[int]) -> Matrix:
     return out
 
 
-def row_reduce(rows: list[list], unit=bool) -> list[int]:
+def row_reduce(rows: list[list], unit) -> list[int]:
     """Gauss-Jordan in place to reduced row echelon form; returns the pivot columns.
 
     The pivot of a column is its first entry at or below the current row for

@@ -10,8 +10,8 @@ The spectral radius is certified exactly when it is an integer: the largest
 integer root c of the characteristic polynomial is found by a scan up to the
 max row sum, and c is the radius exactly when every coefficient of the
 polynomial shifted to c is nonnegative (see ``check_dagger``).  The weights
-then come from an exact kernel solve, and every downstream value is an exact
-rational.  Otherwise the radius is irrational and is found by power
+then come from the adjugate of xI - (D - cI), and every downstream value is an
+exact rational.  Otherwise the radius is irrational and is found by power
 iteration in float mode; symbolic consumers reject that mode.
 """
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .algebra import Letter, mat_mul, row_reduce
+from .algebra import Letter, mat_mul
 from .scalars import Scalar
 
 __all__ = [
@@ -163,20 +163,23 @@ def _power_iteration(mat: list[list[int]]) -> tuple[float, list[float]]:
     return lam - 1.0, x
 
 
-def _char_poly(mat: list[list[int]]) -> list[Fraction]:
-    """Monic characteristic polynomial, ascending coefficients (Faddeev-LeVerrier)."""
+def _char_poly(mat: list[list[int]]) -> tuple[list[Fraction], list[list[list[Fraction]]]]:
+    """Faddeev-LeVerrier: the monic characteristic polynomial, ascending
+    coefficients, and M_1..M_n with adj(xI - mat) = sum_k M_k x^(n-k)."""
     n = len(mat)
     A = [[Fraction(v) for v in row] for row in mat]
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
     M = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    adjugate = [M]
     for k in range(1, n + 1):
         AM = mat_mul(A, M)
         c = -sum(AM[i][i] for i in range(n)) / k
         coeffs[n - k] = c
         if k < n:
             M = [[AM[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
-    return coeffs
+            adjugate.append(M)
+    return coeffs, adjugate
 
 
 def _poly_eval(p: list[Fraction], x: Fraction) -> Fraction:
@@ -186,55 +189,12 @@ def _poly_eval(p: list[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-def _shifted(p: list[Fraction], c: int) -> list[Fraction]:
-    """Coefficients of p(x + c), ascending, by repeated synthetic division by x - c."""
-    q = list(p)
-    for i in range(len(q) - 1):
-        for j in range(len(q) - 2, i - 1, -1):
-            q[j] += c * q[j + 1]
-    return q
-
-
-def _rref_kernel(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Kernel basis of a square matrix over the rationals (free variables set to 1)."""
-    n = len(mat)
-    work = [row[:] for row in mat]
-    pivots = row_reduce(work)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -work[r][fc]
-        basis.append(vec)
-    return basis
-
-
-def _nonnegative_kernel_vector(basis: list[list[Fraction]]) -> list[Fraction] | None:
-    # every candidate has a coordinate equal to 1: a basis vector's free
-    # coordinate, or the chosen free coordinates of a 0/1 combination
-    def usable(vec):
-        return vec if all(c >= 0 for c in vec) else None
-
-    for vec in basis:
-        got = usable(vec)
-        if got:
-            return got
-    # small 0/1 combinations of basis vectors
-    for mask in range(1, 1 << min(len(basis), 12)):
-        combo = [sum(basis[b][i] for b in range(len(basis)) if mask >> b & 1) for i in range(len(basis[0]))]
-        got = usable(combo)
-        if got:
-            return got
-    return None
-
-
 def check_dagger(g: GraphData) -> KmsData | None:
     """Spectral radius, eigenvalue test, nonnegative weights; exact when certifiable.
 
-    Returns None when the condition fails: no nonnegative eigenvector for the
-    radius is found.
+    Returns None only in float mode, when power iteration finds no
+    nonnegative eigenvector for the radius; in exact mode the weights below
+    always exist.
 
     A rational root of the monic integer characteristic polynomial chi is an
     integer, so the radius rho is certified exactly when it is one: take the
@@ -249,23 +209,38 @@ def check_dagger(g: GraphData) -> KmsData | None:
       for x > 0, so no real root lies above c, rho included.  Since c is a
       real eigenvalue, c <= rho, hence c = rho.
 
+    One Faddeev-LeVerrier run on A = D - cI gives chi_A(x) = chi(x + c) and
+    adj(xI - A) = sum_k M_k x^(n-k).  The weights are the row sums of the
+    last nonzero M_k, normalized to sum 1:
+
+    - For real t > rho, (tI - D)^-1 = sum_k D^k / t^(k+1) >= 0 and chi(t) > 0,
+      so adj(tI - D) >= 0.  With c = rho, adj(xI - A) = adj((x + c)I - D) is
+      therefore >= 0 for x > 0, and so is its lowest-order nonzero
+      coefficient B, the M_k at x^m.  M_1 = I, so such a B exists.
+    - The x^m coefficients of (xI - A) adj(xI - A) = chi_A(x) I give
+      A B = -[chi_A]_m I.  Here m = mu - nu < mu, where mu is the
+      multiplicity of the root 0 of chi_A and nu >= 1 its index, so
+      [chi_A]_m = 0 and A B = 0.
+    - Hence B 1 is a nonzero, nonnegative eigenvector of D for rho.
+      Relabeling the vertices conjugates the adjugate by the permutation, so
+      the weights move with the vertices.
+
     Otherwise the radius is irrational and float mode applies.
     """
     mat = vertex_matrix(g)
     n = g.num_vertices
-    chi = _char_poly(mat)
+    chi = _char_poly(mat)[0]
     row_bound = max(sum(row) for row in mat)
 
     c = next((c for c in range(row_bound, -1, -1) if _poly_eval(chi, c) == 0), None)
-    if c is not None and min(_shifted(chi, c)) >= 0:
-        shifted = [
-            [Fraction(mat[i][j] - (c if i == j else 0)) for j in range(n)] for i in range(n)
-        ]
-        weights = _nonnegative_kernel_vector(_rref_kernel(shifted))
-        if weights is None:
-            return None
-        total = sum(weights)
-        return KmsData(Fraction(c), tuple(w / total for w in weights), True)
+    if c is not None:
+        A = [[v - (c if i == j else 0) for j, v in enumerate(row)] for i, row in enumerate(mat)]
+        shifted, adjugate = _char_poly(A)  # chi(x + c), and adj(xI - A) by powers of x
+        if min(shifted) >= 0:
+            lowest = next(M for M in reversed(adjugate) if any(map(any, M)))
+            weights = [sum(row) for row in lowest]
+            total = sum(weights)
+            return KmsData(Fraction(c), tuple(w / total for w in weights), True)
 
     # irrational radius: float fallback
     rho_f, x_f = _power_iteration(mat)

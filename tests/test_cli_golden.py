@@ -25,6 +25,15 @@ GRAPHS = {
     "kms-two-cycle": "vertices 2\nedge 1 1 2 deg 1\nedge 2 2 1 deg 1\n",
     # D = [[1,1],[0,1]], a Jordan block: exact, rho = 1, weights (1, 0)
     "kms-defective": "vertices 2\nedge 1 1 1 deg 1\nedge 2 1 2 deg 1\nedge 3 2 2 deg 1\n",
+    # D = [[1,0,0,0],[0,1,0,0],[1,1,1,0],[0,1,2,0]]: exact, rho = 1, and the
+    # only nonnegative eigenvector is a combination of rref kernel vectors
+    # with a coefficient of 2; weights (0, 0, 1/3, 2/3)
+    "kms-combination": (
+        "vertices 4\nedge 1 1 1 deg 1\nedge 2 2 2 deg 1\nedge 3 3 1 deg 1\nedge 4 3 2 deg 1\n"
+        "edge 5 3 3 deg 1\nedge 6 4 2 deg 1\nedge 7 4 3 deg 1\nedge 8 4 3 deg 1\n"
+    ),
+    # D = I: exact, rho = 1, every vector an eigenvector; weights (1/2, 1/2)
+    "kms-two-loops": "vertices 2\nedge 1 1 1 deg 1\nedge 2 2 2 deg 1\n",
     # D = diag([2], [[1,2],[1,1]]): 2 is an eigenvalue but rho = 1 + sqrt(2),
     # so the run is in float mode
     "kms-irrational": (
