@@ -23,7 +23,7 @@ from .algebra import diag_matrix
 from . import fusion as fusion_mod
 from . import graphalg, uqf
 from .scalars import FORMAL, Scalar, ZetaSpec, parse_scalar
-from .simplify import VerificationReport
+from .simplify import EVENT_SINK, VerificationReport, render_step
 
 __all__ = ["main", "run"]
 
@@ -98,8 +98,10 @@ def _refuse_above_bound(sizes, what: str, pairs: bool = False) -> None:
         raise ValueError(f"more than 10^6 {what}")
 
 
-def _emit_report(report: VerificationReport, out, with_trace: bool) -> int:
-    out.write(report.render(with_trace))
+def _emit_report(report: VerificationReport, out) -> int:
+    out.write(report.render())
+    steps = (f"[{check}] {render_step(e)}" for check, events in EVENT_SINK.get() or () for e in events)
+    out.writelines(f"  step {k}: {line}\n" for k, line in enumerate(steps, 1))
     return 0 if report.verified else 2
 
 
@@ -142,7 +144,7 @@ def _cmd_bosonize(args, out) -> int:
         out.write(f"Delta({letter}) = {boso.coproduct[letter]}\n")
     out.write("\n")
     report = uqf.derive_boso_coproduct(boso, spec)
-    return _emit_report(report, out, args.trace)
+    return _emit_report(report, out)
 
 
 def _cmd_kms(args, out) -> int:
@@ -189,7 +191,7 @@ def _cmd_verify(args, out) -> int:
     else:  # quotient: argparse restricts --prop to these six
         report = uqf.verify_quotient_identities(_diag_entries(F), d, spec)
     out.write(f"prop: {prop}  n={n}  d=({','.join(map(str, d))})  zeta={spec}\n")
-    return _emit_report(report, out, args.trace)
+    return _emit_report(report, out)
 
 
 def _cmd_fusion(args, out) -> int:
@@ -304,6 +306,7 @@ def run(argv=None, out=None, err=None) -> int:
         # argparse ends its complaint with "<prog>: error: <message>"
         err.write("error: " + usage.getvalue().rpartition(": error: ")[2])
         return 1
+    sink = EVENT_SINK.set([] if getattr(args, "trace", False) else None)
     try:
         return args.fn(args, out)
     except (ValueError, KeyError) as exc:
@@ -319,6 +322,8 @@ def run(argv=None, out=None, err=None) -> int:
     ) as exc:
         err.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
+    finally:
+        EVENT_SINK.reset(sink)
 
 
 def main() -> None:

@@ -220,7 +220,7 @@ def check_fusion_ring(n: int, max_len: int) -> VerificationReport:
     for kind, args in failed:
         name = ",".join(str(Irrep(0, Word(u))) for u in args)
         checks.append((f"{kind}({name})", "Unverified"))
-    return VerificationReport("fusion-ring", verdict, None, [], checks)
+    return VerificationReport("fusion-ring", verdict, None, checks)
 
 
 def parse_irrep(text: str) -> Irrep:

@@ -33,6 +33,8 @@ Unverified (which is not a refutation).
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 from .algebra import GradedPoly, Letter, Word, _collect, lword_str, word_key
@@ -46,6 +48,7 @@ __all__ = [
     "RelationSet",
     "PairFamily",
     "VerificationReport",
+    "EVENT_SINK",
     "verify_identity",
     "reduce_poly",
     "render_step",
@@ -342,43 +345,39 @@ def render_step(event: tuple) -> str:
 # -- verification reports ---------------------------------------------------
 
 
+EVENT_SINK: ContextVar[list | None] = ContextVar("EVENT_SINK", default=None)  # [(check name, events)] or None
+
+
 @dataclass
 class VerificationReport:
-    """A verdict and the events behind it, ``("local" | "swap", word, t, coefficient)``
-    and ``("contract", family, prefix, suffix)``: a leaf's in ``trace``, a ``merge``d
-    suite's in ``check_traces``; only ``render(with_trace=True)`` makes them text."""
+    """A verdict, the first failing residual and a suite's (check name, verdict) pairs;
+    never events, which ``verify_identity`` hands to ``EVENT_SINK`` or drops."""
 
     name: str
     verdict: str  # "Verified" | "Unverified"
     residual: object | None = None
-    trace: list[tuple] = field(default_factory=list)
     checks: list[tuple[str, str]] = field(default_factory=list)  # (check name, verdict)
-    check_traces: list[tuple[str, list[tuple]]] = field(default_factory=list)  # (check name, its trace)
 
     @property
     def verified(self) -> bool:
         return self.verdict == "Verified"
 
     @classmethod
-    def merge(cls, name: str, reports: list["VerificationReport"]) -> "VerificationReport":
-        """One suite report from leaf reports (``verify_identity``'s, whose checks are empty)."""
-        if not reports:
+    def merge(cls, name: str, reports: Iterable["VerificationReport"]) -> "VerificationReport":
+        """One suite report from leaf reports, read once: a stream keeps one leaf alive at a time."""
+        verdict, residual, checks = "Verified", None, []
+        for r in reports:
+            checks.append((r.name, r.verdict))
+            if verdict == "Verified" and not r.verified:
+                verdict, residual = "Unverified", r.residual
+        if not checks:
             raise ValueError(f"{name}: the suite has no checks to run")
-        verdict = "Verified" if all(r.verified for r in reports) else "Unverified"
-        residual = next((r.residual for r in reports if not r.verified), None)
-        checks = [(r.name, r.verdict) for r in reports]
-        return cls(name, verdict, residual, [], checks, [(r.name, r.trace) for r in reports])
+        return cls(name, verdict, residual, checks)
 
-    def render(self, with_trace: bool = False) -> str:
-        out = [f"{self.name}: {self.verdict}"]
-        for check, verdict in self.checks:
-            out.append(f"  {check}: {verdict}")
+    def render(self) -> str:
+        out = [f"{self.name}: {self.verdict}"] + [f"  {check}: {verdict}" for check, verdict in self.checks]
         if not self.verified and self.residual is not None:
             out.append(f"  residual: {self.residual}")
-        if with_trace:
-            labelled = [("", self.trace)] + [(f"[{check}] ", trace) for check, trace in self.check_traces]
-            steps = (label + render_step(e) for label, trace in labelled for e in trace)
-            out.extend(f"  step {k}: {line}" for k, line in enumerate(steps, 1))
         return "\n".join(out) + "\n"
 
 
@@ -386,9 +385,11 @@ def verify_identity(lhs, rhs, rels: RelationSet, spec: ZetaSpec = FORMAL, name: 
     """Reduce lhs - rhs; Verified iff the residual vanishes (exactly, or after
     specializing the phase when spec names a root of unity).
 
-    Unverified is not a refutation; the trace and residual are returned so a
-    human can extend the rule set.
+    Unverified is not a refutation; the residual is returned, and the events
+    go to ``EVENT_SINK`` when it is set, so a human can extend the rule set.
     """
-    residual, trace = reduce_poly(lhs - rhs, rels)
+    residual, events = reduce_poly(lhs - rhs, rels)
+    if (sink := EVENT_SINK.get()) is not None:
+        sink.append((name, events))
     ok = residual.is_zero_under(spec)
-    return VerificationReport(name, "Verified" if ok else "Unverified", residual, trace)
+    return VerificationReport(name, "Verified" if ok else "Unverified", residual)

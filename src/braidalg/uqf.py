@@ -392,8 +392,8 @@ def verify_kms_preservation(n: int, d, L: int, spec: ZetaSpec = FORMAL) -> Verif
     of S_alpha.  Each P(alpha) is built once from its prefix, it and its star
     are grouped by leg-1 prefix once, and the state is applied while they are
     multiplied, visiting only the prefix pairs the diagonal state can see.
-    The expected values are built once before the pair loop, one polynomial
-    1/n^k for each length k and one zero, and shared by every check.
+    The expected values, 1/n^k for each length k and zero, are shared by every
+    check; the checks stream into the suite report, one check alive at a time.
     """
     base, S, tau = _cuntz_setup(n, d)
     rels = base.presentation.rules
@@ -407,12 +407,14 @@ def verify_kms_preservation(n: int, d, L: int, spec: ZetaSpec = FORMAL) -> Verif
 
     expected = [GradedPoly({(): Fraction(1, n**k)}) for k in range(L + 1)]
     zero = GradedPoly.zero()
-    reports = []
-    for (alpha, beta), applied in apply_state_pairs(paths, starred, functools.cache(tau)):
-        rhs = expected[len(alpha)] if alpha == beta else zero
-        name = f"alpha={list(a + 1 for a in alpha)} beta={list(b + 1 for b in beta)}"
-        reports.append(verify_identity(applied, rhs, rels, spec, name))
-    return VerificationReport.merge("kms-preservation", reports)
+
+    def checks():
+        for (alpha, beta), applied in apply_state_pairs(paths, starred, functools.cache(tau)):
+            rhs = expected[len(alpha)] if alpha == beta else zero
+            name = f"alpha={list(a + 1 for a in alpha)} beta={list(b + 1 for b in beta)}"
+            yield verify_identity(applied, rhs, rels, spec, name)
+
+    return VerificationReport.merge("kms-preservation", checks())
 
 
 # -- abstract state-preservation constraints ----------------------------------------

@@ -460,6 +460,49 @@ def test_an_untraced_verdict_formats_no_step(monkeypatch):
             invoke(argv + ["--trace"])
 
 
+DOUBLED_STATE_TRACE = """\
+prop: kms-preserve  n=2  d=(0,1)  zeta=formal
+kms-preservation: Unverified
+  alpha=[] beta=[]: Unverified
+  alpha=[] beta=[1]: Verified
+  alpha=[] beta=[2]: Verified
+  alpha=[1] beta=[]: Verified
+  alpha=[1] beta=[1]: Unverified
+  alpha=[1] beta=[2]: Verified
+  alpha=[2] beta=[]: Verified
+  alpha=[2] beta=[1]: Verified
+  alpha=[2] beta=[2]: Unverified
+  residual: 1
+  step 1: [alpha=[1] beta=[1]] rule contract u'.col[1,1] at 1|...|1 -> (1)
+  step 2: [alpha=[1] beta=[2]] rule contract u'.col[1,2] at 1|...|1 -> (0)
+  step 3: [alpha=[2] beta=[1]] rule contract u'.col[2,1] at 1|...|1 -> (0)
+  step 4: [alpha=[2] beta=[2]] rule contract u'.col[2,2] at 1|...|1 -> (1)
+"""
+
+
+def test_an_unverified_suite_under_trace_prints_checks_residual_then_steps(monkeypatch):
+    # a doubled state breaks the alpha = beta checks; no golden file has an Unverified suite
+    def doubled_kms_state(g, k):
+        tau = graphalg.kms_state(g, k)
+        return lambda word: tau(word) * 2
+
+    monkeypatch.setattr(uqf, "kms_state", doubled_kms_state)
+    argv = ["verify", "--prop", "kms-preserve", "--n", "2", "--d", "0,1", "--len", "1", "--trace"]
+    assert invoke(argv) == (2, DOUBLED_STATE_TRACE, "")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify", "--prop", "coproduct", "--n", "2", "--d", "0,1", "--trace"], 0),
+        (["verify", "--prop", "coproduct", "--n", "2", "--d", "0,1", "--F", "diag:1,0", "--trace"], 1),
+    ],
+)
+def test_no_event_sink_outlives_a_request(argv, code):
+    assert invoke(argv)[0] == code
+    assert simplify.EVENT_SINK.get() is None
+
+
 def test_bad_zeta_flag():
     code, _, err = invoke(["verify", "--prop", "coproduct", "--n", "1", "--d", "0", "--zeta", "sideways"])
     assert code == 1

@@ -1,13 +1,15 @@
 """Admissibility, presentations, bosonization, and the proposition suites."""
 
 import dataclasses
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from braidalg import braided, uqf
+from braidalg import braided, simplify, uqf
 from braidalg.algebra import (
     GradedPoly,
     Letter,
@@ -22,6 +24,7 @@ from braidalg.braided import Z_LETTER
 from braidalg.graphalg import GraphData, check_dagger, cuntz_graph, cycle_graph, kms_state, normalized_ftilde
 from braidalg.scalars import ONE, Scalar, ZetaSpec, sqrt, zeta
 from braidalg.simplify import (
+    EVENT_SINK,
     CuntzFamilyRel,
     PhaseCommutationRel,
     Presentation,
@@ -389,6 +392,39 @@ def test_kms_preservation_compares_every_shared_expected_value(monkeypatch):
     for name, verdict in checks:
         alpha, _, beta = name.removeprefix("alpha=").partition(" beta=")
         assert verdict == ("Unverified" if alpha == beta else "Verified"), name
+
+
+class _Events(list):
+    """An event list that a weakref can watch."""
+
+
+def test_an_untraced_suite_keeps_no_event_list(monkeypatch):
+    watched = []
+
+    def watched_reduce(p, rels):
+        reduced, events = reduce_poly(p, rels)
+        events = _Events(events)
+        watched.append(weakref.ref(events))
+        return reduced, events
+
+    monkeypatch.setattr(simplify, "reduce_poly", watched_reduce)
+    suites = [
+        lambda: verify_kms_preservation(2, (0, 1), 2),
+        lambda: verify_coproduct(build_uqf(make_datum([[1, 0], [0, 1]], (0, 1)))),
+    ]
+    reports = [suite() for suite in suites]
+    gc.collect()
+    assert all(r.verified for r in reports) and watched
+    assert all(ref() is None for ref in watched)
+
+    for suite in suites:  # a set sink holds one entry per check, in check order
+        sink = []
+        token = EVENT_SINK.set(sink)
+        try:
+            report = suite()
+        finally:
+            EVENT_SINK.reset(token)
+        assert [name for name, _ in sink] == [name for name, _ in report.checks]
 
 
 # -- abstract constraints and quotient identities ---------------------------------------
