@@ -18,16 +18,17 @@ different blocks commute without a phase.
 
 The star is antimultiplicative and conjugates coefficients.  Matrices of
 polynomials or scalars are plain lists of lists, composed with ordinary
-matrix algebra: ``mat_mul``, the star-transpose ``adjoint``, ``diag_matrix``
-and ``mat_identity``.  ``conjugate_matrix`` builds the phase-dressed entrywise
-adjoint used for braided conjugate representations.
+matrix algebra: ``mat_entry``, one entry of a product, ``mat_mul`` built on it,
+the star-transpose ``adjoint``, ``diag_matrix`` and ``mat_identity``.  The
+phase-dressed entrywise adjoint ``conjugate_matrix`` gives braided conjugates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
-from operator import attrgetter
+from operator import add, attrgetter
 
 from .scalars import ONE, ZERO, Scalar, as_scalar, zeta
 
@@ -41,6 +42,7 @@ __all__ = [
     "adjoint",
     "conjugate_matrix",
     "diag_matrix",
+    "mat_entry",
     "mat_mul",
     "mat_identity",
     "row_reduce",
@@ -383,20 +385,15 @@ def adjoint(m: Matrix) -> Matrix:
     return [[row[i].star() for row in m] for i in range(len(m[0]))]
 
 
+def mat_entry(a: Matrix, b: Matrix, i: int, j: int):
+    """Entry (i,j) of a b, the one product formula; a scalar times a polynomial is a polynomial."""
+    return reduce(add, (a[i][k] * b[k][j] for k in range(len(b))))
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product of scalar or polynomial matrices; a scalar times a polynomial is a polynomial."""
-    m = len(b)
-    assert all(len(row) == m for row in a)
-    out = []
-    for row in a:
-        out_row = []
-        for j in range(len(b[0])):
-            acc = row[0] * b[0][j]
-            for k in range(1, m):
-                acc = acc + row[k] * b[k][j]
-            out_row.append(acc)
-        out.append(out_row)
-    return out
+    """Matrix product of scalar or polynomial matrices, entry by entry with ``mat_entry``."""
+    assert all(len(row) == len(b) for row in a)
+    return [[mat_entry(a, b, i, j) for j in range(len(b[0]))] for i in range(len(a))]
 
 
 def conjugate_matrix(u: Matrix, d: list[int]) -> Matrix:

@@ -21,6 +21,7 @@ from .algebra import (
     adjoint,
     conjugate_matrix,
     diag_matrix,
+    mat_entry,
     mat_identity,
     mat_mul,
     scalar_mat_inverse,
@@ -195,15 +196,15 @@ def _leg(k: int, M, num_legs: int) -> list[list[GradedPoly]]:
     return _map(lambda p: embed(k, p, num_legs), M)
 
 
-def _coproduct(u) -> list[list[GradedPoly]]:
-    """Delta(u) = j1(u) j2(u): entry (i,j) is sum_k j1(u_ik) j2(u_kj)."""
-    return mat_mul(_leg(1, u, 2), _leg(2, u, 2))
+def _coproduct(u) -> tuple[list, list]:
+    """Delta(u) = j1(u) j2(u) as its factor pair: entry (i,j) is sum_k j1(u_ik) j2(u_kj)."""
+    return _leg(1, u, 2), _leg(2, u, 2)
 
 
-def _coassociativity(x, X, u, U) -> tuple[list, list]:
-    """Both routes for X = j1(x) j2(u), in three legs: (X x id) X = X_12 j3(u)
-    and (id x Delta) X = j1(x) Delta(u)_23, where U = Delta(u)."""
-    return mat_mul(_leg(1, X, 3), _leg(3, u, 3)), mat_mul(_leg(1, x, 3), _leg(2, U, 3))
+def _coassociativity(x, X, u, U) -> tuple[tuple, tuple]:
+    """Both routes for X = j1(x) j2(u), in three legs, as factor pairs: (X x id) X
+    = X_12 j3(u) and (id x Delta) X = j1(x) Delta(u)_23, where U = Delta(u)."""
+    return (_leg(1, X, 3), _leg(3, u, 3)), (_leg(1, x, 3), _leg(2, U, 3))
 
 
 def _linear_action(S, u) -> list[GradedPoly]:
@@ -211,30 +212,40 @@ def _linear_action(S, u) -> list[GradedPoly]:
     return mat_mul(_leg(1, [[GradedPoly.from_letter(s) for s in S]], 2), _leg(2, u, 2))[0]
 
 
-def _entrywise(rels, spec, *checks) -> list[VerificationReport]:
-    """Verify lhs = rhs entry by entry for each (name, lhs, rhs) of equal-shape matrices.
+def _shape(side) -> tuple[int, int]:
+    """Rows and columns of a matrix, or of the product of a factor pair (a, b)."""
+    a, b = side if isinstance(side, tuple) else (side, side)
+    if isinstance(side, tuple) and any(len(row) != len(b) for row in a):
+        raise ValueError(f"factor pair of {len(a)}x{len(a[0])} and {len(b)}x{len(b[0])} matrices")
+    return len(a), len(b[0])
 
-    Entries go in row-major order, the checks interleaved at each entry;
-    ``name`` is formatted with the 1-based entry position ``i``, ``j``.
+
+def _entry(side, i: int, j: int):
+    return mat_entry(*side, i, j) if isinstance(side, tuple) else side[i][j]
+
+
+def _entrywise(rels, spec, *checks) -> list[VerificationReport]:
+    """Verify lhs = rhs entry by entry for each (name, lhs, rhs), in row-major order with the
+    checks interleaved at each entry; ``name`` is formatted with the 1-based position ``i``, ``j``.
+    A side is a list of rows or a factor pair ``(a, b)``, whose entry of a b is formed when reached.
+    A side not of the first side's shape, or a pair of mismatched factors, raises ValueError.
     """
-    _, first, _ = checks[0]
+    shape = _shape(checks[0][1])
+    if any(_shape(side) != shape for _, *sides in checks for side in sides):
+        raise ValueError(f"every side of every check must be {shape[0]}x{shape[1]}")
     return [
-        verify_identity(lhs[i][j], rhs[i][j], rels, spec, name.format(i=i + 1, j=j + 1))
-        for i in range(len(first))
-        for j in range(len(first[0]))
+        verify_identity(_entry(lhs, i, j), _entry(rhs, i, j), rels, spec, name.format(i=i + 1, j=j + 1))
+        for i in range(shape[0])
+        for j in range(shape[1])
         for name, lhs, rhs in checks
     ]
 
 
 def _unitarity_checks(M, rels, spec, tag) -> list[VerificationReport]:
-    """M* M = 1 (columns) and M M* = 1 (rows), interleaved per entry."""
-    one = mat_identity(len(M), M[0][0].legs)
-    return _entrywise(
-        rels,
-        spec,
-        (tag + ": col({i},{j})", mat_mul(adjoint(M), M), one),
-        (tag + ": row({i},{j})", mat_mul(M, adjoint(M)), one),
-    )
+    """M* M = 1 (columns) and M M* = 1 (rows) as factor pairs, interleaved per entry."""
+    one, M_star = mat_identity(len(M), M[0][0].legs), adjoint(M)
+    col, row = (tag + ": col({i},{j})", (M_star, M), one), (tag + ": row({i},{j})", (M, M_star), one)
+    return _entrywise(rels, spec, col, row)
 
 
 def verify_coproduct(pres: UqfPresentation, spec: ZetaSpec = FORMAL) -> VerificationReport:
@@ -245,12 +256,11 @@ def verify_coproduct(pres: UqfPresentation, spec: ZetaSpec = FORMAL) -> Verifica
     agree in three legs, and the cancellation identity U j2(u)* = j1(u).
     """
     u, rels = pres.u, pres.presentation.rules
-    U = _coproduct(u)
+    U = mat_mul(*_coproduct(u))
     U_prime = conjugated_unitary(pres.datum.F, pres.datum.F_inv, pres.datum.d, U)
-    cancel = mat_mul(U, adjoint(_leg(2, u, 2)))
     reports = _unitarity_checks(U, rels, spec, "U unitary")
     reports += _entrywise(rels, spec, ("coassoc({i},{j})", *_coassociativity(u, U, u, U)))
-    reports += _entrywise(rels, spec, ("cancel({i},{j})", cancel, _leg(1, u, 2)))
+    reports += _entrywise(rels, spec, ("cancel({i},{j})", (U, adjoint(_leg(2, u, 2))), _leg(1, u, 2)))
     reports += _entrywise(rels, spec, ("U' split({i},{j})", U_prime, _coproduct(pres.u_prime)))
     reports += _unitarity_checks(U_prime, rels, spec, "U' unitary")
     return VerificationReport.merge("coproduct", reports)
@@ -314,7 +324,7 @@ def derive_boso_coproduct(boso: BosoPresentation, spec: ZetaSpec = FORMAL) -> Ve
     """
     plain = RelationSet()
     three_z = GradedPoly.from_letter(Z_LETTER, legs=3)
-    flattened = _map(psi_flatten, _leg(2, _coproduct(u_matrix(boso.letters)), 3))
+    flattened = _map(psi_flatten, _leg(2, mat_mul(*_coproduct(u_matrix(boso.letters))), 3))
     reports = [
         verify_identity(psi_flatten(three_z), boso.coproduct[Z_LETTER], plain, spec, "Delta(z)")
     ]
@@ -347,7 +357,7 @@ def verify_fundamental_rep(datum: AdmissibilityDatum, spec: ZetaSpec = FORMAL) -
 
     # t-bar = diag(z^{-d_i}) u-conj, entrywise in the two-leg picture
     ubar = conjugate_matrix(_leg(2, u_matrix(boso.letters), 2), list(d))
-    t_bar = mat_mul(diag_matrix([_two_leg(z_word(-di)) for di in d]), ubar)
+    t_bar = (diag_matrix([_two_leg(z_word(-di)) for di in d]), ubar)
     reports += _entrywise(rels, spec, ("t-bar({i},{j})", _map(GradedPoly.star, t), t_bar))
     return VerificationReport.merge("fundamental-rep", reports)
 
@@ -372,13 +382,11 @@ def cuntz_action(n: int, d, spec: ZetaSpec = FORMAL):
     rels = RelationSet([CuntzFamilyRel(tuple(S))] + base.presentation.relations)
     action = _linear_action(S, base.u)
     A, S_row = [action], [[GradedPoly.from_letter(s) for s in S]]
-    ubar = conjugate_matrix(base.u, list(d))
-    A_star = _map(GradedPoly.star, A)
-    star_formula = mat_mul(_leg(1, _map(GradedPoly.star, S_row), 2), _leg(2, ubar, 2))
-    coassoc = _coassociativity(S_row, A, base.u, _coproduct(base.u))
-    reports = _entrywise(rels, spec, ("S'*S'({i},{j})", mat_mul(adjoint(A), A), mat_identity(n, 2)))
-    reports += _entrywise(rels, spec, ("sum S'S'* = 1", mat_mul(A, adjoint(A)), mat_identity(1, 2)))
-    reports += _entrywise(rels, spec, ("star formula j={j}", A_star, star_formula))
+    star_formula = (_leg(1, _map(GradedPoly.star, S_row), 2), _leg(2, conjugate_matrix(base.u, list(d)), 2))
+    coassoc = _coassociativity(S_row, A, base.u, mat_mul(*_coproduct(base.u)))
+    reports = _entrywise(rels, spec, ("S'*S'({i},{j})", (adjoint(A), A), mat_identity(n, 2)))
+    reports += _entrywise(rels, spec, ("sum S'S'* = 1", (A, adjoint(A)), mat_identity(1, 2)))
+    reports += _entrywise(rels, spec, ("star formula j={j}", _map(GradedPoly.star, A), star_formula))
     reports += _entrywise(rels, spec, ("action coassoc j={j}", *coassoc))
     return action, VerificationReport.merge("cuntz-action", reports)
 
@@ -520,9 +528,9 @@ def verify_quotient_identities(F_diag, d, spec: ZetaSpec = FORMAL) -> Verificati
     lhs_c = mat_mul(mat_mul(F_inv, lhs_b), F_inv)  # (F*)^-1 = F^-1: F is real diagonal
     lhs_d = mat_mul(mat_mul(F_inv, conjugate_matrix(q_prime, list(d))), F)
     empty = RelationSet()
-    reports = _entrywise(empty, spec, ("(a)({i},{j})", mat_mul(adjoint(qbar), qbar), display1))
+    reports = _entrywise(empty, spec, ("(a)({i},{j})", (adjoint(qbar), qbar), display1))
     reports += _entrywise(empty, spec, ("(b)({i},{j})", lhs_b, display2))
-    reports += _entrywise(empty, spec, ("(c)({i},{j})", lhs_c, mat_mul(adjoint(q_prime), q_prime)))
+    reports += _entrywise(empty, spec, ("(c)({i},{j})", lhs_c, (adjoint(q_prime), q_prime)))
     reports += _entrywise(empty, spec, ("(d)({i},{j})", lhs_d, qbar))
     return VerificationReport.merge("quotient-identities", reports)
 

@@ -15,6 +15,7 @@ from braidalg.algebra import (
     adjoint,
     conjugate_matrix,
     diag_matrix,
+    mat_entry,
     mat_identity,
     mat_mul,
     SingularMatrix,
@@ -156,10 +157,44 @@ def test_conjugate_matrix_degree_mismatch():
         conjugate_matrix(bad, d)
 
 
-def test_mat_mul_identity():
-    d = (0, 1)
-    m = _u_matrix(d)
-    assert mat_mul(m, mat_identity(2))[0][1] == m[0][1]
+def _two_leg_factors():
+    """A 1x2 row of leg-1 isometries times a 2x2 matrix on leg 2, the shape of the Cuntz action."""
+    row = [[GradedPoly.from_letter(Letter("S", (k,), 0), legs=2) for k in (1, 2)]]
+    m = [[GradedPoly.from_letter(l.on_leg(2), legs=2) for l in (u(i, 1, (0, 1)), u(i, 2, (0, 1)))] for i in (1, 2)]
+    return row, m
+
+
+_F = Fraction
+_L = u(1, 1, (2,))
+
+
+@pytest.mark.parametrize(
+    "a, b, expected",
+    [
+        (_u_matrix((0, 1)), mat_identity(2), _u_matrix((0, 1))),
+        (diag_matrix([ONE, zeta(1), sqrt(2)]), _u_matrix((0, 1, 3)), None),
+        (*_two_leg_factors(), None),
+        (
+            [[_F(1, 2), _F(-3)], [_F(0), _F(5, 7)]],
+            [[_F(2), _F(1, 3)], [_F(-1), _F(4)]],
+            [[4, _F(-71, 6)], [_F(-5, 7), _F(20, 7)]],
+        ),
+        ([[GradedPoly.from_letter(_L)]], [[GradedPoly.from_letter(_L.star())]], [[GradedPoly({(_L, _L.star()): ONE})]]),
+        (_u_matrix((0, 1)), mat_identity(3), AssertionError),
+    ],
+    ids=["identity", "scalar-diag-times-poly", "row-times-matrix-on-two-legs", "fractions", "1x1", "inner-mismatch"],
+)
+def test_mat_mul_is_mat_entry_at_every_entry(a, b, expected):
+    """mat_mul(a, b)[i][j] == mat_entry(a, b, i, j) on the shapes the package multiplies; a
+    mismatched inner dimension fails in mat_mul."""
+    if expected is AssertionError:
+        with pytest.raises(AssertionError):
+            mat_mul(a, b)
+        return
+    product = mat_mul(a, b)
+    assert (len(product), len(product[0])) == (len(a), len(b[0]))
+    assert all(mat_entry(a, b, i, j) == product[i][j] for i in range(len(a)) for j in range(len(b[0])))
+    assert expected is None or product == expected
 
 
 def test_adjoint_is_the_star_transpose():

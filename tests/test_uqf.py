@@ -22,7 +22,7 @@ from braidalg.algebra import (
 )
 from braidalg.braided import Z_LETTER
 from braidalg.graphalg import GraphData, check_dagger, cuntz_graph, cycle_graph, kms_state, normalized_ftilde
-from braidalg.scalars import ONE, Scalar, ZetaSpec, sqrt, zeta
+from braidalg.scalars import FORMAL, ONE, Scalar, ZetaSpec, sqrt, zeta
 from braidalg.simplify import (
     EVENT_SINK,
     CuntzFamilyRel,
@@ -218,6 +218,33 @@ def test_build_uqf_rejects_a_datum_that_breaks_the_vanishing_condition():
 def test_verify_coproduct(F, d):
     report = verify_coproduct(build_uqf(make_datum(F, d)))
     assert report.verified, report.render()
+
+
+@pytest.mark.parametrize("F", [ident(4), diag_matrix([1, 2, 3, 4])], ids=["identity", "diag-1234"])
+def test_coproduct_forms_no_read_once_product(monkeypatch, F):
+    """mat_mul forms only U = Delta(u), F U-conj and U' = F U-conj F^-1, n^3 terms each;
+    every product a check reads once is a factor pair, formed entry by entry."""
+    terms = []
+
+    def counting_mat_mul(a, b):
+        product = mat_mul(a, b)
+        terms.append(sum(len(p) for row in product for p in row))
+        return product
+
+    pres = build_uqf(make_datum(F, (0, 1, 2, 3)))
+    monkeypatch.setattr(uqf, "mat_mul", counting_mat_mul)
+    assert verify_coproduct(pres).verified
+    assert terms and max(terms) <= 4**3, terms
+
+
+def test_entrywise_refuses_sides_of_another_shape():
+    """A side larger than the first is not checked short, and a factor pair must multiply."""
+    two, three = mat_identity(2), mat_identity(3)
+    with pytest.raises(ValueError, match="must be 2x2"):
+        uqf._entrywise(RelationSet(), FORMAL, ("x", two, three))
+    two_by_three = [[GradedPoly.one()] * 3] * 2
+    with pytest.raises(ValueError, match="factor pair of 2x3 and 2x2"):
+        uqf._entrywise(RelationSet(), FORMAL, ("x", (two_by_three, two), two))
 
 
 def test_bosonization_relations_match_expected_list():
