@@ -68,6 +68,8 @@ class GraphData:
             raise ValueError("graph needs at least one vertex")
         if len(self.gauge_degrees) != len(self.edges):
             raise ValueError("one gauge degree per edge required")
+        if self.num_vertices > len(self.edges):  # every vertex needs an edge out; checked before allocating
+            raise ValueError(f"graph has sinks: {self.num_vertices} vertices but only {len(self.edges)} edges")
         out_degree = [0] * self.num_vertices
         for s, r in self.edges:
             if not (0 <= s < self.num_vertices and 0 <= r < self.num_vertices):

@@ -364,7 +364,7 @@ class VerificationReport:
 
     @classmethod
     def merge(cls, name: str, reports: Iterable["VerificationReport"]) -> "VerificationReport":
-        """One suite report from leaf reports, read once: a stream keeps one leaf alive at a time."""
+        """One suite report from a stream of leaf reports, read once, so one leaf is alive at a time."""
         verdict, residual, checks = "Verified", None, []
         for r in reports:
             checks.append((r.name, r.verdict))

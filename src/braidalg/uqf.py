@@ -224,25 +224,25 @@ def _entry(side, i: int, j: int):
     return mat_entry(*side, i, j) if isinstance(side, tuple) else side[i][j]
 
 
-def _entrywise(rels, spec, *checks) -> list[VerificationReport]:
-    """Verify lhs = rhs entry by entry for each (name, lhs, rhs), in row-major order with the
-    checks interleaved at each entry; ``name`` is formatted with the 1-based position ``i``, ``j``.
-    A side is a list of rows or a factor pair ``(a, b)``, whose entry of a b is formed when reached.
-    A side not of the first side's shape, or a pair of mismatched factors, raises ValueError.
+def _entrywise(rels, spec, *checks):
+    """A lazy stream of reports, lhs = rhs entry by entry for each (name, lhs, rhs), in row-major order
+    with the checks interleaved at each entry; ``name`` is formatted with the 1-based position ``i``, ``j``.
+    A side is a list of rows or a factor pair ``(a, b)``, whose entry of a b is formed when its check runs.
+    The shape guard runs at the call: a side not of the first side's shape, or mismatched factors, raises ValueError.
     """
     shape = _shape(checks[0][1])
     if any(_shape(side) != shape for _, *sides in checks for side in sides):
         raise ValueError(f"every side of every check must be {shape[0]}x{shape[1]}")
-    return [
+    return (
         verify_identity(_entry(lhs, i, j), _entry(rhs, i, j), rels, spec, name.format(i=i + 1, j=j + 1))
         for i in range(shape[0])
         for j in range(shape[1])
         for name, lhs, rhs in checks
-    ]
+    )
 
 
-def _unitarity_checks(M, rels, spec, tag) -> list[VerificationReport]:
-    """M* M = 1 (columns) and M M* = 1 (rows) as factor pairs, interleaved per entry."""
+def _unitarity_checks(M, rels, spec, tag):
+    """M* M = 1 (columns) and M M* = 1 (rows) as factor pairs, interleaved per entry, as a stream."""
     one, M_star = mat_identity(len(M), M[0][0].legs), adjoint(M)
     col, row = (tag + ": col({i},{j})", (M_star, M), one), (tag + ": row({i},{j})", (M, M_star), one)
     return _entrywise(rels, spec, col, row)
@@ -258,12 +258,13 @@ def verify_coproduct(pres: UqfPresentation, spec: ZetaSpec = FORMAL) -> Verifica
     u, rels = pres.u, pres.presentation.rules
     U = mat_mul(*_coproduct(u))
     U_prime = conjugated_unitary(pres.datum.F, pres.datum.F_inv, pres.datum.d, U)
-    reports = _unitarity_checks(U, rels, spec, "U unitary")
-    reports += _entrywise(rels, spec, ("coassoc({i},{j})", *_coassociativity(u, U, u, U)))
-    reports += _entrywise(rels, spec, ("cancel({i},{j})", (U, adjoint(_leg(2, u, 2))), _leg(1, u, 2)))
-    reports += _entrywise(rels, spec, ("U' split({i},{j})", U_prime, _coproduct(pres.u_prime)))
-    reports += _unitarity_checks(U_prime, rels, spec, "U' unitary")
-    return VerificationReport.merge("coproduct", reports)
+    return VerificationReport.merge("coproduct", itertools.chain(
+        _unitarity_checks(U, rels, spec, "U unitary"),
+        _entrywise(rels, spec, ("coassoc({i},{j})", *_coassociativity(u, U, u, U))),
+        _entrywise(rels, spec, ("cancel({i},{j})", (U, adjoint(_leg(2, u, 2))), _leg(1, u, 2))),
+        _entrywise(rels, spec, ("U' split({i},{j})", U_prime, _coproduct(pres.u_prime))),
+        _unitarity_checks(U_prime, rels, spec, "U' unitary"),
+    ))
 
 
 # -- bosonization ------------------------------------------------------------------
@@ -325,13 +326,10 @@ def derive_boso_coproduct(boso: BosoPresentation, spec: ZetaSpec = FORMAL) -> Ve
     plain = RelationSet()
     three_z = GradedPoly.from_letter(Z_LETTER, legs=3)
     flattened = _map(psi_flatten, _leg(2, mat_mul(*_coproduct(u_matrix(boso.letters))), 3))
-    reports = [
-        verify_identity(psi_flatten(three_z), boso.coproduct[Z_LETTER], plain, spec, "Delta(z)")
-    ]
-    reports += _entrywise(
-        plain, spec, ("Delta(u[{i},{j}])", flattened, _map(boso.coproduct.get, boso.letters))
-    )
-    return VerificationReport.merge("boso-coproduct", reports)
+    return VerificationReport.merge("boso-coproduct", itertools.chain(
+        _entrywise(plain, spec, ("Delta(z)", [[psi_flatten(three_z)]], [[boso.coproduct[Z_LETTER]]])),
+        _entrywise(plain, spec, ("Delta(u[{i},{j}])", flattened, _map(boso.coproduct.get, boso.letters))),
+    ))
 
 
 def verify_fundamental_rep(datum: AdmissibilityDatum, spec: ZetaSpec = FORMAL) -> VerificationReport:
@@ -344,7 +342,6 @@ def verify_fundamental_rep(datum: AdmissibilityDatum, spec: ZetaSpec = FORMAL) -
     boso = build_bosonization(datum)
     d, rels = datum.d, boso.presentation.rules
     t = [[_two_leg(z_word(d[i]), l) for l in row] for i, row in enumerate(boso.letters)]
-    reports = _unitarity_checks(t, rels, spec, "t unitary")
 
     # Delta(t) = diag(Delta(z^{d_i})) Delta(u), compared with the matrix of
     # sum_k t_ik (x) t_kj after cancelling z z* on each leg
@@ -353,13 +350,15 @@ def verify_fundamental_rep(datum: AdmissibilityDatum, spec: ZetaSpec = FORMAL) -
     delta_t = mat_mul(diag_matrix([_closed_coproduct_z(di) for di in d]), delta_u)
     t_t = mat_mul(_map(lambda p: p.tensor(one), t), _map(one.tensor, t))
     lhs, rhs = (_map(lambda p: reduce_poly(p, rels)[0], m) for m in (delta_t, t_t))
-    reports += _entrywise(RelationSet(), spec, ("Delta(t[{i},{j}])", lhs, rhs))
 
     # t-bar = diag(z^{-d_i}) u-conj, entrywise in the two-leg picture
     ubar = conjugate_matrix(_leg(2, u_matrix(boso.letters), 2), list(d))
     t_bar = (diag_matrix([_two_leg(z_word(-di)) for di in d]), ubar)
-    reports += _entrywise(rels, spec, ("t-bar({i},{j})", _map(GradedPoly.star, t), t_bar))
-    return VerificationReport.merge("fundamental-rep", reports)
+    return VerificationReport.merge("fundamental-rep", itertools.chain(
+        _unitarity_checks(t, rels, spec, "t unitary"),
+        _entrywise(RelationSet(), spec, ("Delta(t[{i},{j}])", lhs, rhs)),
+        _entrywise(rels, spec, ("t-bar({i},{j})", _map(GradedPoly.star, t), t_bar)),
+    ))
 
 
 # -- the action on the one-vertex graph algebra ------------------------------------
@@ -384,11 +383,12 @@ def cuntz_action(n: int, d, spec: ZetaSpec = FORMAL):
     A, S_row = [action], [[GradedPoly.from_letter(s) for s in S]]
     star_formula = (_leg(1, _map(GradedPoly.star, S_row), 2), _leg(2, conjugate_matrix(base.u, list(d)), 2))
     coassoc = _coassociativity(S_row, A, base.u, mat_mul(*_coproduct(base.u)))
-    reports = _entrywise(rels, spec, ("S'*S'({i},{j})", (adjoint(A), A), mat_identity(n, 2)))
-    reports += _entrywise(rels, spec, ("sum S'S'* = 1", (A, adjoint(A)), mat_identity(1, 2)))
-    reports += _entrywise(rels, spec, ("star formula j={j}", _map(GradedPoly.star, A), star_formula))
-    reports += _entrywise(rels, spec, ("action coassoc j={j}", *coassoc))
-    return action, VerificationReport.merge("cuntz-action", reports)
+    return action, VerificationReport.merge("cuntz-action", itertools.chain(
+        _entrywise(rels, spec, ("S'*S'({i},{j})", (adjoint(A), A), mat_identity(n, 2))),
+        _entrywise(rels, spec, ("sum S'S'* = 1", (A, adjoint(A)), mat_identity(1, 2))),
+        _entrywise(rels, spec, ("star formula j={j}", _map(GradedPoly.star, A), star_formula)),
+        _entrywise(rels, spec, ("action coassoc j={j}", *coassoc)),
+    ))
 
 
 def verify_kms_preservation(n: int, d, L: int, spec: ZetaSpec = FORMAL) -> VerificationReport:
@@ -415,14 +415,11 @@ def verify_kms_preservation(n: int, d, L: int, spec: ZetaSpec = FORMAL) -> Verif
 
     expected = [GradedPoly({(): Fraction(1, n**k)}) for k in range(L + 1)]
     zero = GradedPoly.zero()
-
-    def checks():
-        for (alpha, beta), applied in apply_state_pairs(paths, starred, functools.cache(tau)):
-            rhs = expected[len(alpha)] if alpha == beta else zero
-            name = f"alpha={list(a + 1 for a in alpha)} beta={list(b + 1 for b in beta)}"
-            yield verify_identity(applied, rhs, rels, spec, name)
-
-    return VerificationReport.merge("kms-preservation", checks())
+    return VerificationReport.merge("kms-preservation", (
+        verify_identity(applied, expected[len(alpha)] if alpha == beta else zero, rels, spec,
+                        f"alpha={list(a + 1 for a in alpha)} beta={list(b + 1 for b in beta)}")
+        for (alpha, beta), applied in apply_state_pairs(paths, starred, functools.cache(tau))
+    ))
 
 
 # -- abstract state-preservation constraints ----------------------------------------
@@ -483,12 +480,6 @@ def derive_action_constraints(ftilde, d, spec: ZetaSpec = FORMAL):
     computed1 = state_matrix(eta, eta_star)  # eta_i eta*_j
     computed2 = state_matrix(eta_star, eta)  # eta*_i eta_j
     display1, display2 = _displays(q, d, ftilde)
-    reports = _entrywise(
-        RelationSet(),
-        spec,
-        ("display1({i},{j})", computed1, display1),
-        ("display2({i},{j})", computed2, display2),
-    )
     rhs1 = mat_identity(n)
     rhs2 = diag_matrix([GradedPoly({(): f}) for f in ftilde])
     relations = {
@@ -496,7 +487,9 @@ def derive_action_constraints(ftilde, d, spec: ZetaSpec = FORMAL):
         for i in range(n)
         for j in range(n)
     }
-    return relations, VerificationReport.merge("action-constraints", reports)
+    return relations, VerificationReport.merge("action-constraints", _entrywise(
+        RelationSet(), spec, ("display1({i},{j})", computed1, display1), ("display2({i},{j})", computed2, display2)
+    ))
 
 
 # -- quotient identities and the graph presentation ----------------------------------
@@ -528,11 +521,12 @@ def verify_quotient_identities(F_diag, d, spec: ZetaSpec = FORMAL) -> Verificati
     lhs_c = mat_mul(mat_mul(F_inv, lhs_b), F_inv)  # (F*)^-1 = F^-1: F is real diagonal
     lhs_d = mat_mul(mat_mul(F_inv, conjugate_matrix(q_prime, list(d))), F)
     empty = RelationSet()
-    reports = _entrywise(empty, spec, ("(a)({i},{j})", (adjoint(qbar), qbar), display1))
-    reports += _entrywise(empty, spec, ("(b)({i},{j})", lhs_b, display2))
-    reports += _entrywise(empty, spec, ("(c)({i},{j})", lhs_c, (adjoint(q_prime), q_prime)))
-    reports += _entrywise(empty, spec, ("(d)({i},{j})", lhs_d, qbar))
-    return VerificationReport.merge("quotient-identities", reports)
+    return VerificationReport.merge("quotient-identities", itertools.chain(
+        _entrywise(empty, spec, ("(a)({i},{j})", (adjoint(qbar), qbar), display1)),
+        _entrywise(empty, spec, ("(b)({i},{j})", lhs_b, display2)),
+        _entrywise(empty, spec, ("(c)({i},{j})", lhs_c, (adjoint(q_prime), q_prime))),
+        _entrywise(empty, spec, ("(d)({i},{j})", lhs_d, qbar)),
+    ))
 
 
 def graph_universal_presentation(g: GraphData, k: KmsData, spec: ZetaSpec = FORMAL):

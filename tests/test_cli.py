@@ -189,6 +189,14 @@ def test_dims_negative_maxlen_is_an_input_error():
     assert "error" in err
 
 
+def test_kms_refuses_a_huge_vertex_count_in_a_short_message(tmp_path):
+    graph = tmp_path / "huge.graph"
+    graph.write_text("vertices 1000000\nedge 1 1 1 deg 1\n")
+    code, out, err = invoke(["kms", "--graph", str(graph)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and len(err.encode()) < 200, err[:300]
+
+
 def test_kms_negative_len_is_an_input_error(tmp_path):
     graph = tmp_path / "o2.graph"
     graph.write_text("vertices 1\nedge 1 1 1 deg 1\nedge 2 1 1 deg 1\n")

@@ -1,6 +1,7 @@
 """Graphs, spectral data, the equilibrium state and its properties."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,20 @@ def test_no_sinks_enforced():
 def test_graph_data_checks_its_counts(args, message):
     with pytest.raises(ValueError, match=message):
         GraphData(*args)
+
+
+def test_more_vertices_than_edges_is_refused_before_any_allocation():
+    """A sink-free graph has an edge out of every vertex, so a large vertex count alone costs nothing."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="1000000 vertices but only 1 edges"):
+            GraphData(10**6, ((0, 0),), (1,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6, peak
+    with pytest.raises(ValueError, match=r"sinks \(no outgoing edge\) at vertices \[1\]"):
+        GraphData(2, ((0, 0), (0, 1)), (1, 1))  # as many edges as vertices: the sinks are listed
 
 
 def test_vertex_matrix_cuntz():

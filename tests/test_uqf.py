@@ -247,6 +247,35 @@ def test_entrywise_refuses_sides_of_another_shape():
         uqf._entrywise(RelationSet(), FORMAL, ("x", (two_by_three, two), two))
 
 
+@pytest.mark.parametrize(
+    "suite",
+    [
+        lambda: verify_coproduct(build_uqf(make_datum([[1, 0], [0, 2]], (0, 1)))),
+        lambda: verify_fundamental_rep(make_datum([[1, 0], [0, 2]], (0, 1))),
+        lambda: cuntz_action(2, (0, 1))[1],
+        lambda: verify_kms_preservation(2, (0, 1), 2),
+        lambda: derive_action_constraints([1, 4], (0, 1))[1],
+        lambda: verify_quotient_identities([ONE, Scalar.from_fraction(2)], (0, 1)),
+        lambda: derive_boso_coproduct(build_bosonization(make_datum([[1, 0], [0, 2]], (0, 1)))),
+    ],
+    ids=["coproduct", "fundamental", "cuntz-action", "kms-preserve", "matricial", "quotient", "boso-coproduct"],
+)
+def test_a_suite_holds_one_leaf_report_at_a_time(monkeypatch, suite):
+    """Each check's report, and the residual it carries, is gone before the next check runs."""
+    made, alive = [], []
+
+    def watched_verify(*args):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in made))
+        report = simplify.verify_identity(*args)
+        made.append(weakref.ref(report))
+        return report
+
+    monkeypatch.setattr(uqf, "verify_identity", watched_verify)
+    assert suite().verified
+    assert len(alive) > 1 and max(alive) <= 1, alive
+
+
 def test_bosonization_relations_match_expected_list():
     d = (0, 1)
     boso = build_bosonization(make_datum(ident(2), d))
