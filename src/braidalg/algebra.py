@@ -37,6 +37,7 @@ __all__ = [
     "GradedPoly",
     "BadLeg",
     "LegMismatch",
+    "InputError",
     "DegreeMismatch",
     "SingularMatrix",
     "adjoint",
@@ -58,11 +59,15 @@ class LegMismatch(Exception):
     """Operands have different leg structures."""
 
 
-class DegreeMismatch(Exception):
+class InputError(ValueError):
+    """Input the engine rejects by a rule of its own; the command line prints the class name with the message."""
+
+
+class DegreeMismatch(InputError):
     """A matrix entry failed its homogeneity precondition."""
 
 
-class SingularMatrix(Exception):
+class SingularMatrix(InputError):
     """Matrix inversion failed over the scalar ring."""
 
 

@@ -1,11 +1,13 @@
 """Batch command-line front end.
 
-Subcommands construct presentations, run the verification suites, evaluate
+Subcommands construct presentations, run the verification suites (``verify``
+picks one from ``_SUITES`` by ``--prop``; only it takes ``--trace``), evaluate
 the graph state, and compute fusion products.  All numeric output is exact
 (rationals, radicals, phase-Laurent) unless a graph falls back to float
 mode, which is flagged in the header line.  Exit code 0 means every
 requested check passed; 2 means some check came back Unverified or
-unsatisfied; 1 is an input error; 141, that the reader closed stdout.
+unsatisfied; 1 is an input error, any ValueError, printed after its class
+name for an ``algebra.InputError``; 141, that the reader closed stdout.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ import os
 import sys
 from itertools import accumulate
 
-from . import algebra as algebra_errors
-from .algebra import diag_matrix
+from .algebra import InputError, diag_matrix
 from . import fusion as fusion_mod
 from . import graphalg, uqf
 from .scalars import FORMAL, Scalar, ZetaSpec, parse_scalar
@@ -53,9 +54,11 @@ def _parse_matrix_text(text: str) -> list[list[Scalar]]:
 
 
 def _degrees(args) -> tuple[tuple[int, ...], int]:
-    """--d and the size n: --n when given, else the length of --d."""
+    """--d and the size n, its length; --n, when given, must equal it."""
     d = _parse_int_list(args.d)
-    return d, len(d) if args.n is None else args.n
+    if args.n not in (None, len(d)):
+        raise ValueError("length of --d must equal --n")
+    return d, len(d)
 
 
 def _read_file(path: str) -> str:
@@ -89,7 +92,7 @@ def _diag_entries(F: list[list[Scalar]]) -> list[Scalar]:
     return [F[i][i] for i in range(n)]
 
 
-_MAX_SIZE = 10**6  # the most path pairs (kms), words (dims) or checks (kms-preserve) one request may reach
+_MAX_SIZE = 10**6  # the most path pairs or Perron products (kms), words (dims) or checks (kms-preserve) per request
 
 
 def _refuse_above_bound(sizes, what: str, pairs: bool = False) -> None:
@@ -112,8 +115,6 @@ def _cmd_admissible(args, out) -> int:
     d, n = _degrees(args) if args.d else (None, args.n)
     F = _load_F(args.F, n)
     d = d or tuple(range(len(F)))
-    if len(d) != len(F):
-        raise ValueError("length of --d must match the matrix size")
     datum = uqf.solve_admissible(F, d)
     if datum is None:
         out.write("NoSolution\n")
@@ -136,8 +137,7 @@ def _cmd_bosonize(args, out) -> int:
     spec = _parse_zeta(args.zeta)
     d, n = _degrees(args)
     F = _load_F(args.F, n)
-    datum = uqf.make_datum(F, d)
-    boso = uqf.build_bosonization(datum)
+    boso = uqf.build_bosonization(uqf.make_datum(F, d))
     out.write(boso.presentation.dump())
     out.write("\n[coproduct]\n")
     for letter in boso.presentation.generators:
@@ -151,6 +151,7 @@ def _cmd_kms(args, out) -> int:
     if args.len < 0:
         raise ValueError("--len must be >= 0")
     g = graphalg.parse_graph(_read_file(args.graph))
+    _refuse_above_bound([g.num_vertices**4], "products in the Perron check")  # one Faddeev-LeVerrier run
     _refuse_above_bound(g.path_counts(args.len), f"path pairs up to --len {args.len}", pairs=True)
     k = graphalg.check_dagger(g)
     out.write(f"graph: {g.num_vertices} vertices, {g.num_edges} edges\n")
@@ -166,31 +167,29 @@ def _cmd_kms(args, out) -> int:
     return 0
 
 
+def _kms_preserve(F, d, spec, length):
+    _refuse_above_bound((len(d) ** k for k in range(length + 1)), f"checks up to --len {length}", pairs=True)
+    return uqf.verify_kms_preservation(len(d), d, length, spec)
+
+
+_SUITES = {
+    "coproduct": lambda F, d, spec, _: uqf.verify_coproduct(uqf.build_uqf(uqf.make_datum(F, d)), spec),
+    "fundamental": lambda F, d, spec, _: uqf.verify_fundamental_rep(uqf.make_datum(F, d), spec),
+    "cuntz-action": lambda F, d, spec, _: uqf.cuntz_action(len(d), d, spec)[1],
+    "kms-preserve": _kms_preserve,
+    "matricial": lambda F, d, spec, _: uqf.derive_action_constraints(
+        [(c * c.star()).as_fraction() for c in _diag_entries(F)], d, spec
+    )[1],
+    "quotient": lambda F, d, spec, _: uqf.verify_quotient_identities(_diag_entries(F), d, spec),
+}
+
+
 def _cmd_verify(args, out) -> int:
     spec = _parse_zeta(args.zeta)
     d, n = _degrees(args)
-    if n < 1:
-        raise ValueError("need --n >= 1")
-    if len(d) != n:
-        raise ValueError("length of --d must equal --n")
     F = _load_F(args.F, n)  # checked for every suite; cuntz-action and kms-preserve use F = I
-    prop = args.prop
-    if prop == "coproduct":
-        report = uqf.verify_coproduct(uqf.build_uqf(uqf.make_datum(F, d)), spec)
-    elif prop == "fundamental":
-        report = uqf.verify_fundamental_rep(uqf.make_datum(F, d), spec)
-    elif prop == "cuntz-action":
-        _, report = uqf.cuntz_action(n, d, spec)
-    elif prop == "kms-preserve":
-        _refuse_above_bound((n**k for k in range(args.len + 1)), f"checks up to --len {args.len}", pairs=True)
-        report = uqf.verify_kms_preservation(n, d, args.len, spec)
-    elif prop == "matricial":
-        diag = _diag_entries(F)
-        ftilde = [(c * c.star()).as_fraction() for c in diag]
-        _, report = uqf.derive_action_constraints(ftilde, d, spec)
-    else:  # quotient: argparse restricts --prop to these six
-        report = uqf.verify_quotient_identities(_diag_entries(F), d, spec)
-    out.write(f"prop: {prop}  n={n}  d=({','.join(map(str, d))})  zeta={spec}\n")
+    report = _SUITES[args.prop](F, d, spec, args.len)
+    out.write(f"prop: {args.prop}  n={n}  d=({','.join(map(str, d))})  zeta={spec}\n")
     return _emit_report(report, out)
 
 
@@ -245,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--zeta", default="formal")
-    p.add_argument("--trace", action="store_true")
     p.set_defaults(fn=_cmd_bosonize)
 
     p = sub.add_parser("kms", help="condition check, spectral data and state table")
@@ -254,11 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_kms)
 
     p = sub.add_parser("verify", help="run a proposition-level verification suite")
-    p.add_argument(
-        "--prop",
-        required=True,
-        choices=["coproduct", "fundamental", "cuntz-action", "kms-preserve", "matricial", "quotient"],
-    )
+    p.add_argument("--prop", required=True, choices=list(_SUITES))
     p.add_argument("--n", type=int)
     p.add_argument("--d", required=True)
     p.add_argument("--F", help="matrix file, 'I', or 'diag:a,b,...' (default I)")
@@ -309,18 +303,9 @@ def run(argv=None, out=None, err=None) -> int:
     sink = EVENT_SINK.set([] if getattr(args, "trace", False) else None)
     try:
         return args.fn(args, out)
-    except (ValueError, KeyError) as exc:
-        err.write(f"error: {exc}\n")
-        return 1
-    except (
-        uqf.NotAdmissible,
-        algebra_errors.SingularMatrix,
-        algebra_errors.DegreeMismatch,
-        graphalg.InvalidPath,
-        graphalg.ZeroVertexWeight,
-        graphalg.IrrationalData,
-    ) as exc:
-        err.write(f"error: {type(exc).__name__}: {exc}\n")
+    except ValueError as exc:
+        kind = f"{type(exc).__name__}: " if isinstance(exc, InputError) else ""
+        err.write(f"error: {kind}{exc}\n")
         return 1
     finally:
         EVENT_SINK.reset(sink)

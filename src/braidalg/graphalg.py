@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .algebra import Letter, mat_mul
+from .algebra import InputError, Letter, mat_mul
 from .scalars import Scalar
 
 __all__ = [
@@ -43,15 +43,15 @@ __all__ = [
 ]
 
 
-class InvalidPath(Exception):
+class InvalidPath(InputError):
     """Edges do not compose into a path."""
 
 
-class ZeroVertexWeight(Exception):
+class ZeroVertexWeight(InputError):
     """An edge ranges at a weight-zero vertex; normalization is undefined."""
 
 
-class IrrationalData(Exception):
+class IrrationalData(InputError):
     """The graph's spectral data does not live in the radical scalar ring."""
 
 
@@ -361,11 +361,14 @@ def parse_graph(text: str) -> GraphData:
     rows: list[tuple[int, int, int, int]] = []  # (id, src, dst, deg)
     if text.lstrip().startswith("{"):
         data = json.loads(text)
-        edges = data["edges"]
-        if not isinstance(edges, list) or not all(isinstance(e, dict) for e in edges):
-            raise ValueError("JSON graph: 'edges' must be a list of edge objects")
-        num_vertices = _json_int(data["vertices"])
-        rows = [tuple(_json_int(v) for v in (e["id"], e["src"], e["dst"], e.get("deg", 1))) for e in edges]
+        try:
+            edges = data["edges"]
+            if not isinstance(edges, list) or not all(isinstance(e, dict) for e in edges):
+                raise ValueError("JSON graph: 'edges' must be a list of edge objects")
+            num_vertices = _json_int(data["vertices"])
+            rows = [tuple(_json_int(v) for v in (e["id"], e["src"], e["dst"], e.get("deg", 1))) for e in edges]
+        except KeyError as exc:
+            raise ValueError(f"JSON graph: missing field {exc}") from None
     else:
         num_vertices = None
         for lineno, raw in enumerate(text.splitlines(), 1):

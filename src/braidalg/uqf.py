@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .algebra import (
     GradedPoly,
+    InputError,
     Letter,
     adjoint,
     conjugate_matrix,
@@ -69,7 +70,7 @@ __all__ = [
 ]
 
 
-class NotAdmissible(Exception):
+class NotAdmissible(InputError):
     """The matrix has no degree data compatible with its nonzero pattern."""
 
 

@@ -8,7 +8,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidalg import graphalg, simplify, uqf
+from braidalg import algebra, cli, graphalg, simplify, uqf
 from braidalg.algebra import scalar_mat_inverse
 from braidalg.cli import _refuse_above_bound, build_parser, run
 from braidalg.graphalg import check_dagger, cycle_graph
@@ -609,6 +609,78 @@ def test_admissible_singular_matrix_is_an_input_error(tmp_path):
     assert code == 1
     assert out == ""
     assert "SingularMatrix" in err
+
+
+def test_bosonize_has_no_trace_option():
+    # boso-coproduct reduces under an empty RelationSet, so no rule fires and no step could print
+    code, out, err = invoke(["bosonize", "--d", "0,1", "--trace"])
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --trace" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["admissible", "--F", "I", "--n", "3", "--d", "0,1"],
+        ["presentation", "--n", "3", "--d", "0,1"],
+        ["bosonize", "--n", "3", "--d", "0,1"],
+        ["verify", "--prop", "coproduct", "--n", "3", "--d", "0,1"],
+        ["verify", "--prop", "coproduct", "--n", "0", "--d", "0"],
+    ],
+    ids=["admissible", "presentation", "bosonize", "verify", "verify-n-zero"],
+)
+def test_an_n_that_disagrees_with_d_is_one_input_error(argv):
+    assert invoke(argv) == (1, "", "error: length of --d must equal --n\n")
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"vertices": 1, "edges": [{"id": 1, "src": 1}]}', "dst"),
+        ('{"edges": [{"id": 1, "src": 1, "dst": 1}]}', "vertices"),
+    ],
+)
+def test_a_json_graph_missing_a_field_names_it(tmp_path, text, field):
+    graph = tmp_path / "partial.json"
+    graph.write_text(text)
+    assert invoke(["kms", "--graph", str(graph)]) == (1, "", f"error: JSON graph: missing field '{field}'\n")
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        uqf.NotAdmissible,
+        algebra.SingularMatrix,
+        algebra.DegreeMismatch,
+        graphalg.InvalidPath,
+        graphalg.ZeroVertexWeight,
+        graphalg.IrrationalData,
+    ],
+)
+def test_every_input_error_prints_its_class_name(monkeypatch, error):
+    assert issubclass(error, algebra.InputError) and issubclass(error, ValueError)
+
+    def suite(*args):
+        raise error("the message")
+
+    monkeypatch.setitem(cli._SUITES, "coproduct", suite)
+    code, out, err = invoke(["verify", "--prop", "coproduct", "--d", "0,1"])
+    assert (code, out, err) == (1, "", f"error: {error.__name__}: the message\n")
+
+
+@pytest.mark.parametrize("vertices, code", [(31, 2), (32, 1)])
+def test_kms_refuses_a_graph_too_large_for_the_perron_check(tmp_path, monkeypatch, vertices, code):
+    # one Faddeev-LeVerrier run makes vertices^4 products, and 31^4 <= 10^6 < 32^4
+    graph = tmp_path / "cycle.graph"
+    edges = "".join(f"edge {i} {i} {i % vertices + 1} deg 1\n" for i in range(1, vertices + 1))
+    graph.write_text(f"vertices {vertices}\n{edges}")
+    calls = []
+    monkeypatch.setattr(graphalg, "check_dagger", lambda g: calls.append(g))
+    result = invoke(["kms", "--graph", str(graph)])
+    if code == 1:
+        assert result == (1, "", "error: more than 10^6 products in the Perron check\n") and calls == []
+    else:
+        assert result[0] == 2 and len(calls) == 1
 
 
 # -- grammar fuzz ------------------------------------------------------------
