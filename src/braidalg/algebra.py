@@ -16,6 +16,11 @@ different blocks commute without a phase.
 * ``legs=(2, 2)`` is the plain tensor square of a two-leg braided product,
   rendered ``... (x) ...``.
 
+One kernel forms products, for ``*`` and ``mat_entry`` alike: a product word
+merges the leg-sorted factors' per-leg segments rather than being sorted, every
+factor pair of an entry multiplies into one term table, and zero factors are
+skipped.  Only the constructor, the star and ``psi_flatten`` sort words.
+
 The star is antimultiplicative and conjugates coefficients.  Matrices of
 polynomials or scalars are plain lists of lists, composed with ordinary
 matrix algebra: ``mat_entry``, one entry of a product, ``mat_mul`` built on it,
@@ -26,9 +31,9 @@ phase-dressed entrywise adjoint ``conjugate_matrix`` gives braided conjugates.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import accumulate
-from operator import add, attrgetter
+from operator import add, attrgetter, mul
 
 from .scalars import ONE, ZERO, Scalar, as_scalar, zeta
 
@@ -150,6 +155,7 @@ def lword_str(word: Word, offset: int = 0) -> str:
     return "*".join(parts)
 
 
+@lru_cache(maxsize=None)
 def _block_of(legs: tuple[int, ...]):
     """The block number of every leg, indexed by leg; None when words never need sorting."""
     if legs == (1,):
@@ -198,6 +204,77 @@ def _collect(pairs, block_of=None, terms=None) -> dict[Word, Scalar]:
             terms[w] = c
         elif prev is not None:
             del terms[w]
+    return terms
+
+
+# -- the product kernel --------------------------------------------------------
+
+
+@lru_cache(maxsize=4096)
+def _split(word: Word, block_of) -> tuple:
+    """``(word, first leg, last leg, segments, degrees, higher)`` of a normal-form word.
+
+    Per leg: its letters, their degree, and the degree on higher legs of its
+    block.  An empty word starts past the last leg and ends on leg 0; on one
+    leg (``block_of`` None) no product word moves, so the per-leg parts are empty.
+    """
+    if block_of is None:
+        return word, 1, 1, (), (), ()
+    legs = range(1, len(block_of))
+    segments = tuple(tuple(l for l in word if l.leg == leg) for leg in legs)
+    degrees = tuple(map(word_degree, segments))
+    higher = tuple(sum(degrees[m - 1] for m in legs if m > leg and block_of[m] == block_of[leg]) for leg in legs)
+    first, last = (word[0].leg, word[-1].leg) if word else (len(block_of), 0)
+    return word, first, last, segments, degrees, higher
+
+
+def _split_terms(factor, legs: tuple[int, ...], block_of) -> list:
+    """``(split word, coefficient)`` per term of a factor on ``legs``; a scalar is one term on the empty word, zero none."""
+    if isinstance(factor, GradedPoly):
+        if factor.legs != legs:
+            raise LegMismatch(f"legs {legs} vs {factor.legs}")
+        return [(_split(w, block_of), c) for w, c in factor._terms.items()]
+    c = as_scalar(factor)
+    return [(_split((), block_of), c)] if c else []
+
+
+def _multiply_into(terms: dict, left: list, right: list) -> dict:
+    """Add the product of two split term lists to ``terms``; zero sums drop out.
+
+    The product word merges the leg-sorted factors' per-leg segments, and each
+    right letter moving past left letters on higher legs of its block costs
+    ``z^(deg * deg)``; a left word that ends at or below the right word's first
+    leg just concatenates.
+    """
+    get = terms.get
+    for (w1, _, last, segments1, _, higher), c1 in left:
+        for (w2, first, _, segments2, degrees, _), c2 in right:
+            c = c1 * c2
+            if last <= first:
+                w = w1 + w2
+            else:
+                w = sum(map(add, segments1, segments2), ())
+                exponent = sum(map(mul, degrees, higher))
+                if exponent:
+                    c = c * zeta(exponent)
+            prev = get(w)
+            if prev is not None:
+                c = prev + c
+            if c:
+                terms[w] = c
+            elif prev is not None:
+                del terms[w]
+    return terms
+
+
+def _product(pairs, legs: tuple[int, ...]) -> dict[Word, Scalar]:
+    """The terms of the sum of ``x * y`` over factor pairs on ``legs``, skipping zero factors."""
+    block_of = _block_of(legs)
+    terms: dict[Word, Scalar] = {}
+    for x, y in pairs:
+        left = _split_terms(x, legs, block_of)
+        if left:
+            _multiply_into(terms, left, _split_terms(y, legs, block_of))
     return terms
 
 
@@ -311,10 +388,7 @@ class GradedPoly:
         if isinstance(other, (Scalar, int, Fraction)):
             c = as_scalar(other)
             return self._make({w: cc * c for w, cc in self._terms.items()} if c else {}, self.legs)
-        other = self._coerce(other)
-        right = other._terms.items()
-        products = ((w1 + w2, c1 * c2) for w1, c1 in self._terms.items() for w2, c2 in right)
-        return self._make(_collect(products, _block_of(self.legs)), self.legs)
+        return self._make(_product([(self, self._coerce(other))], self.legs), self.legs)
 
     def __rmul__(self, other) -> "GradedPoly":
         return self * other  # scalars are central; any other left operand raises in __mul__
@@ -391,8 +465,18 @@ def adjoint(m: Matrix) -> Matrix:
 
 
 def mat_entry(a: Matrix, b: Matrix, i: int, j: int):
-    """Entry (i,j) of a b, the one product formula; a scalar times a polynomial is a polynomial."""
-    return reduce(add, (a[i][k] * b[k][j] for k in range(len(b))))
+    """Entry (i,j) of a b, the one product formula; a scalar times a polynomial is a polynomial.
+
+    With a polynomial among the factors the entry is one ``_product``, so an
+    all-zero entry is the zero on their legs; other matrices sum their products.
+    """
+    row = a[i]
+    pairs = [(row[k], b[k][j]) for k in range(len(b))]
+    for pair in pairs:
+        for factor in pair:
+            if isinstance(factor, GradedPoly):
+                return GradedPoly._make(_product(pairs, factor.legs), factor.legs)
+    return reduce(add, (x * y for x, y in pairs))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

@@ -20,6 +20,8 @@ from .algebra import (
     Letter,
     _block_of,
     _collect,
+    _multiply_into,
+    _split,
     word_degree,
 )
 from .scalars import as_scalar, zeta
@@ -121,36 +123,44 @@ def apply_state_pairs(lefts: dict, rights: dict, state):
 
     What depends on one factor alone is computed once per factor, when it is
     grouped, not once per pair: for each left prefix, whether it holds a
-    starred letter, its partner S*_g if not, and the degree of each of its
-    rests; for each right prefix, its degree.
+    starred letter and the degree of each of its rests; for each right
+    prefix, its degree; and every rest split for the product kernel
+    (``algebra._multiply_into``).  The partner S*_g of each distinct left
+    prefix is computed once per call.
     """
     if not lefts:
         return iter(())
     first = next(iter(lefts.values()))
     if len(first.legs) != 1 or first.legs[0] < 2:
         raise BadShape("need at least two braided legs to apply a leg-1 state")
-    left, right = {}, {}
+    legs = (first.legs[0] - 1,)
+    block_of = _block_of(legs)
+    left, right, partners = {}, {}, {}
     for a, p in lefts.items():
         left[a] = []
         for head, rests in _by_leg1_prefix(first._coerce(p)).items():
             starred = any(l.starred for l in head)
-            rests = [(rest, word_degree(rest), c) for rest, c in rests]
-            left[a].append((head, rests, starred, None if starred else _partner(head)))
+            if not starred and head not in partners:
+                partners[head] = _partner(head)
+            rests = [(_split(rest, block_of), word_degree(rest), c) for rest, c in rests]
+            left[a].append((head, rests, starred, None if starred else partners[head]))
     for b, q in rights.items():
-        groups = {h: (word_degree(h), rests) for h, rests in _by_leg1_prefix(first._coerce(q)).items()}
+        groups = {
+            h: (word_degree(h), [(_split(rest, block_of), c) for rest, c in rests])
+            for h, rests in _by_leg1_prefix(first._coerce(q)).items()
+        }
         right[b] = groups, [(h, g) for h, g in groups.items() if not all(l.starred for l in h)]
-    legs = (first.legs[0] - 1,)
     return (((a, b), _apply_grouped(left[a], *right[b], legs, state)) for a in left for b in right)
 
 
 def _apply_grouped(left: list, right: dict, mixed: list, legs: tuple, state) -> GradedPoly:
     """The pair loop of ``apply_state_pairs``.
 
-    ``left`` lists ``(prefix, [(rest, deg rest, coeff)], starred, partner)``;
-    ``right`` maps a prefix to ``(degree, [(rest, coeff)])``, and ``mixed``
+    ``left`` lists ``(prefix, [(split rest, deg rest, coeff)], starred, partner)``;
+    ``right`` maps a prefix to ``(degree, [(split rest, coeff)])``, and ``mixed``
     lists the right entries whose prefix holds an unstarred letter.
     """
-    products = []
+    terms = {}
     for head, rests, starred, mate in left:
         if starred:
             candidates = right.items()
@@ -160,9 +170,6 @@ def _apply_grouped(left: list, right: dict, mixed: list, legs: tuple, state) -> 
             value = as_scalar(state(head + head_r))
             if value.is_zero():
                 continue
-            scaled = [(rest_r, value * c_r) for rest_r, c_r in rests_r]
-            for rest, degree, c in rests:
-                if shift and degree:
-                    c = c * zeta(shift * degree)
-                products.extend((rest + rest_r, c * v) for rest_r, v in scaled)
-    return GradedPoly._make(_collect(products, _block_of(legs)), legs)
+            moved = [(rest, c * zeta(shift * degree) if shift and degree else c) for rest, degree, c in rests]
+            _multiply_into(terms, moved, [(rest_r, value * c_r) for rest_r, c_r in rests_r])
+    return GradedPoly._make(terms, legs)

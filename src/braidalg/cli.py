@@ -200,13 +200,13 @@ def _cmd_fusion(args, out) -> int:
     right = fusion_mod.parse_irrep(args.right)
     result = fusion_mod.fuse(left, right)
     out.write(f"{result}\n")
-    if args.n is not None:
-        dims = " + ".join(
-            str(m * fusion_mod.dimension(r.w, args.n)) for r, m in result.items()
-        )
-        total = fusion_mod.dimension(left.w, args.n) * fusion_mod.dimension(right.w, args.n)
-        out.write(f"dims: {total} = {dims}\n")
-    return 0
+    if args.n is None:
+        return 0
+    # the dims equation must hold, the same rule as check_fusion_ring's "dim" checks
+    dims = [m * fusion_mod.dimension(r.w, args.n) for r, m in result.items()]
+    total = fusion_mod.dimension(left.w, args.n) * fusion_mod.dimension(right.w, args.n)
+    out.write(f"dims: {total} = {' + '.join(map(str, dims))}\n")
+    return 0 if total == sum(dims) else 2
 
 
 def _cmd_dims(args, out) -> int:

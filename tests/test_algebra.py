@@ -5,7 +5,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from braidalg.algebra import (
     BadLeg,
@@ -282,3 +282,91 @@ def test_polynomials_take_polynomials_and_scalars_only():
 def test_graded_poly_rejects_bad_legs(terms, legs):
     with pytest.raises(BadLeg):
         GradedPoly(terms, legs)
+
+
+# -- the product kernel ---------------------------------------------------------
+
+KERNEL_LEGS = [(1,), (2,), (3,), (2, 2)]
+
+# phases, rationals and radicals, one or two terms
+kernel_coeffs = st.lists(
+    st.builds(lambda n, k, r: Scalar({(k, r): n}), st.integers(-3, 3).filter(bool), st.integers(-2, 2), st.sampled_from([1, 2, 3])),
+    min_size=1,
+    max_size=2,
+).map(sum)
+
+
+def kernel_polys(legs):
+    """Normal-form polynomials on ``legs``: the constructor leg-sorts random words of random-degree letters."""
+    letter = st.builds(
+        Letter, st.sampled_from("ab"), st.tuples(st.integers(1, 2)), st.integers(-2, 2), st.booleans(), st.integers(1, sum(legs))
+    )
+    terms = st.lists(st.tuples(st.lists(letter, max_size=4).map(tuple), kernel_coeffs), max_size=3)
+    return terms.map(lambda ts: GradedPoly(dict(ts), legs))
+
+
+@pytest.mark.parametrize("legs", KERNEL_LEGS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_product_is_the_sum_of_leg_sorted_term_products(legs, data):
+    """p * q merges leg-sorted factors; the constructor, which leg-sorts each concatenation, is the reference."""
+    p, q = data.draw(kernel_polys(legs)), data.draw(kernel_polys(legs))
+    expected = GradedPoly.zero(legs)
+    for w1, c1 in p.items():
+        for w2, c2 in q.items():
+            expected = expected + GradedPoly({w1 + w2: c1 * c2}, legs)
+    assert p * q == expected
+
+
+def _dense_entry(a, b, i, j):
+    """Entry (i,j) of a b as a plain sum of products, zero factors included."""
+    total = a[i][0] * b[0][j]
+    for k in range(1, len(b)):
+        total = total + a[i][k] * b[k][j]
+    return total
+
+
+def kernel_matrices(legs, n, zero):
+    """n x n matrices of polynomials on ``legs``, about one entry in three ``zero``."""
+    entry = st.one_of(st.just(zero), kernel_polys(legs))
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@pytest.mark.parametrize("legs", KERNEL_LEGS, ids=str)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_mat_entry_with_zero_factors_is_the_dense_sum(legs, data):
+    """Zero factors (a zero Scalar off a diagonal, empty polynomials) are skipped, and the
+    entry is the dense sum on the right legs, also when every factor is zero."""
+    n = data.draw(st.integers(1, 3))
+    zero = GradedPoly.zero(legs)
+    diag = diag_matrix(data.draw(st.lists(st.one_of(st.just(ZERO), kernel_coeffs), min_size=n, max_size=n)))
+    polys = data.draw(kernel_matrices(legs, n, zero))
+    others = data.draw(kernel_matrices(legs, n, zero))
+    zero_row = [[ZERO] * n] + diag[1:]
+    for a, b in [(diag, polys), (polys, diag), (polys, others), (zero_row, polys)]:
+        for i in range(n):
+            for j in range(n):
+                got = mat_entry(a, b, i, j)
+                assert got == _dense_entry(a, b, i, j)
+                assert isinstance(got, GradedPoly) and got.legs == legs
+    assert all(mat_entry(zero_row, polys, 0, j) == zero for j in range(n))
+    # p q - p q: every term of the first product cancels in the second
+    p, q = polys[0][0], others[0][0]
+    assert mat_entry([[p, p]], [[q], [-q]], 0, 0) == zero
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([[1, 0, -2], [0, 3, 0]], [[0, 4], [5, 0], [1, 1]]),
+        ([[_F(1, 2), 0], [0, _F(-3, 4)]], [[0, 0], [_F(2, 3), 7]]),
+    ],
+    ids=["ints", "fractions"],
+)
+def test_mat_entry_on_plain_numbers_is_the_dense_sum(a, b):
+    """graphalg's int and Fraction matrices keep the plain sum of products, and its type."""
+    for i in range(len(a)):
+        for j in range(len(b[0])):
+            got, expected = mat_entry(a, b, i, j), _dense_entry(a, b, i, j)
+            assert got == expected and type(got) is type(expected)

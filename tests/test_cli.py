@@ -123,6 +123,14 @@ def test_fusion_command():
     assert "dims: 4 = 1 + 3" in out
 
 
+@pytest.mark.parametrize("n, dims, code", [(1, "dims: 1 = 1 + 1", 2), (2, "dims: 4 = 1 + 3", 0)])
+def test_fusion_exits_two_on_a_false_dims_equation(n, dims, code):
+    # at n = 1 every class is one-dimensional, but a x b still has two summands
+    got, out, err = invoke(["fusion", "--left", "(0;a)", "--right", "(0;b)", "--n", str(n)])
+    assert (got, err) == (code, "")
+    assert out.splitlines()[-1] == dims
+
+
 def test_dims_command():
     code, out, _ = invoke(["dims", "--n", "2", "--maxlen", "2"])
     assert code == 0
@@ -738,7 +746,7 @@ def fuzz_argv(rng: random.Random) -> list[str]:
         if (command, option) == ("verify", "--len") or rng.random() < 7 / 8:
             pool = FUZZ_POOLS[option]
             argv += [option, rng.choice(pool[:2] if rng.random() < 0.8 else pool)]
-    if command in ("bosonize", "verify") and rng.random() < 0.2:
+    if command == "verify" and rng.random() < 0.2:
         argv.append("--trace")
     if rng.random() < 0.05:
         argv.insert(rng.randrange(1, len(argv) + 1), rng.choice(["--bogus", "-x", "7"]))
