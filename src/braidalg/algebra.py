@@ -382,7 +382,8 @@ class GradedPoly:
         return self._make({w: -c for w, c in self._terms.items()}, self.legs)
 
     def __sub__(self, other) -> "GradedPoly":
-        return self + (-self._coerce(other))
+        negated = ((w, -c) for w, c in self._coerce(other)._terms.items())
+        return self._make(_collect(negated, None, dict(self._terms)), self.legs)
 
     def __mul__(self, other) -> "GradedPoly":
         if isinstance(other, (Scalar, int, Fraction)):

@@ -110,10 +110,10 @@ def apply_state_pairs(lefts: dict, rights: dict, state):
 
     ``state`` maps a leg-1 word (a tuple of letters) to a Scalar, Fraction or
     int; the other letters move down one leg.  Every factor must have the legs
-    of the first left one, at least two, and is grouped by leg-1 prefix once.
-    The state is evaluated on pairs of prefixes, so a product word is formed
-    only when its prefix pair has a nonzero value; moving the right prefix
-    left past the left rest costs ``z^(deg rest * deg prefix)``.
+    of the first left one, at least two; both checks run at the call, before
+    the first pair.  The state is evaluated on pairs of prefixes, so a product
+    word is formed only when its prefix pair has a nonzero value; moving the
+    right prefix left past the left rest costs ``z^(deg rest * deg prefix)``.
 
     The state must be diagonal: on a word S_g S*_h, unstarred letters then
     starred ones, it is zero unless h = g.  So a left prefix S_g without a
@@ -121,12 +121,13 @@ def apply_state_pairs(lefts: dict, rights: dict, state):
     hold an unstarred letter; every other left prefix meets every right
     prefix.  A state that is not diagonal loses terms.
 
-    What depends on one factor alone is computed once per factor, when it is
-    grouped, not once per pair: for each left prefix, whether it holds a
-    starred letter and the degree of each of its rests; for each right
-    prefix, its degree; and every rest split for the product kernel
-    (``algebra._multiply_into``).  The partner S*_g of each distinct left
-    prefix is computed once per call.
+    Once per factor, when it is grouped by leg-1 prefix: whether each left
+    prefix holds a starred letter, each right prefix's degree, and each rest's
+    degree and split for the product kernel (``algebra._multiply_into``).
+    Once per call: the partner S*_g of each distinct left prefix.  Once per
+    row (one left factor against every right one, and kept only that long):
+    each prefix pair's state value and the left rests scaled by it and the
+    phase.  Once per pair: their products with the right factor's rests.
     """
     if not lefts:
         return iter(())
@@ -150,26 +151,39 @@ def apply_state_pairs(lefts: dict, rights: dict, state):
             for h, rests in _by_leg1_prefix(first._coerce(q)).items()
         }
         right[b] = groups, [(h, g) for h, g in groups.items() if not all(l.starred for l in h)]
-    return (((a, b), _apply_grouped(left[a], *right[b], legs, state)) for a in left for b in right)
+    return _rows(left, right, legs, state)
 
 
-def _apply_grouped(left: list, right: dict, mixed: list, legs: tuple, state) -> GradedPoly:
-    """The pair loop of ``apply_state_pairs``.
+def _rows(left: dict, right: dict, legs: tuple, state):
+    """The pairs of ``apply_state_pairs``, row by row: one scaled-rest cache per left factor."""
+    for a, row in left.items():
+        scaled = [{} for _ in row]
+        for b, (groups, mixed) in right.items():
+            yield (a, b), _apply_grouped(row, groups, mixed, legs, state, scaled)
+
+
+def _apply_grouped(left: list, right: dict, mixed: list, legs: tuple, state, scaled: list) -> GradedPoly:
+    """The pair loop of ``apply_state_pairs``: one left factor against one right factor.
 
     ``left`` lists ``(prefix, [(split rest, deg rest, coeff)], starred, partner)``;
     ``right`` maps a prefix to ``(degree, [(split rest, coeff)])``, and ``mixed``
-    lists the right entries whose prefix holds an unstarred letter.
+    lists the right entries whose prefix holds an unstarred letter.  The row's
+    ``scaled[i]`` maps a right prefix to left entry i's rests times the state
+    value and the phase ([] for a zero value), filled on the pair's first visit.
     """
     terms = {}
-    for head, rests, starred, mate in left:
+    for (head, rests, starred, mate), cache in zip(left, scaled):
         if starred:
             candidates = right.items()
         else:
             candidates = mixed + [(mate, right[mate])] if mate in right else mixed
         for head_r, (shift, rests_r) in candidates:
-            value = as_scalar(state(head + head_r))
-            if value.is_zero():
-                continue
-            moved = [(rest, c * zeta(shift * degree) if shift and degree else c) for rest, degree, c in rests]
-            _multiply_into(terms, moved, [(rest_r, value * c_r) for rest_r, c_r in rests_r])
+            moved = cache.get(head_r)
+            if moved is None:
+                value = as_scalar(state(head + head_r))
+                moved = cache[head_r] = [] if value.is_zero() else [
+                    (rest, value * c * zeta(shift * degree) if shift and degree else value * c)
+                    for rest, degree, c in rests
+                ]
+            _multiply_into(terms, moved, rests_r)
     return GradedPoly._make(terms, legs)

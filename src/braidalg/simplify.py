@@ -289,8 +289,8 @@ def reduce_poly(p: GradedPoly, rels: RelationSet):
 
     Local rules are pair rules, so after the first pass every term is
     irreducible and a firing can only create a redex in its collapsed word.
-    A zero input returns at once, and with no pair rules the first pass is
-    skipped: it would fire nothing.
+    A zero input returns at once, and with no pair rules the first pass and
+    the rewrite of each collapsed word are skipped: they would fire nothing.
     Returns (reduced polynomial on the same legs, trace): the firings as events,
     ``("local" | "swap", word before, t, coefficient)`` and ``("contract", family, prefix, suffix)``.
     """
@@ -318,9 +318,11 @@ def reduce_poly(p: GradedPoly, rels: RelationSet):
         add = ratio * fam.rhs
         if add.is_zero():
             continue
-        word, coeff = _rewrite(prefix + suffix, add, rels.pair_rules, trace)
-        if coeff.is_zero():
-            continue
+        word, coeff = prefix + suffix, add
+        if rels.pair_rules:
+            word, coeff = _rewrite(word, coeff, rels.pair_rules, trace)
+            if coeff.is_zero():
+                continue
         old = terms.pop(word, None)
         if old is not None:
             index.remove(word)

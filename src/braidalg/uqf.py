@@ -398,9 +398,11 @@ def verify_kms_preservation(n: int, d, L: int, spec: ZetaSpec = FORMAL) -> Verif
     Exhaustive over pairs of multi-indices up to length L, exact arithmetic:
     for every (alpha, beta) the leg-1 state of P(alpha) P(beta)* must reduce
     to tau(S_alpha S*_beta), where P(alpha) = eta_a1 ... eta_ak is the image
-    of S_alpha.  Each P(alpha) is built once from its prefix, it and its star
-    are grouped by leg-1 prefix once, and the state is applied while they are
-    multiplied, visiting only the prefix pairs the diagonal state can see.
+    of S_alpha.  Once per multi-index: P(alpha), built from its prefix, its
+    star, their grouping by leg-1 prefix and the check-name label.  Once per
+    row (one alpha against every beta): the state of each prefix pair the
+    diagonal state can see, with the left rests it scales.  Once per pair:
+    the product of the scaled rests with the right ones, and its reduction.
     The expected values, 1/n^k for each length k and zero, are shared by every
     check; the checks stream into the suite report, one check alive at a time.
     """
@@ -416,9 +418,10 @@ def verify_kms_preservation(n: int, d, L: int, spec: ZetaSpec = FORMAL) -> Verif
 
     expected = [GradedPoly({(): Fraction(1, n**k)}) for k in range(L + 1)]
     zero = GradedPoly.zero()
+    label = {alpha: str([a + 1 for a in alpha]) for alpha in indices}
     return VerificationReport.merge("kms-preservation", (
         verify_identity(applied, expected[len(alpha)] if alpha == beta else zero, rels, spec,
-                        f"alpha={list(a + 1 for a in alpha)} beta={list(b + 1 for b in beta)}")
+                        f"alpha={label[alpha]} beta={label[beta]}")
         for (alpha, beta), applied in apply_state_pairs(paths, starred, functools.cache(tau))
     ))
 

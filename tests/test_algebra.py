@@ -318,6 +318,22 @@ def test_product_is_the_sum_of_leg_sorted_term_products(legs, data):
     assert p * q == expected
 
 
+@pytest.mark.parametrize("legs", [(1,), (2,), (2, 2)], ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_difference_is_the_sum_with_the_negation(legs, data):
+    """p - q collects -q into a copy of p in one pass: the same as p + (-q), and p itself is untouched."""
+    p = data.draw(kernel_polys(legs))
+    q = p if data.draw(st.booleans()) else data.draw(kernel_polys(legs))
+    before = dict(p._terms)
+    difference = p - q
+    assert difference == p + (-q)
+    assert all(difference._terms.values())
+    assert p._terms == before
+    if q is p:
+        assert difference.is_zero() and difference.legs == legs
+
+
 def _dense_entry(a, b, i, j):
     """Entry (i,j) of a b as a plain sum of products, zero factors included."""
     total = a[i][0] * b[0][j]

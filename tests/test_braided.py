@@ -360,6 +360,65 @@ def test_kms_state_applied_while_multiplying_matches_the_product(seed, num_legs,
     ]
 
 
+S1, S2 = L("S", 1, 1), L("S", 1, 2)
+REST_LETTERS = [L("x", 2), L("y", -1), L("w", 0)]
+
+
+def prefixed_polys(num_legs, prefixes):
+    """Polynomials whose terms put a prefix from ``prefixes`` on leg 1 before a phased rest on higher legs."""
+    letter = st.builds(lambda l, leg: l.on_leg(leg), st.sampled_from(REST_LETTERS), st.integers(2, num_legs))
+    rest = st.lists(letter, max_size=3).map(tuple)
+    coeff = st.builds(lambda k, c: zeta(k) * c, st.integers(-2, 2), st.sampled_from([1, 2, -3, Fraction(1, 2)]))
+    terms = st.lists(st.tuples(st.sampled_from(prefixes), rest, coeff), min_size=1, max_size=4)
+    return terms.map(lambda ts: GradedPoly({h + r: c for h, r, c in ts}, num_legs))
+
+
+@given(st.integers(0, 400), st.sampled_from([2, 3]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_state_pairs_match_each_product_under_the_state(seed, num_legs, data):
+    """Every pair of two families against its product, stated and shifted one word at a time.
+
+    The left prefixes hold starred letters, so they meet every right prefix; the
+    right factors share a few prefixes that hold unstarred letters (the mixed
+    path), so a row reuses its scaled left rests; the state is zero on most pairs.
+    """
+    leg1 = [l for s in (S1, S2) for l in (s, s.star())]
+    left_prefixes = [(), (S1,), (S1.star(),), (S2, S1.star()), (S1.star(), S2)]
+    words = st.lists(st.sampled_from(leg1), max_size=2).map(tuple)
+    shared = data.draw(st.lists(words, min_size=1, max_size=3)) + [(S2,), (S1, S2.star())]
+    lefts = {a: data.draw(prefixed_polys(num_legs, left_prefixes)) for a in range(data.draw(st.integers(1, 3)))}
+    rights = {b: data.draw(prefixed_polys(num_legs, shared)) for b in range(data.draw(st.integers(2, 4)))}
+    state = sparse_state(seed)
+    assert list(apply_state_pairs(lefts, rights, state)) == [
+        ((a, b), state_then_shift(x * y, state)) for a, x in lefts.items() for b, y in rights.items()
+    ]
+
+
+def test_state_runs_once_per_left_factor_and_prefix_pair():
+    # right factors that repeat existing prefixes add products, not state evaluations
+    x, y, w = (l.on_leg(2) for l in REST_LETTERS)
+    p = one_term(2, (1, S1), (2, x)) + one_term(2, (1, S1.star()), (2, y)) + one_term(2, (1, S2), (2, w))
+    q = one_term(2, (1, S1.star()), (2, y)) + one_term(2, (1, S2), (1, S1.star()), (2, x)) + one_term(2, (2, w))
+    repeats = [q * 3 + one_term(2, (1, S2), (1, S1.star()), (2, w)), one_term(2, (2, x)) * zeta(1)]
+    diagonal = sparse_state(0)
+
+    def evaluations(rights):
+        seen = []
+
+        def state(word):
+            seen.append(word)
+            return diagonal(word)
+
+        for _ in apply_state_pairs({"p": p, "q": q}, rights, state):
+            pass
+        return seen
+
+    seen = evaluations({0: q})
+    # p and q have three leg-1 prefixes each: at most 3 + 3 left prefixes against q's three
+    assert len(seen) <= (3 + 3) * 3
+    assert evaluations({0: q, 1: repeats[0], 2: repeats[1]}) == seen
+
+
 def test_state_with_a_right_factor_checks_legs():
     with pytest.raises(LegMismatch):
         apply_state_pairs({0: GradedPoly.one(2)}, {0: GradedPoly.one(3)}, lambda word: 1)
