@@ -19,7 +19,8 @@ different blocks commute without a phase.
 One kernel forms products, for ``*`` and ``mat_entry`` alike: a product word
 merges the leg-sorted factors' per-leg segments rather than being sorted, every
 factor pair of an entry multiplies into one term table, and zero factors are
-skipped.  Only the constructor, the star and ``psi_flatten`` sort words.
+skipped.  The star reverses ``_split``'s per-leg segments, so only the
+constructor and ``psi_flatten`` sort words.
 
 The star is antimultiplicative and conjugates coefficients.  Matrices of
 polynomials or scalars are plain lists of lists, composed with ordinary
@@ -30,9 +31,10 @@ phase-dressed entrywise adjoint ``conjugate_matrix`` gives braided conjugates.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import accumulate
+from itertools import accumulate, groupby
 from operator import add, attrgetter, mul
 
 from .scalars import ONE, ZERO, Scalar, as_scalar, zeta
@@ -140,22 +142,11 @@ def word_str(word: Word) -> str:
 
 def lword_str(word: Word, offset: int = 0) -> str:
     """Leg notation ``j1(a*b)*j2(c)``, numbering legs from ``offset + 1``."""
-    if not word:
-        return "1"
-    parts = []
-    current_leg = None
-    current: list[str] = []
-    for l in word:
-        if l.leg != current_leg:
-            if current:
-                parts.append(f"j{current_leg - offset}({'*'.join(current)})")
-            current_leg, current = l.leg, []
-        current.append(str(l))
-    parts.append(f"j{current_leg - offset}({'*'.join(current)})")
-    return "*".join(parts)
+    runs = groupby(word, _LEG)
+    return "*".join(f"j{leg - offset}({'*'.join(map(str, run))})" for leg, run in runs) if word else "1"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _block_of(legs: tuple[int, ...]):
     """The block number of every leg, indexed by leg; None when words never need sorting."""
     if legs == (1,):
@@ -331,14 +322,9 @@ class GradedPoly:
 
     def _blocks(self, word: Word) -> list[Word]:
         """The word cut into its blocks (a normal-form word is sorted by leg)."""
-        parts, start = [], 0
-        for bound in accumulate(self.legs):
-            end = start
-            while end < len(word) and word[end].leg <= bound:
-                end += 1
-            parts.append(word[start:end])
-            start = end
-        return parts
+        legs = [l.leg for l in word]
+        ends = [bisect_right(legs, bound) for bound in accumulate(self.legs)]
+        return [word[start:end] for start, end in zip([0, *ends], ends)]
 
     def items(self):
         return sorted(
@@ -358,12 +344,8 @@ class GradedPoly:
 
     def degree(self):
         """The common degree if homogeneous (0 for zero), else None."""
-        degs = {word_degree(w) for w in self._terms}
-        if not degs:
-            return 0
-        if len(degs) > 1:
-            return None
-        return degs.pop()
+        degs = {word_degree(w) for w in self._terms} or {0}
+        return degs.pop() if len(degs) == 1 else None
 
     # -- algebra ------------------------------------------------------------
 
@@ -395,11 +377,20 @@ class GradedPoly:
         return self * other  # scalars are central; any other left operand raises in __mul__
 
     def star(self) -> "GradedPoly":
-        """Antimultiplicative star: words reversed, letters and scalars conjugated."""
-        starred = (
-            (tuple(l.star() for l in reversed(w)), c.star()) for w, c in self._terms.items()
-        )
-        return self._make(_collect(starred, _block_of(self.legs)), self.legs)
+        """Antimultiplicative star: words reversed, letters and scalars conjugated.
+
+        On more than one leg a word's ``_split`` segments are each reversed, in
+        ascending leg order, and the phase is z^(sum of degree * higher degree).
+        """
+        block_of, terms = _block_of(self.legs), {}
+        for w, c in self._terms.items():
+            c, segments = c.star(), (w,)
+            if block_of is not None:
+                _, _, _, segments, degrees, higher = _split(w, block_of)
+                if exponent := sum(map(mul, degrees, higher)):
+                    c = c * zeta(exponent)
+            terms[tuple(l.star() for segment in segments for l in reversed(segment))] = c
+        return self._make(terms, self.legs)
 
     def tensor(self, other: "GradedPoly") -> "GradedPoly":
         """Plain tensor product: other's legs follow self's, with no phase between them."""

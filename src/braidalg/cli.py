@@ -218,7 +218,7 @@ def _cmd_dims(args, out) -> int:
     return 0
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once; parse_args keeps no state between requests."""
     parser = argparse.ArgumentParser(

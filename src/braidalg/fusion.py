@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 from itertools import product
 
 from .simplify import VerificationReport
@@ -117,7 +117,7 @@ def word_bar(w: Word) -> Word:
     return Word(_bar(w.letters))
 
 
-@cache
+@lru_cache(maxsize=1 << 15)  # holds the 3,585 word pairs of the length-3 audits
 def _fuse(w: str, v: str) -> tuple[str, ...]:
     """The words a b over the cuts w = a g, v = bar(g) b, shortest g first.
 
@@ -160,7 +160,7 @@ def conjugate_irrep(r: Irrep) -> Irrep:
     return Irrep(-r.x, word_bar(r.w))
 
 
-@cache
+@lru_cache(maxsize=1 << 12)
 def _dim(letters: str, n: int) -> int:
     if not letters or n == 1:
         return 1

@@ -10,6 +10,10 @@ indexed by ``(k, r)`` with ``k`` an integer, ``r`` a square-free positive
 integer (``r == 1`` is the rational part) and ``c`` a nonzero rational, kept as
 a reduced int pair ``(numerator, denominator)`` with a positive denominator.
 Coefficients enter as ``int`` or ``Fraction`` only; others raise ``TypeError``.
+A rational phase term (n/d) z^k is shared: one object per value, kept in
+``_TERMS``, and the product of two is one lookup in ``_PRODUCTS``, keyed by
+their ids, which stay unique as a shared term never leaves ``_TERMS``.  At its
+bound (``_MAX_TERMS``, ``_MAX_PRODUCTS``) a table stops growing.
 
 Since the phase lives on the unit circle, complex conjugation (``star``)
 sends ``z^k`` to ``z^-k`` and fixes rationals and radicals.
@@ -80,7 +84,7 @@ def _accumulate(terms: dict, key, c: tuple[int, int]) -> None:
         del terms[key]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def cyclotomic(n: int) -> tuple[int, ...]:
     """Coefficients (constant first) of the n-th cyclotomic polynomial."""
     if n <= 0:
@@ -158,18 +162,24 @@ class Scalar:
             _accumulate(cleaned, (k, s), _ratio(c.numerator * g, c.denominator))
         self._terms = cleaned
 
-    @classmethod
-    def _make(cls, terms: dict[tuple[int, int], tuple[int, int]]) -> "Scalar":
-        """Wrap terms already in normal form: nonzero reduced (numerator, denominator) pairs."""
-        out = cls.__new__(cls)
+    @staticmethod
+    def _make(terms: dict[tuple[int, int], tuple[int, int]]) -> "Scalar":
+        """Wrap terms in normal form (nonzero reduced pairs); one rational phase term is the shared one."""
+        if len(terms) == 1:
+            ((k, r), (n, d)), = terms.items()
+            if r == 1:
+                return _term(k, n, d)
+        out = Scalar.__new__(Scalar)
         out._terms = terms
         return out
 
     # -- constructors -----------------------------------------------------
 
-    @classmethod
-    def from_fraction(cls, c: int | Fraction) -> "Scalar":
-        return cls({(0, 1): c})
+    @staticmethod
+    def from_fraction(c: int | Fraction) -> "Scalar":
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"scalar coefficients must be int or Fraction, got {c!r}")
+        return _term(0, c.numerator, c.denominator) if c else ZERO
 
     # -- structure --------------------------------------------------------
 
@@ -215,6 +225,15 @@ class Scalar:
         return self + (-other)
 
     def __mul__(self, other) -> "Scalar":
+        if self.__class__ is _Term is other.__class__:  # two shared terms: one lookup
+            product = _PRODUCTS.get((id(self), id(other)))
+            if product is None:
+                ((k1, _), (n1, d1)), = self._terms.items()
+                ((k2, _), (n2, d2)), = other._terms.items()
+                product = _term(k1 + k2, *_ratio(n1 * n2, d1 * d2))
+                if len(_PRODUCTS) < _MAX_PRODUCTS:
+                    _PRODUCTS[id(self), id(other)] = product
+            return product
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -224,12 +243,6 @@ class Scalar:
             return self
         if not self._terms or not other._terms:
             return ZERO
-        if len(self._terms) == 1 == len(other._terms):
-            ((k1, r1), (n1, d1)), = self._terms.items()
-            ((k2, r2), (n2, d2)), = other._terms.items()
-            if r1 == 1 == r2:  # one rational phase term times another: no radical to merge
-                k, c = k1 + k2, _ratio(n1 * n2, d1 * d2)
-                return ONE if k == 0 and c == (1, 1) else Scalar._make({(k, 1): c})
         terms: dict[tuple[int, int], tuple[int, int]] = {}
         for (k1, r1), (n1, d1) in self._terms.items():
             for (k2, r2), (n2, d2) in other._terms.items():
@@ -272,17 +285,12 @@ class Scalar:
             coeffs[k % n] += Fraction(*c)
         terms: dict[tuple[int, int], Fraction] = {}
         for r, coeffs in by_radical.items():
-            # reduce mod phi_n (monic), then collect
-            coeffs = list(coeffs)
+            # reduce mod phi_n (monic); the constructor drops the zeros
             for i in range(len(coeffs) - 1, deg - 1, -1):
-                c = coeffs[i]
-                if c == 0:
-                    continue
-                for j, pj in enumerate(phi):
-                    coeffs[i - deg + j] -= c * pj
-            for k, c in enumerate(coeffs[:deg]):
-                if c != 0:
-                    terms[(k, r)] = c
+                if c := coeffs[i]:
+                    for j, pj in enumerate(phi):
+                        coeffs[i - deg + j] -= c * pj
+            terms.update({(k, r): c for k, c in enumerate(coeffs[:deg])})
         return Scalar(terms)
 
     # -- comparison / rendering -------------------------------------------
@@ -317,11 +325,8 @@ class Scalar:
             mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
             if mag != "1" or not factors:
                 factors.insert(0, mag)
-            body = "*".join(factors)
-            if not parts:
-                parts.append(body if n > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if n > 0 else f" - {body}")
+            sign = ("" if n > 0 else "-") if not parts else (" + " if n > 0 else " - ")
+            parts.append(sign + "*".join(factors))
         return "".join(parts)
 
 
@@ -338,15 +343,41 @@ def _coerce(value) -> Scalar:
     return as_scalar(value) if isinstance(value, (int, Fraction)) else NotImplemented
 
 
+class _Term(Scalar):
+    """A shared rational phase term (n/d) z^k, the one object of its value in ``_TERMS``."""
+
+    __slots__ = ()
+
+    def __reduce__(self):  # copies and pickles come back through the table
+        ((k, _), c), = self._terms.items()
+        return _term, (k, *c)
+
+
+_MAX_TERMS = 1 << 12
+_MAX_PRODUCTS = 1 << 14
+_TERMS: dict[tuple[int, int, int], Scalar] = {}
+_PRODUCTS: dict[tuple[int, int], Scalar] = {}
+
+
+def _term(k: int, n: int, d: int) -> Scalar:
+    """(n/d) z^k for a reduced pair n/d != 0: the shared term, or a plain one once ``_TERMS`` is full."""
+    term = _TERMS.get((k, n, d))
+    if term is None:
+        cls = _Term if len(_TERMS) < _MAX_TERMS else Scalar
+        term = cls.__new__(cls)
+        term._terms = {(k, 1): (n, d)}
+        if cls is _Term:
+            term = _TERMS.setdefault((k, n, d), term)
+    return term
+
+
 ZERO = Scalar()
-ONE = Scalar.from_fraction(1)
+ONE = _term(0, 1, 1)
 
 
-@lru_cache(maxsize=1024)
 def zeta(k: int = 1) -> Scalar:
-    """z^k; cached (bounded, as exponents come from input degrees), which is safe
-    because a Scalar is never changed after construction."""
-    return Scalar._make({(k, 1): (1, 1)})
+    """z^k, a shared term, which is safe because a Scalar is never changed after construction."""
+    return _term(k, 1, 1)
 
 
 def sqrt(value) -> Scalar:

@@ -24,9 +24,10 @@ Reduction rewrites every term locally once, then fires contractions to a
 fixpoint; a zero input returns at once, and a rule set without pair rules
 skips the local pass.  Candidates come from an index of the irreducible
 terms that each firing updates only for the words it deletes, creates or
-re-weights, reading back the slots it stored for each word; the next one is
-the first in the canonical order (largest family, family, then prefix,
-suffix and leg).  A zero residual means Verified, anything else is
+re-weights, reading back the slots it stored for each word and finding a
+letter pair's families in the relation set's table keyed by the two letters.
+The next is the first in the canonical order (largest family, family, then
+prefix, suffix and leg).  A zero residual means Verified, anything else is
 Unverified (which is not a refutation).
 """
 
@@ -169,20 +170,10 @@ class Presentation:
         return RelationSet(self.relations)
 
     def dump(self) -> str:
-        lines = ["[generators]"]
-        for g in self.generators:
-            lines.append(f"{g} deg {g.degree}")
-        lines.append("")
-        lines.append("[degrees]")
+        lines = ["[generators]", *(f"{g} deg {g.degree}" for g in self.generators), "", "[degrees]"]
         for name, value in sorted(self.degree_tuples.items()):
-            if isinstance(value, tuple):
-                lines.append(f"{name} = ({','.join(map(str, value))})")
-            else:
-                lines.append(f"{name} = {value}")
-        lines.append("")
-        lines.append("[relations]")
-        for rel in self.relations:
-            lines.extend(rel.lines())
+            lines.append(f"{name} = ({','.join(map(str, value))})" if isinstance(value, tuple) else f"{name} = {value}")
+        lines += ["", "[relations]", *(line for rel in self.relations for line in rel.lines())]
         return "\n".join(lines) + "\n"
 
 
@@ -203,13 +194,32 @@ class RelationSet:
         for rel in self.relations:
             rel.compile(self)
 
-        # fast lookup: (left symbol, right symbol) -> [(family, member, 1 / member
-        # coefficient, or None when the coefficient is one, family size)]
+        # (left symbol, right symbol) -> [(family, member, 1 / member coefficient,
+        # or None when the coefficient is one, family size)]
         self.pair_index: dict[tuple, list[tuple[int, int, Scalar | None, int]]] = {}
         for fi, fam in enumerate(self.families):
             for mi, (a, b, c) in enumerate(fam.members):
                 inv = None if c.is_one() else c.inverse()
                 self.pair_index.setdefault((a.symbol, b.symbol), []).append((fi, mi, inv, len(fam.members)))
+        self.letter_pairs = _LetterPairs(self.pair_index)
+
+
+class _LetterPairs(dict):
+    """(left letter, right letter) -> the pair's ``pair_index`` entries, () across legs: keyed by
+    identity, as letters are interned, filled on first use and bounded by ``_MAX_LETTER_PAIRS``."""
+
+    def __init__(self, pair_index: dict):
+        self.pair_index = pair_index
+
+    def __missing__(self, pair: tuple[Letter, Letter]) -> tuple:
+        a, b = pair
+        entries = tuple(self.pair_index.get((a.symbol, b.symbol), ())) if a.leg == b.leg else ()
+        if len(self) < _MAX_LETTER_PAIRS:
+            self[pair] = entries
+        return entries
+
+
+_MAX_LETTER_PAIRS = 1 << 14
 
 
 # -- reduction passes -----------------------------------------------------------
@@ -241,6 +251,11 @@ def _rewrite(word: Word, coeff: Scalar, pair_rules, trace: list) -> tuple[Word, 
     return tuple(word), coeff
 
 
+# The word key of the candidate order, cached because the same prefixes and
+# suffixes complete again and again; a test that reorders candidates patches it.
+_order_key = functools.lru_cache(maxsize=1 << 12)(word_key)
+
+
 class _ContractionIndex:
     """Complete-family candidates among irreducible terms, kept up to date.
 
@@ -253,7 +268,7 @@ class _ContractionIndex:
     """
 
     def __init__(self, rels: RelationSet):
-        self.pair_index = rels.pair_index
+        self.letter_pairs = rels.letter_pairs
         self.buckets: dict[tuple, dict[int, tuple[Word, Scalar]]] = {}
         self.ready: dict[tuple, tuple] = {}
         self.slots: dict[Word, list[tuple[tuple, int]]] = {}
@@ -261,9 +276,10 @@ class _ContractionIndex:
     def add(self, word: Word, coeff: Scalar) -> None:
         """Index a term; each slot it fills was empty, so only completion is new."""
         slots = self.slots[word] = []
+        letter_pairs = self.letter_pairs
         for t in range(len(word) - 1):
-            a, b = word[t], word[t + 1]
-            entries = self.pair_index.get((a.symbol, b.symbol)) if a.leg == b.leg else None
+            a = word[t]
+            entries = letter_pairs[a, word[t + 1]]
             if not entries:
                 continue
             prefix, suffix = word[:t], word[t + 2 :]
@@ -273,7 +289,7 @@ class _ContractionIndex:
                 found = self.buckets.setdefault(key, {})
                 found[mi] = (word, coeff if inv is None else coeff * inv)
                 if len(found) == size and all(found[m][1]._terms == found[0][1]._terms for m in range(1, size)):
-                    self.ready[key] = (-size, fi, word_key(prefix), word_key(suffix), a.leg)
+                    self.ready[key] = (-size, fi, _order_key(prefix), _order_key(suffix), a.leg)
 
     def remove(self, word: Word) -> None:
         for key, mi in self.slots.pop(word):
@@ -297,39 +313,40 @@ def reduce_poly(p: GradedPoly, rels: RelationSet):
     trace: list[tuple] = []
     if not p._terms:
         return GradedPoly._make({}, p.legs), trace
-    if rels.pair_rules:
+    families, pair_rules = rels.families, rels.pair_rules
+    if pair_rules:
         words = sorted(p._terms, key=word_key)
-        terms = _collect(_rewrite(w, p._terms[w], rels.pair_rules, trace) for w in words)
+        terms = _collect(_rewrite(w, p._terms[w], pair_rules, trace) for w in words)
     else:
         terms = dict(p._terms)
     index = _ContractionIndex(rels)
+    add, remove, ready, buckets = index.add, index.remove, index.ready, index.buckets
     for word, coeff in terms.items():
-        index.add(word, coeff)
-    while index.ready:
-        key = min(index.ready, key=index.ready.__getitem__)
+        add(word, coeff)
+    while ready:
+        key = min(ready, key=ready.__getitem__)
         prefix, suffix, fi, _ = key
-        fam = rels.families[fi]
-        found = index.buckets[key]
+        fam = families[fi]
+        found = buckets[key]
         ratio = found[0][1]
         for word, _ in list(found.values()):
             del terms[word]
-            index.remove(word)
+            remove(word)
         trace.append(("contract", fam, prefix, suffix))
-        add = ratio * fam.rhs
-        if add.is_zero():
+        if fam.rhs.is_zero():
             continue
-        word, coeff = prefix + suffix, add
-        if rels.pair_rules:
-            word, coeff = _rewrite(word, coeff, rels.pair_rules, trace)
+        word, coeff = prefix + suffix, ratio * fam.rhs
+        if pair_rules:
+            word, coeff = _rewrite(word, coeff, pair_rules, trace)
             if coeff.is_zero():
                 continue
         old = terms.pop(word, None)
         if old is not None:
-            index.remove(word)
+            remove(word)
             coeff = old + coeff
         if not coeff.is_zero():
             terms[word] = coeff
-            index.add(word, coeff)
+            add(word, coeff)
     return GradedPoly._make(terms, p.legs), trace
 
 

@@ -386,3 +386,15 @@ def test_mat_entry_on_plain_numbers_is_the_dense_sum(a, b):
         for j in range(len(b[0])):
             got, expected = mat_entry(a, b, i, j), _dense_entry(a, b, i, j)
             assert got == expected and type(got) is type(expected)
+
+
+@pytest.mark.parametrize("legs", [(2,), (3,), (2, 2)], ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_star_reverses_split_segments_as_the_constructor_sorts(legs, data):
+    """star builds each word from its per-leg segments; the constructor, which leg-sorts the reversed word, is the reference."""
+    p, q = data.draw(kernel_polys(legs)), data.draw(kernel_polys(legs))
+    oracle = GradedPoly({tuple(l.star() for l in reversed(w)): c.star() for w, c in p._terms.items()}, legs)
+    assert p.star() == oracle
+    assert p.star().star() == p
+    assert (p * q).star() == q.star() * p.star()

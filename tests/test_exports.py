@@ -45,3 +45,24 @@ def test_module_all_names_only_its_own_classes_and_functions(module):
         and getattr(mod, name).__module__ != mod.__name__
     ]
     assert not foreign, f"braidalg.{module}.__all__ re-exports {foreign}"
+
+
+def _functools_caches(mod):
+    """(name, cache) for every functools cache in a module's globals or its classes' dicts."""
+    namespaces = [(mod.__name__, vars(mod))] + [
+        (f"{mod.__name__}.{name}", vars(cls))
+        for name, cls in vars(mod).items()
+        if inspect.isclass(cls) and cls.__module__ == mod.__name__
+    ]
+    for prefix, namespace in namespaces:
+        for name, value in namespace.items():
+            value = getattr(value, "__func__", value)  # staticmethod and classmethod
+            if callable(getattr(value, "cache_parameters", None)):
+                yield f"{prefix}.{name}", value
+
+
+def test_every_process_wide_cache_is_bounded():
+    caches = [(name, c) for m in MODULES for name, c in _functools_caches(importlib.import_module(f"braidalg.{m}"))]
+    assert {"braidalg.fusion._fuse", "braidalg.scalars.cyclotomic"} <= {n for n, _ in caches}
+    unbounded = [name for name, c in caches if c.cache_parameters()["maxsize"] is None]
+    assert not unbounded, f"caches without a maxsize: {unbounded}"

@@ -1,5 +1,7 @@
 """Exact scalar arithmetic: examples, ring axioms, specialization soundness."""
 
+import copy
+import pickle
 import re
 from fractions import Fraction
 from math import gcd, prod
@@ -20,6 +22,7 @@ from braidalg.scalars import (
     sqrt,
     zeta,
 )
+from braidalg import scalars as scalars_mod
 from braidalg.scalars import _scalar_factor
 
 
@@ -94,13 +97,28 @@ terms = st.builds(
 )
 
 
-@given(terms, terms)
+def expanded_product(a, b):
+    """a * b term by term through the constructor, which square-frees sqrt(r1) sqrt(r2); no Scalar product runs."""
+    total = ZERO
+    for (k1, r1), c1 in a.items():
+        for (k2, r2), c2 in b.items():
+            total = total + Scalar({(k1 + k2, r1 * r2): Fraction(*c1) * Fraction(*c2)})
+    return total
+
+
+# two-term sums of phases, rationals and radicals
+sums = st.builds(lambda a, b: a + b, terms, terms)
+
+
+@given(st.one_of(terms, sums), st.one_of(terms, sums))
 def test_term_times_term_matches_the_general_product(a, b):
     # a + t has two terms, so (a + t) * b runs the general loop; t never shares a's key
     t = zeta(99)
     assert a * b == (a + t) * b - t * b
     assert str(a * b) == str((a + t) * b - t * b)
     assert a * b == b * a
+    # rational phase terms multiply by one lookup in the shared-product table
+    assert a * b == expanded_product(a, b) and str(a * b) == str(expanded_product(a, b))
 
 
 @given(terms)
@@ -128,6 +146,42 @@ def test_cached_zeta_is_not_changed_by_arithmetic():
     assert (x, zeta(2) * zeta(3)) == (zeta(5) + 1, zeta(5))
     assert zeta(2) == Scalar({(2, 1): Fraction(1)})
     assert repr(zeta(2)) == "Scalar(z^2)"
+
+
+@given(st.lists(st.one_of(terms, sums), min_size=1, max_size=6))
+def test_arithmetic_never_changes_a_shared_term(values):
+    shared = dict(scalars_mod._TERMS)
+    t = zeta(3) * Fraction(-2, 5)
+    assert t is zeta(3) * Fraction(-2, 5) is scalars_mod._TERMS[3, -2, 5]
+    assert copy.copy(t) is t and copy.deepcopy(t) is t and pickle.loads(pickle.dumps(t)) is t
+    for v in values:
+        for x in (t, ONE, zeta(-1)):
+            x = x * v
+            x += v
+            x -= zeta(1)
+            x = -x.star()
+            if x.is_single_term():
+                x = x / x
+    for (k, n, d), term in scalars_mod._TERMS.items():
+        assert term._terms == {(k, 1): (n, d)}
+    assert all(scalars_mod._TERMS[key] is term for key, term in shared.items())
+
+
+def test_bounded_tables_stop_growing_and_results_stay_equal(monkeypatch):
+    monkeypatch.setattr(scalars_mod, "_MAX_TERMS", len(scalars_mod._TERMS) + 3)
+    monkeypatch.setattr(scalars_mod, "_MAX_PRODUCTS", len(scalars_mod._PRODUCTS) + 3)
+    # exponents far from any that other tests use, so every term and product is new
+    fresh = [zeta(10_000 + k) * Fraction(1, 7) for k in range(6)]
+    for a in fresh:
+        for b in fresh + [ONE, zeta(1)]:
+            assert a * b == expanded_product(a, b) and b * a == a * b
+    assert len(scalars_mod._TERMS) == scalars_mod._MAX_TERMS
+    assert len(scalars_mod._PRODUCTS) == scalars_mod._MAX_PRODUCTS
+    assert sum(type(a) is not Scalar for a in fresh) <= 3  # beyond the bound a term is a plain Scalar
+    shared = list(scalars_mod._TERMS.values())
+    a, b = next((a, b) for a in shared for b in shared if (id(a), id(b)) not in scalars_mod._PRODUCTS)
+    assert a * b == expanded_product(a, b) and len(scalars_mod._PRODUCTS) == scalars_mod._MAX_PRODUCTS
+    assert zeta(20_000) == Scalar({(20_000, 1): 1}) and zeta(20_000) is not zeta(20_000)
 
 
 scalars = st.builds(

@@ -607,3 +607,35 @@ def test_contraction_index_after_removals_matches_a_fresh_index(case, seed):
         fresh.add(word, coeff)
     assert index.buckets == fresh.buckets
     assert index.ready == fresh.ready
+
+
+def test_letter_pair_table_matches_the_symbol_index_and_is_empty_across_legs(monkeypatch):
+    import braidalg.simplify as simplify_mod
+
+    rels = RelationSet(cuntz_rels(2).relations + unitary_rels((0, 1)).relations)
+    letters = sorted({l for fam in rels.families for a, b, _ in fam.members for l in (a, b)}, key=lambda l: l.sort_key)
+    pairs = [(a.on_leg(la), b.on_leg(lb)) for a in letters for b in letters for la in (1, 2) for lb in (1, 2)]
+    monkeypatch.setattr(simplify_mod, "_MAX_LETTER_PAIRS", len(pairs) // 2)
+    table = rels.letter_pairs
+    for a, b in pairs:
+        expected = tuple(rels.pair_index.get((a.symbol, b.symbol), ())) if a.leg == b.leg else ()
+        assert table[a, b] == expected
+        assert table[a, b] == expected  # once more, from the table or past its bound
+    assert len(table) == len(pairs) // 2
+    assert any(table[a, b] for a, b in pairs) and not any(table[a, b] for a, b in pairs if a.leg != b.leg)
+
+
+def test_the_candidate_order_reads_its_order_key_cache_at_call_time(monkeypatch):
+    import braidalg.simplify as simplify_mod
+
+    assert simplify_mod._order_key.cache_parameters()["maxsize"] is not None
+    seen = []
+
+    def key(word):
+        seen.append(word)
+        return word_key(word)
+
+    monkeypatch.setattr(simplify_mod, "_order_key", key)
+    p = word_poly(S(1), S(1).star()) + word_poly(S(2), S(2).star())
+    assert reduce_poly(p, cuntz_rels(2))[0] == GradedPoly.one()
+    assert seen == [(), ()]
