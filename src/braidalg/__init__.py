@@ -7,7 +7,7 @@ Subpackages:
   and ``parse_scalar``, the one expression reader;
 * ``algebra``  - graded letters on tensor legs and the one sparse word
   polynomial: one leg (graded), n braided legs, or a plain tensor of blocks
-  of braided legs; matrices: ``mat_mul`` built on ``mat_entry``, ``adjoint``,
+  of braided legs; matrices: ``mat_mul`` built on ``mat_entries``, ``adjoint``,
   ``diag_matrix``, ``mat_identity``, the phase-dressed ``conjugate_matrix``, ``row_reduce``;
 * ``braided``  - moving polynomials between leg structures: placing legs
   in a larger product, the flattening map, leg-1 state application;
@@ -22,7 +22,7 @@ Subpackages:
 """
 
 from .scalars import FORMAL, Scalar, ZetaSpec, zeta, sqrt
-from .algebra import GradedPoly, Letter, adjoint, conjugate_matrix, diag_matrix, mat_entry, mat_mul
+from .algebra import GradedPoly, Letter, adjoint, conjugate_matrix, diag_matrix, mat_entries, mat_mul
 from .braided import apply_state_pairs, embed, psi_flatten
 from .simplify import RelationSet, VerificationReport, verify_identity
 from .graphalg import GraphData, KmsData, check_dagger, kms_eval, vertex_matrix

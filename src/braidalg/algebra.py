@@ -16,15 +16,16 @@ different blocks commute without a phase.
 * ``legs=(2, 2)`` is the plain tensor square of a two-leg braided product,
   rendered ``... (x) ...``.
 
-One kernel forms products, for ``*`` and ``mat_entry`` alike: a product word
+One kernel forms products, for ``*`` and ``mat_entries`` alike: a product word
 merges the leg-sorted factors' per-leg segments rather than being sorted, every
-factor pair of an entry multiplies into one term table, and zero factors are
-skipped.  The star reverses ``_split``'s per-leg segments, so only the
-constructor and ``psi_flatten`` sort words.
+factor of a matrix product is split once, every factor pair of an entry
+multiplies into one term table, and zero factors are skipped.  The star
+reverses ``_split``'s per-leg segments, so only the constructor and
+``psi_flatten`` sort words.
 
 The star is antimultiplicative and conjugates coefficients.  Matrices of
 polynomials or scalars are plain lists of lists, composed with ordinary
-matrix algebra: ``mat_entry``, one entry of a product, ``mat_mul`` built on it,
+matrix algebra: ``mat_entries``, the entries of a product, ``mat_mul`` built on it,
 the star-transpose ``adjoint``, ``diag_matrix`` and ``mat_identity``.  The
 phase-dressed entrywise adjoint ``conjugate_matrix`` gives braided conjugates.
 """
@@ -50,7 +51,7 @@ __all__ = [
     "adjoint",
     "conjugate_matrix",
     "diag_matrix",
-    "mat_entry",
+    "mat_entries",
     "mat_mul",
     "mat_identity",
     "row_reduce",
@@ -258,17 +259,6 @@ def _multiply_into(terms: dict, left: list, right: list) -> dict:
     return terms
 
 
-def _product(pairs, legs: tuple[int, ...]) -> dict[Word, Scalar]:
-    """The terms of the sum of ``x * y`` over factor pairs on ``legs``, skipping zero factors."""
-    block_of = _block_of(legs)
-    terms: dict[Word, Scalar] = {}
-    for x, y in pairs:
-        left = _split_terms(x, legs, block_of)
-        if left:
-            _multiply_into(terms, left, _split_terms(y, legs, block_of))
-    return terms
-
-
 class GradedPoly:
     """Sparse word polynomial: normal-form words to nonzero scalars, on a leg structure.
 
@@ -371,7 +361,9 @@ class GradedPoly:
         if isinstance(other, (Scalar, int, Fraction)):
             c = as_scalar(other)
             return self._make({w: cc * c for w, cc in self._terms.items()} if c else {}, self.legs)
-        return self._make(_product([(self, self._coerce(other))], self.legs), self.legs)
+        other, block_of = self._coerce(other), _block_of(self.legs)
+        left, right = (_split_terms(x, self.legs, block_of) for x in (self, other))
+        return self._make(_multiply_into({}, left, right), self.legs)
 
     def __rmul__(self, other) -> "GradedPoly":
         return self * other  # scalars are central; any other left operand raises in __mul__
@@ -456,25 +448,35 @@ def adjoint(m: Matrix) -> Matrix:
     return [[row[i].star() for row in m] for i in range(len(m[0]))]
 
 
-def mat_entry(a: Matrix, b: Matrix, i: int, j: int):
-    """Entry (i,j) of a b, the one product formula; a scalar times a polynomial is a polynomial.
+def mat_entries(a: Matrix, b: Matrix):
+    """``entry(i, j)``, entry (i,j) of a b: the one product formula; a scalar times a polynomial is a polynomial.
 
-    With a polynomial among the factors the entry is one ``_product``, so an
-    all-zero entry is the zero on their legs; other matrices sum their products.
+    With a polynomial among the factors, every factor of both matrices is split
+    once, here, and ``entry`` multiplies only the factors of the entry it is
+    asked for into one term table, so an all-zero entry is the zero on their
+    legs; scalar-only matrices sum their products.
     """
-    row = a[i]
-    pairs = [(row[k], b[k][j]) for k in range(len(b))]
-    for pair in pairs:
-        for factor in pair:
-            if isinstance(factor, GradedPoly):
-                return GradedPoly._make(_product(pairs, factor.legs), factor.legs)
-    return reduce(add, (x * y for x, y in pairs))
+    poly = next((x for m in (a, b) for row in m for x in row if isinstance(x, GradedPoly)), None)
+    if poly is None:
+        return lambda i, j: reduce(add, (a[i][k] * b[k][j] for k in range(len(b))))
+    legs, block_of = poly.legs, _block_of(poly.legs)
+    left, right = ([[_split_terms(x, legs, block_of) for x in row] for row in m] for m in (a, b))
+
+    def entry(i: int, j: int) -> GradedPoly:
+        terms: dict[Word, Scalar] = {}
+        for x, row in zip(left[i], right):
+            if x:
+                _multiply_into(terms, x, row[j])
+        return GradedPoly._make(terms, legs)
+
+    return entry
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product of scalar or polynomial matrices, entry by entry with ``mat_entry``."""
+    """Matrix product of scalar or polynomial matrices, entry by entry with ``mat_entries``."""
     assert all(len(row) == len(b) for row in a)
-    return [[mat_entry(a, b, i, j) for j in range(len(b[0]))] for i in range(len(a))]
+    entry = mat_entries(a, b)
+    return [[entry(i, j) for j in range(len(b[0]))] for i in range(len(a))]
 
 
 def conjugate_matrix(u: Matrix, d: list[int]) -> Matrix:

@@ -24,8 +24,8 @@ Reduction rewrites every term locally once, then fires contractions to a
 fixpoint; a zero input returns at once, and a rule set without pair rules
 skips the local pass.  Candidates come from an index of the irreducible
 terms that each firing updates only for the words it deletes, creates or
-re-weights, reading back the slots it stored for each word and finding a
-letter pair's families in the relation set's table keyed by the two letters.
+re-weights, reading back the slots it stored for each word; a letter pair's
+families and its pair rule are found in tables keyed by the two letters.
 The next is the first in the canonical order (largest family, family, then
 prefix, suffix and leg).  A zero residual means Verified, anything else is
 Unverified (which is not a refutation).
@@ -104,18 +104,13 @@ class UnitaryMatrixRel:
             rules.pair_rules[(l.star().symbol, l.symbol)] = (inv, False)
             return
 
+        starred = [[(c.star(), l.star()) for c, l in row] for row in entries]  # once per entry
         for i in range(n):
             for j in range(n):
                 rhs = ONE if i == j else ZERO
-                col = tuple(
-                    (entries[k][i][1].star(), entries[k][j][1], entries[k][i][0].star() * entries[k][j][0])
-                    for k in range(n)
-                )
+                col = tuple((starred[k][i][1], entries[k][j][1], starred[k][i][0] * entries[k][j][0]) for k in range(n))
                 rules.families.append(PairFamily(f"{name}.col[{i + 1},{j + 1}]", col, rhs))
-                row = tuple(
-                    (entries[i][k][1], entries[j][k][1].star(), entries[i][k][0] * entries[j][k][0].star())
-                    for k in range(n)
-                )
+                row = tuple((entries[i][k][1], starred[j][k][1], entries[i][k][0] * starred[j][k][0]) for k in range(n))
                 rules.families.append(PairFamily(f"{name}.row[{i + 1},{j + 1}]", row, rhs))
 
 
@@ -185,6 +180,8 @@ class RelationSet:
     by pairs of letter symbols (``Letter.symbol``), so they apply on every leg;
     ``pair_rules`` maps a pair to ``(coefficient, swap)``, where ``swap`` is
     False for a local rule (the pair is deleted) and True for a directed swap.
+    The engine reads ``pair_rules`` and ``pair_index`` through views keyed by
+    two letters on one leg, ``letter_rules`` and ``letter_pairs``.
     """
 
     def __init__(self, relations=()):
@@ -194,29 +191,32 @@ class RelationSet:
         for rel in self.relations:
             rel.compile(self)
 
-        # (left symbol, right symbol) -> [(family, member, 1 / member coefficient,
-        # or None when the coefficient is one, family size)]
-        self.pair_index: dict[tuple, list[tuple[int, int, Scalar | None, int]]] = {}
+        # (left symbol, right symbol) -> ((family, member, 1 / member coefficient,
+        # or None when the coefficient is one, family size), ...)
+        index: dict[tuple, list[tuple[int, int, Scalar | None, int]]] = {}
         for fi, fam in enumerate(self.families):
             for mi, (a, b, c) in enumerate(fam.members):
                 inv = None if c.is_one() else c.inverse()
-                self.pair_index.setdefault((a.symbol, b.symbol), []).append((fi, mi, inv, len(fam.members)))
-        self.letter_pairs = _LetterPairs(self.pair_index)
+                index.setdefault((a.symbol, b.symbol), []).append((fi, mi, inv, len(fam.members)))
+        self.pair_index = {pair: tuple(entries) for pair, entries in index.items()}
+        self.letter_pairs = _LetterPairs(self.pair_index, ())
+        self.letter_rules = _LetterPairs(self.pair_rules, None)
 
 
 class _LetterPairs(dict):
-    """(left letter, right letter) -> the pair's ``pair_index`` entries, () across legs: keyed by
-    identity, as letters are interned, filled on first use and bounded by ``_MAX_LETTER_PAIRS``."""
+    """(left letter, right letter) -> the symbol pair's value in ``table``, ``missing`` when it has
+    none or across legs: a view keyed by identity, as letters are interned, filled on first use and
+    bounded by ``_MAX_LETTER_PAIRS``."""
 
-    def __init__(self, pair_index: dict):
-        self.pair_index = pair_index
+    def __init__(self, table: dict, missing):
+        self.table, self.missing = table, missing
 
-    def __missing__(self, pair: tuple[Letter, Letter]) -> tuple:
+    def __missing__(self, pair: tuple[Letter, Letter]):
         a, b = pair
-        entries = tuple(self.pair_index.get((a.symbol, b.symbol), ())) if a.leg == b.leg else ()
+        value = self.table.get((a.symbol, b.symbol), self.missing) if a.leg == b.leg else self.missing
         if len(self) < _MAX_LETTER_PAIRS:
-            self[pair] = entries
-        return entries
+            self[pair] = value
+        return value
 
 
 _MAX_LETTER_PAIRS = 1 << 14
@@ -225,8 +225,8 @@ _MAX_LETTER_PAIRS = 1 << 14
 # -- reduction passes -----------------------------------------------------------
 
 
-def _rewrite(word: Word, coeff: Scalar, pair_rules, trace: list) -> tuple[Word, Scalar]:
-    """Exhaustively apply local pair rules and directed swaps to one monomial, leftmost first.
+def _rewrite(word: Word, coeff: Scalar, letter_rules, trace: list) -> tuple[Word, Scalar]:
+    """Exhaustively apply a rule set's ``letter_rules`` to one monomial, leftmost first.
 
     A firing at t changes no pair left of t - 1, so the scan resumes there.
     """
@@ -234,7 +234,7 @@ def _rewrite(word: Word, coeff: Scalar, pair_rules, trace: list) -> tuple[Word, 
     t = 0
     while t < len(word) - 1:
         a, b = word[t], word[t + 1]
-        rule = pair_rules.get((a.symbol, b.symbol)) if a.leg == b.leg else None
+        rule = letter_rules[a, b]
         if rule is None:
             t += 1
             continue
@@ -313,10 +313,10 @@ def reduce_poly(p: GradedPoly, rels: RelationSet):
     trace: list[tuple] = []
     if not p._terms:
         return GradedPoly._make({}, p.legs), trace
-    families, pair_rules = rels.families, rels.pair_rules
+    families, pair_rules, letter_rules = rels.families, rels.pair_rules, rels.letter_rules
     if pair_rules:
         words = sorted(p._terms, key=word_key)
-        terms = _collect(_rewrite(w, p._terms[w], pair_rules, trace) for w in words)
+        terms = _collect(_rewrite(w, p._terms[w], letter_rules, trace) for w in words)
     else:
         terms = dict(p._terms)
     index = _ContractionIndex(rels)
@@ -337,7 +337,7 @@ def reduce_poly(p: GradedPoly, rels: RelationSet):
             continue
         word, coeff = prefix + suffix, ratio * fam.rhs
         if pair_rules:
-            word, coeff = _rewrite(word, coeff, pair_rules, trace)
+            word, coeff = _rewrite(word, coeff, letter_rules, trace)
             if coeff.is_zero():
                 continue
         old = terms.pop(word, None)
@@ -402,12 +402,13 @@ class VerificationReport:
 
 def verify_identity(lhs, rhs, rels: RelationSet, spec: ZetaSpec = FORMAL, name: str = "identity") -> VerificationReport:
     """Reduce lhs - rhs; Verified iff the residual vanishes (exactly, or after
-    specializing the phase when spec names a root of unity).
+    specializing the phase when spec names a root of unity).  Equal sides are
+    not reduced: their residual is the zero on their legs, with no events.
 
     Unverified is not a refutation; the residual is returned, and the events
     go to ``EVENT_SINK`` when it is set, so a human can extend the rule set.
     """
-    residual, events = reduce_poly(lhs - rhs, rels)
+    residual, events = (GradedPoly._make({}, lhs.legs), []) if lhs == rhs else reduce_poly(lhs - rhs, rels)
     if (sink := EVENT_SINK.get()) is not None:
         sink.append((name, events))
     ok = residual.is_zero_under(spec)

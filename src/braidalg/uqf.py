@@ -22,7 +22,7 @@ from .algebra import (
     adjoint,
     conjugate_matrix,
     diag_matrix,
-    mat_entry,
+    mat_entries,
     mat_identity,
     mat_mul,
     scalar_mat_inverse,
@@ -221,21 +221,24 @@ def _shape(side) -> tuple[int, int]:
     return len(a), len(b[0])
 
 
-def _entry(side, i: int, j: int):
-    return mat_entry(*side, i, j) if isinstance(side, tuple) else side[i][j]
+def _entries(side):
+    """``entry(i, j)`` of a side: a list of rows, or a factor pair, split once by ``mat_entries``."""
+    return mat_entries(*side) if isinstance(side, tuple) else lambda i, j: side[i][j]
 
 
 def _entrywise(rels, spec, *checks):
     """A lazy stream of reports, lhs = rhs entry by entry for each (name, lhs, rhs), in row-major order
     with the checks interleaved at each entry; ``name`` is formatted with the 1-based position ``i``, ``j``.
-    A side is a list of rows or a factor pair ``(a, b)``, whose entry of a b is formed when its check runs.
-    The shape guard runs at the call: a side not of the first side's shape, or mismatched factors, raises ValueError.
+    A side is a list of rows or a factor pair ``(a, b)``, split at the call, whose entry of a b is formed when
+    its check runs; equal entries verify with no reduction.  The shape guard runs at the call: a side not
+    of the first side's shape, or mismatched factors, raises ValueError.
     """
     shape = _shape(checks[0][1])
     if any(_shape(side) != shape for _, *sides in checks for side in sides):
         raise ValueError(f"every side of every check must be {shape[0]}x{shape[1]}")
+    checks = [(name, _entries(lhs), _entries(rhs)) for name, lhs, rhs in checks]
     return (
-        verify_identity(_entry(lhs, i, j), _entry(rhs, i, j), rels, spec, name.format(i=i + 1, j=j + 1))
+        verify_identity(lhs(i, j), rhs(i, j), rels, spec, name.format(i=i + 1, j=j + 1))
         for i in range(shape[0])
         for j in range(shape[1])
         for name, lhs, rhs in checks
@@ -366,10 +369,10 @@ def verify_fundamental_rep(datum: AdmissibilityDatum, spec: ZetaSpec = FORMAL) -
 
 
 def _cuntz_setup(n: int, d):
-    """The one-vertex graph with n loops of degrees d: its F = I presentation, isometries and state."""
+    """The one-vertex graph with n loops of degrees d: its F = I presentation, the graph and its isometries."""
     base = build_uqf(make_datum(diag_matrix([ONE] * n), d))
     g = cuntz_graph(n, d)
-    return base, edge_letters(g), kms_state(g, check_dagger(g))
+    return base, g, edge_letters(g)
 
 
 def cuntz_action(n: int, d, spec: ZetaSpec = FORMAL):
@@ -378,7 +381,7 @@ def cuntz_action(n: int, d, spec: ZetaSpec = FORMAL):
     Verifies the isometry relations, the full sum, and the star formula
     S'*_j = sum_i j1(S*_i) j2(u-conj_ij).  Returns (action table, report).
     """
-    base, S, _ = _cuntz_setup(n, d)
+    base, _, S = _cuntz_setup(n, d)
     rels = RelationSet([CuntzFamilyRel(tuple(S))] + base.presentation.relations)
     action = _linear_action(S, base.u)
     A, S_row = [action], [[GradedPoly.from_letter(s) for s in S]]
@@ -406,8 +409,8 @@ def verify_kms_preservation(n: int, d, L: int, spec: ZetaSpec = FORMAL) -> Verif
     The expected values, 1/n^k for each length k and zero, are shared by every
     check; the checks stream into the suite report, one check alive at a time.
     """
-    base, S, tau = _cuntz_setup(n, d)
-    rels = base.presentation.rules
+    base, g, S = _cuntz_setup(n, d)
+    tau, rels = kms_state(g, check_dagger(g)), base.presentation.rules
     eta = _linear_action(S, base.u)
 
     indices = [a for k in range(L + 1) for a in itertools.product(range(n), repeat=k)]

@@ -15,7 +15,7 @@ from braidalg.algebra import (
     adjoint,
     conjugate_matrix,
     diag_matrix,
-    mat_entry,
+    mat_entries,
     mat_identity,
     mat_mul,
     SingularMatrix,
@@ -185,7 +185,7 @@ _L = u(1, 1, (2,))
     ids=["identity", "scalar-diag-times-poly", "row-times-matrix-on-two-legs", "fractions", "1x1", "inner-mismatch"],
 )
 def test_mat_mul_is_mat_entry_at_every_entry(a, b, expected):
-    """mat_mul(a, b)[i][j] == mat_entry(a, b, i, j) on the shapes the package multiplies; a
+    """mat_mul(a, b)[i][j] == mat_entries(a, b)(i, j) on the shapes the package multiplies; a
     mismatched inner dimension fails in mat_mul."""
     if expected is AssertionError:
         with pytest.raises(AssertionError):
@@ -193,7 +193,7 @@ def test_mat_mul_is_mat_entry_at_every_entry(a, b, expected):
         return
     product = mat_mul(a, b)
     assert (len(product), len(product[0])) == (len(a), len(b[0]))
-    assert all(mat_entry(a, b, i, j) == product[i][j] for i in range(len(a)) for j in range(len(b[0])))
+    assert all(mat_entries(a, b)(i, j) == product[i][j] for i in range(len(a)) for j in range(len(b[0])))
     assert expected is None or product == expected
 
 
@@ -363,13 +363,32 @@ def test_mat_entry_with_zero_factors_is_the_dense_sum(legs, data):
     for a, b in [(diag, polys), (polys, diag), (polys, others), (zero_row, polys)]:
         for i in range(n):
             for j in range(n):
-                got = mat_entry(a, b, i, j)
+                got = mat_entries(a, b)(i, j)
                 assert got == _dense_entry(a, b, i, j)
                 assert isinstance(got, GradedPoly) and got.legs == legs
-    assert all(mat_entry(zero_row, polys, 0, j) == zero for j in range(n))
+    assert all(mat_entries(zero_row, polys)(0, j) == zero for j in range(n))
     # p q - p q: every term of the first product cancels in the second
     p, q = polys[0][0], others[0][0]
-    assert mat_entry([[p, p]], [[q], [-q]], 0, 0) == zero
+    assert mat_entries([[p, p]], [[q], [-q]])(0, 0) == zero
+
+
+@pytest.mark.parametrize("legs", KERNEL_LEGS, ids=str)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mat_entries_splits_each_factor_once_per_product(monkeypatch, legs, n):
+    """An n x n by n x n product splits its 2 n^2 factors at the call and none per entry
+    (one split per factor per entry, 2 n^3 in all, would repeat each n times)."""
+    import braidalg.algebra as algebra_mod
+
+    calls = []
+    split_terms = algebra_mod._split_terms
+    monkeypatch.setattr(algebra_mod, "_split_terms", lambda x, *args: calls.append(x) or split_terms(x, *args))
+    a = [[GradedPoly({(Letter("a", (i, j), i - j, False, 1 + (i + j) % sum(legs)),): ONE}, legs) for j in range(n)] for i in range(n)]
+    b = [[GradedPoly({(Letter("b", (i, j), j, True, sum(legs)),): zeta(i)}, legs) for j in range(n)] for i in range(n)]
+    entry = mat_entries(a, b)
+    assert len(calls) == 2 * n * n
+    got = [[entry(i, j) for j in range(n)] for i in range(n)]
+    assert len(calls) == 2 * n * n
+    assert got == [[_dense_entry(a, b, i, j) for j in range(n)] for i in range(n)]
 
 
 @pytest.mark.parametrize(
@@ -384,7 +403,7 @@ def test_mat_entry_on_plain_numbers_is_the_dense_sum(a, b):
     """graphalg's int and Fraction matrices keep the plain sum of products, and its type."""
     for i in range(len(a)):
         for j in range(len(b[0])):
-            got, expected = mat_entry(a, b, i, j), _dense_entry(a, b, i, j)
+            got, expected = mat_entries(a, b)(i, j), _dense_entry(a, b, i, j)
             assert got == expected and type(got) is type(expected)
 
 

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidalg.algebra import GradedPoly, Letter, _collect, lword_str, word_key
+from braidalg.algebra import GradedPoly, LegMismatch, Letter, _collect, lword_str, word_key
 from braidalg.braided import embed
 from braidalg.scalars import FORMAL, ONE, ZERO, Scalar, ZetaSpec, sqrt, zeta
 from braidalg.simplify import (
     EVENT_SINK,
     CuntzFamilyRel,
+    PairFamily,
     PhaseCommutationRel,
     RelationSet,
     UnitaryMatrixRel,
@@ -23,7 +24,7 @@ from braidalg.simplify import (
     render_step,
     verify_identity,
 )
-from braidalg.uqf import build_uqf, make_datum
+from braidalg.uqf import build_bosonization, build_uqf, make_datum
 
 
 def S(i, deg=1):
@@ -118,7 +119,7 @@ def test_a_swap_exposes_a_redex_one_place_to_its_left():
     unitary = UnitaryMatrixRel("x", ((GradedPoly.from_letter(x),),))
     rels = RelationSet([unitary, PhaseCommutationRel(((x, y, zeta(1)),))])
     trace = []
-    assert _rewrite((x.star(), y, x, x, x.star()), ONE, rels.pair_rules, trace) == ((y,), zeta(-1))
+    assert _rewrite((x.star(), y, x, x, x.star()), ONE, rels.letter_rules, trace) == ((y,), zeta(-1))
     assert [render_step(e) for e in trace] == [
         "rule swap yx->(z^-1)*xy at j1(x**y*x*x*x*)",
         "rule local x*x->(1) at j1(x**x*y*x*x*)",
@@ -397,6 +398,32 @@ def test_unitary_letter_rules():
     assert reduce_poly(q, rels)[0] == GradedPoly.one()
 
 
+@pytest.mark.parametrize("legs", [(1,), (2,), (2, 2)], ids=str)
+def test_equal_sides_verify_without_a_reduction(monkeypatch, legs):
+    """Equal sides never reach reduce_poly: Verified, the zero on their legs, and
+    (name, []) in a set sink; unequal sides still reduce, other legs still raise."""
+    import braidalg.simplify as simplify_mod
+
+    calls = []
+    monkeypatch.setattr(simplify_mod, "reduce_poly", lambda p, rels: calls.append(p) or reduce_poly(p, rels))
+    d = (0, 1)
+    p = GradedPoly({(u(1, 2, d).on_leg(sum(legs)), u(2, 1, d)): zeta(1), (): ONE}, legs)
+    rels = unitary_rels(d)
+    sink = []
+    token = EVENT_SINK.set(sink)
+    try:
+        report = verify_identity(p, p * 1, rels, FORMAL, "same")
+        assert not calls
+        assert report.verified and report.residual == GradedPoly.zero(legs) and report.residual.legs == legs
+        assert sink == [("same", [])]
+        assert not verify_identity(p, p + p, rels, FORMAL, "other").verified and len(calls) == 1
+        with pytest.raises(LegMismatch):
+            verify_identity(GradedPoly.one(legs), GradedPoly.one((3,)), rels)
+    finally:
+        EVENT_SINK.reset(token)
+    assert [name for name, _ in sink] == ["same", "other"]
+
+
 def test_report_merge_and_render():
     good = VerificationReport("a", "Verified")
     bad = VerificationReport("b", "Unverified", GradedPoly.one())
@@ -445,7 +472,7 @@ def rescan_reduce(p, rels):
     while True:
         events = []
         rewritten = (
-            _rewrite(w, terms[w], rels.pair_rules, events)
+            _rewrite(w, terms[w], rels.letter_rules, events)
             for w in sorted(terms, key=word_key)
         )
         terms = _collect(rewritten)
@@ -623,6 +650,65 @@ def test_letter_pair_table_matches_the_symbol_index_and_is_empty_across_legs(mon
         assert table[a, b] == expected  # once more, from the table or past its bound
     assert len(table) == len(pairs) // 2
     assert any(table[a, b] for a, b in pairs) and not any(table[a, b] for a, b in pairs if a.leg != b.leg)
+
+
+def test_letter_rules_agree_with_the_pair_rules_and_are_none_across_legs(monkeypatch):
+    """The rewriter's letter-keyed view of a bosonization's pair rules: local rules (z z*),
+    directed swaps (z past every u) and pairs without a rule, on one leg and across legs."""
+    import braidalg.simplify as simplify_mod
+
+    pres = build_bosonization(make_datum([[1, 0], [0, 2]], (0, 1))).presentation
+    rels, letters = pres.rules, [x for g in pres.generators for x in (g, g.star())]
+    pairs = [(a.on_leg(la), b.on_leg(lb)) for a in letters for b in letters for la in (1, 2) for lb in (1, 2)]
+    monkeypatch.setattr(simplify_mod, "_MAX_LETTER_PAIRS", len(pairs) // 2)
+    view = rels.letter_rules
+    for a, b in pairs:
+        expected = rels.pair_rules.get((a.symbol, b.symbol)) if a.leg == b.leg else None
+        assert view[a, b] == expected
+        assert view[a, b] == expected  # once more, from the view or past its bound
+    assert len(view) == len(pairs) // 2
+    kinds = {view[a, b][1] for a, b in pairs if view[a, b] is not None}
+    assert kinds == {False, True} and all(view[a, b] is None for a, b in pairs if a.leg != b.leg)
+
+
+def _members_one_by_one(name, entries):
+    """UnitaryMatrixRel's families from a matrix of (coefficient, letter), starring each member afresh."""
+    n, families = len(entries), []
+    for i in range(n):
+        for j in range(n):
+            rhs = ONE if i == j else ZERO
+            col = tuple((entries[k][i][1].star(), entries[k][j][1], entries[k][i][0].star() * entries[k][j][0]) for k in range(n))
+            row = tuple((entries[i][k][1], entries[j][k][1].star(), entries[i][k][0] * entries[j][k][0].star()) for k in range(n))
+            families += [PairFamily(f"{name}.col[{i + 1},{j + 1}]", col, rhs), PairFamily(f"{name}.row[{i + 1},{j + 1}]", row, rhs)]
+    return families
+
+
+monomial_coeffs = st.one_of(
+    st.integers(-6, 6).map(zeta),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool).map(Scalar.from_fraction),
+    st.tuples(st.integers(-3, 3).filter(bool), st.integers(-4, 4)).map(lambda t: t[0] * zeta(t[1])),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_unitary_matrix_families_star_each_entry_once_and_equal_the_member_wise_families(data):
+    n = data.draw(st.integers(2, 4))
+    d = data.draw(st.lists(st.integers(-2, 3), min_size=n, max_size=n))
+    entries = [
+        [(data.draw(monomial_coeffs), Letter("v", (i + 1, j + 1), d[j] - d[i], data.draw(st.booleans()))) for j in range(n)]
+        for i in range(n)
+    ]
+    matrix = tuple(tuple(GradedPoly({(l,): c}) for c, l in row) for row in entries)
+    starred, star = [], Scalar.star
+    Scalar.star = lambda c: starred.append(c) or star(c)  # restored below; hypothesis runs no fixture per example
+    try:
+        rels = RelationSet([UnitaryMatrixRel("v", matrix)])
+    finally:
+        Scalar.star = star
+    assert len(starred) == n * n  # 2 n^3 when each member stars its entry
+    assert rels.families == _members_one_by_one("v", entries)
+    assert not rels.pair_rules
 
 
 def test_the_candidate_order_reads_its_order_key_cache_at_call_time(monkeypatch):

@@ -367,6 +367,15 @@ def test_cuntz_action(n, d):
         assert table[j].degree() == d[j]
 
 
+def test_only_kms_preservation_builds_the_state(monkeypatch):
+    """cuntz-action reads no state, so it builds none; kms-preserve builds one per request."""
+    built = []
+    monkeypatch.setattr(uqf, "check_dagger", lambda g: built.append(g) or check_dagger(g))
+    monkeypatch.setattr(uqf, "kms_state", lambda g, k: built.append(k) or kms_state(g, k))
+    assert cuntz_action(2, (0, 1))[1].verified and not built
+    assert verify_kms_preservation(2, (0, 1), 1).verified and len(built) == 2
+
+
 @pytest.mark.parametrize(
     "n, d, L",
     [(2, (0, 1), 1), (2, (0, 1), 2), (2, (1, 2), 2), (2, (0, 2), 2), (3, (0, 1, 2), 2)],
