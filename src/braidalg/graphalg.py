@@ -20,7 +20,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from operator import add
 
 from .algebra import InputError, Letter, mat_mul
 from .scalars import Scalar
@@ -151,13 +153,17 @@ def vertex_matrix(g: GraphData) -> list[list[int]]:
 # -- spectral radius -----------------------------------------------------------
 
 
+def _float_sum(values) -> float:  # left to right, as sum() added floats before Python 3.12
+    return reduce(add, values, 0)
+
+
 def _power_iteration(mat: list[list[int]]) -> tuple[float, list[float]]:
     n = len(mat)
     x = [1.0 / n] * n
     lam = 0.0
     for _ in range(600):
-        y = [sum(mat[i][j] * x[j] for j in range(n)) + x[i] for i in range(n)]  # (D + I) x
-        norm = sum(y)  # >= sum(x) = 1, as D >= 0
+        y = [_float_sum(mat[i][j] * x[j] for j in range(n)) + x[i] for i in range(n)]  # (D + I) x
+        norm = _float_sum(y)  # >= sum(x) = 1, as D >= 0
         y = [v / norm for v in y]
         if abs(norm - lam) < 1e-16 and max(abs(a - b) for a, b in zip(x, y)) < 1e-16:
             return norm - 1.0, y
@@ -246,10 +252,10 @@ def check_dagger(g: GraphData) -> KmsData | None:
 
     # irrational radius: float fallback
     rho_f, x_f = _power_iteration(mat)
-    total = sum(x_f)
+    total = _float_sum(x_f)
     weights = [v / total for v in x_f]
     residual = max(
-        abs(sum(mat[i][j] * weights[j] for j in range(n)) - rho_f * weights[i]) for i in range(n)
+        abs(_float_sum(mat[i][j] * weights[j] for j in range(n)) - rho_f * weights[i]) for i in range(n)
     )
     if residual >= 1e-12 or any(w < -1e-12 for w in weights):
         return None

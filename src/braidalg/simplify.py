@@ -22,21 +22,24 @@ one leg: members found on different legs never combine.
 
 Reduction rewrites every term locally once, then fires contractions to a
 fixpoint; a zero input returns at once, and a rule set without pair rules
-skips the local pass.  Candidates come from an index of the irreducible
-terms that each firing updates only for the words it deletes, creates or
-re-weights, reading back the slots it stored for each word; a letter pair's
-families and its pair rule are found in tables keyed by the two letters.
-The next is the first in the canonical order (largest family, family, then
-prefix, suffix and leg).  A zero residual means Verified, anything else is
-Unverified (which is not a refutation).
+skips the local pass.  Candidates are buckets of terms that agree but for
+one family pair; a term enters its buckets as it enters the reduction and
+never leaves them, so an entry is live only while its word keeps that
+coefficient.  A bucket goes on a heap in the canonical order (largest family,
+family, then prefix, suffix and leg) when it fills, and the next firing is
+the first popped bucket that is all live and proportional.  Letter pairs
+are looked up in tables keyed by the two letters.  A zero residual means
+Verified, anything else is Unverified (which is not a refutation).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from collections.abc import Iterable
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from .algebra import GradedPoly, Letter, Word, _collect, lword_str, word_key
 from .scalars import FORMAL, ONE, ZERO, Scalar, ZetaSpec
@@ -256,48 +259,43 @@ def _rewrite(word: Word, coeff: Scalar, letter_rules, trace: list) -> tuple[Word
 _order_key = functools.lru_cache(maxsize=1 << 12)(word_key)
 
 
-class _ContractionIndex:
-    """Complete-family candidates among irreducible terms, kept up to date.
+def _index(word: Word, coeff: Scalar, letter_pairs, buckets: dict, heap: list, seq) -> None:
+    """Enter a term in every bucket it touches, and push ``(order, seq, key)`` for each it fills.
 
-    ``buckets`` maps ``(prefix, suffix, family, leg)`` to ``{member: (word,
-    coeff / member coeff)}``: a key and a member fix one word, so a group
-    never mixes legs.  ``ready`` holds the complete, proportional buckets
-    with their place in the canonical candidate order.  ``slots`` keeps the
-    ``(key, member)`` list of each indexed word, computed once by ``add`` and
-    read back by ``remove``.
+    ``buckets`` maps ``(prefix, suffix, family, leg)`` to ``{member: (word, coeff,
+    coeff / member coeff)}``: a key and a member fix one word, so a group never mixes
+    legs, and a word indexed again overwrites all its entries.  No entry is removed; it
+    is live while ``terms.get(word) is coeff``.  ``order`` is the canonical candidate
+    order, and ``seq`` numbers the pushes so that the heap never compares letters.
     """
+    for t in range(len(word) - 1):
+        a = word[t]
+        entries = letter_pairs[a, word[t + 1]]
+        if not entries:
+            continue
+        prefix, suffix = word[:t], word[t + 2 :]
+        for fi, mi, inv, size in entries:
+            key = (prefix, suffix, fi, a.leg)
+            if (found := buckets.get(key)) is None:
+                found = buckets[key] = {}
+            found[mi] = (word, coeff, coeff if inv is None else coeff * inv)
+            if len(found) == size:
+                heappush(heap, ((-size, fi, _order_key(prefix), _order_key(suffix), a.leg), next(seq), key))
 
-    def __init__(self, rels: RelationSet):
-        self.letter_pairs = rels.letter_pairs
-        self.buckets: dict[tuple, dict[int, tuple[Word, Scalar]]] = {}
-        self.ready: dict[tuple, tuple] = {}
-        self.slots: dict[Word, list[tuple[tuple, int]]] = {}
 
-    def add(self, word: Word, coeff: Scalar) -> None:
-        """Index a term; each slot it fills was empty, so only completion is new."""
-        slots = self.slots[word] = []
-        letter_pairs = self.letter_pairs
-        for t in range(len(word) - 1):
-            a = word[t]
-            entries = letter_pairs[a, word[t + 1]]
-            if not entries:
-                continue
-            prefix, suffix = word[:t], word[t + 2 :]
-            for fi, mi, inv, size in entries:
-                key = (prefix, suffix, fi, a.leg)
-                slots.append((key, mi))
-                found = self.buckets.setdefault(key, {})
-                found[mi] = (word, coeff if inv is None else coeff * inv)
-                if len(found) == size and all(found[m][1]._terms == found[0][1]._terms for m in range(1, size)):
-                    self.ready[key] = (-size, fi, _order_key(prefix), _order_key(suffix), a.leg)
-
-    def remove(self, word: Word) -> None:
-        for key, mi in self.slots.pop(word):
-            found = self.buckets[key]
-            del found[mi]
-            self.ready.pop(key, None)
-            if not found:
-                del self.buckets[key]
+def _pop_ready(heap: list, buckets: dict, terms: dict):
+    """Remove and return ``(key, bucket)`` of the first pushed bucket that is all live and proportional,
+    or None; checked here, as a member can leave and come back with another coefficient after the push."""
+    while heap:
+        order, _, key = heappop(heap)
+        found = buckets.get(key)
+        if found is None or len(found) != -order[0]:
+            continue
+        ratio = found[0][2]._terms
+        if all(terms.get(word) is coeff and r._terms == ratio for word, coeff, r in found.values()):
+            del buckets[key]
+            return key, found
+    return None
 
 
 def reduce_poly(p: GradedPoly, rels: RelationSet):
@@ -307,46 +305,42 @@ def reduce_poly(p: GradedPoly, rels: RelationSet):
     irreducible and a firing can only create a redex in its collapsed word.
     A zero input returns at once, and with no pair rules the first pass and
     the rewrite of each collapsed word are skipped: they would fire nothing.
+    A term is indexed as it enters ``terms`` (``_index``); a firing deletes its
+    members from ``terms`` only, which kills their entries, and the next firing is
+    the least pushed bucket that is still complete and proportional (``_pop_ready``).
     Returns (reduced polynomial on the same legs, trace): the firings as events,
     ``("local" | "swap", word before, t, coefficient)`` and ``("contract", family, prefix, suffix)``.
     """
     trace: list[tuple] = []
     if not p._terms:
         return GradedPoly._make({}, p.legs), trace
-    families, pair_rules, letter_rules = rels.families, rels.pair_rules, rels.letter_rules
+    families, pair_rules, letter_rules, letter_pairs = rels.families, rels.pair_rules, rels.letter_rules, rels.letter_pairs
     if pair_rules:
         words = sorted(p._terms, key=word_key)
         terms = _collect(_rewrite(w, p._terms[w], letter_rules, trace) for w in words)
     else:
         terms = dict(p._terms)
-    index = _ContractionIndex(rels)
-    add, remove, ready, buckets = index.add, index.remove, index.ready, index.buckets
+    buckets, heap, seq = {}, [], itertools.count()
     for word, coeff in terms.items():
-        add(word, coeff)
-    while ready:
-        key = min(ready, key=ready.__getitem__)
-        prefix, suffix, fi, _ = key
+        _index(word, coeff, letter_pairs, buckets, heap, seq)
+    while (ready := _pop_ready(heap, buckets, terms)) is not None:
+        (prefix, suffix, fi, _), found = ready
         fam = families[fi]
-        found = buckets[key]
-        ratio = found[0][1]
-        for word, _ in list(found.values()):
+        for word, _, _ in found.values():
             del terms[word]
-            remove(word)
         trace.append(("contract", fam, prefix, suffix))
         if fam.rhs.is_zero():
             continue
-        word, coeff = prefix + suffix, ratio * fam.rhs
+        word, coeff = prefix + suffix, found[0][2] * fam.rhs
         if pair_rules:
             word, coeff = _rewrite(word, coeff, letter_rules, trace)
             if coeff.is_zero():
                 continue
-        old = terms.pop(word, None)
-        if old is not None:
-            remove(word)
+        if (old := terms.pop(word, None)) is not None:
             coeff = old + coeff
         if not coeff.is_zero():
             terms[word] = coeff
-            add(word, coeff)
+            _index(word, coeff, letter_pairs, buckets, heap, seq)
     return GradedPoly._make(terms, p.legs), trace
 
 

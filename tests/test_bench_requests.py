@@ -5,6 +5,7 @@ those of ``perfbench/golden.json``; both are read here, and nothing is
 written under ``perfbench/``.
 """
 
+import hashlib
 import importlib.util
 import json
 import sys
@@ -44,5 +45,33 @@ def test_every_seed_zero_request_matches_its_golden_digest(workload):
     for request in requests:
         code, text = workloads.execute(request, cli.run, fusion.check_fusion_ring)
         if why := workloads.failures(request, code, text, golden):
+            wrong.append((request.label, why))
+    assert wrong == []
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_verdicts_do_not_depend_on_the_contraction_order(monkeypatch, seed):
+    """The engine is not confluent, so the canonical firing order could decide a verdict.
+    Both of its keys, the first pass's word order and the candidate order, become a
+    seeded stable hash of each word's text; every formal seed-0 replay-grid and
+    kms-expand request must still be Verified."""
+    from braidalg import simplify
+    from braidalg.algebra import lword_str
+
+    def key(word):
+        return hashlib.sha256(f"{seed}:{lword_str(word)}".encode()).digest()
+
+    traced = workloads._cli("verify", "--prop", "fundamental", "--n", "3", "--d=0,1,2", "--trace")
+    canonical = workloads.execute(traced, cli.run, fusion.check_fusion_ring)
+    monkeypatch.setattr(simplify, "_order_key", key)
+    monkeypatch.setattr(simplify, "word_key", key)
+    assert workloads.execute(traced, cli.run, fusion.check_fusion_ring) != canonical  # the new order is in force
+    requests = [r for r in workloads.build("replay-grid", workloads.DEFAULT_SEED) if "root:8" not in r.argv]
+    requests += workloads.build("kms-expand", workloads.DEFAULT_SEED)
+    assert len(requests) == 96
+    wrong = []
+    for request in requests:
+        code, text = workloads.execute(request, cli.run, fusion.check_fusion_ring)
+        if why := workloads.failures(request, code, text, None):
             wrong.append((request.label, why))
     assert wrong == []

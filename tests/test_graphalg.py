@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from braidalg.algebra import Letter, word_degree
 from braidalg.graphalg import (
     _char_poly,
+    _float_sum,
     _poly_eval,
     GraphData,
     InvalidPath,
@@ -514,3 +515,10 @@ def test_relabeling_vertices_permutes_the_exact_weights(case):
     kp = check_dagger(relabeled)
     assert kp.exact and kp.rho == k.rho
     assert [kp.vertex_weights[perm[v]] for v in range(g.num_vertices)] == list(k.vertex_weights)
+
+
+def test_float_mode_sums_left_to_right_on_every_python():
+    # Python 3.12 made sum() of floats compensated; the float path must not
+    # follow it, or the kms-irrational digits depend on the interpreter
+    assert _float_sum([1e16, 1.0, -1e16]) == 0.0
+    assert _float_sum(0.1 for _ in range(10)) == 0.9999999999999999

@@ -1,5 +1,6 @@
 """The reduction engine: local rewrites, complete contractions, verification."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,7 +19,8 @@ from braidalg.simplify import (
     RelationSet,
     UnitaryMatrixRel,
     VerificationReport,
-    _ContractionIndex,
+    _index,
+    _pop_ready,
     _rewrite,
     reduce_poly,
     render_step,
@@ -602,10 +604,25 @@ def test_zero_reduces_to_zero_with_an_empty_trace(case):
     assert got.is_zero() and got.legs == zero.legs and trace == []
 
 
+def _lazy_index(rels):
+    """An empty lazy index: its buckets, its heap, and the function that enters one term."""
+    buckets, heap, seq = {}, [], itertools.count()
+    return buckets, heap, lambda word, coeff: _index(word, coeff, rels.letter_pairs, buckets, heap, seq)
+
+
+def _pops(heap, buckets, terms):
+    """Every (key, ratio, members) the index yields, in order, firing none of them."""
+    out = []
+    while (ready := _pop_ready(heap, buckets, terms)) is not None:
+        key, found = ready
+        out.append((key, found[0][2], {mi: word for mi, (word, _, _) in found.items()}))
+    return out
+
+
 @pytest.mark.parametrize("case", sorted(_CASES))
 @given(st.integers(0, 10**6))
 @settings(max_examples=30, deadline=None)
-def test_contraction_index_after_removals_matches_a_fresh_index(case, seed):
+def test_lazy_index_after_departures_and_returns_pops_as_a_fresh_index(case, seed):
     rng = random.Random(seed)
     rels, legs = _CASES[case]
     alphabet = sorted(
@@ -622,18 +639,64 @@ def test_contraction_index_after_removals_matches_a_fresh_index(case, seed):
                 terms[prefix + (a.on_leg(leg), b.on_leg(leg)) + suffix] = c * coeff
     for _ in range(rng.randint(0, 4)):
         terms[tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 5)))] = rng.choice(_COEFFS)
-    index = _ContractionIndex(rels)
+    buckets, heap, index = _lazy_index(rels)
     for word, coeff in terms.items():
-        index.add(word, coeff)
-    survivors = dict(terms)
-    for word in rng.sample(sorted(terms, key=word_key), rng.randint(0, len(terms))):
-        index.remove(word)
-        del survivors[word]
-    fresh = _ContractionIndex(rels)
-    for word, coeff in survivors.items():
-        fresh.add(word, coeff)
-    assert index.buckets == fresh.buckets
-    assert index.ready == fresh.ready
+        index(word, coeff)
+    first, words = dict(terms), sorted(terms, key=word_key)
+    for _ in range(rng.randint(0, 2 * len(words))):
+        if rng.random() < 0.15:  # pop a candidate and drop its members, as a firing does
+            if (ready := _pop_ready(heap, buckets, terms)) is not None:
+                for word, _, _ in ready[1].values():
+                    del terms[word]
+        elif (word := rng.choice(words)) in terms:
+            del terms[word]
+        else:  # back with its first coefficient, one proportional to it, or another
+            terms[word] = coeff = first[word] * rng.choice((ONE, ONE, -ONE, zeta(1)))
+            index(word, coeff)
+    fresh_buckets, fresh_heap, fresh_index = _lazy_index(rels)
+    for word, coeff in terms.items():
+        fresh_index(word, coeff)
+    assert _pops(heap, buckets, terms) == _pops(fresh_heap, fresh_buckets, terms)
+
+
+def test_a_bucket_refilled_with_a_non_proportional_member_does_not_fire():
+    # u.col[1,1] completes, loses u*[2,1] u[2,1], and gets it back at twice its
+    # coefficient: the bucket is full and every member is live, but it is not a
+    # multiple of the family, so neither of its two pushes may fire
+    rels = unitary_rels((0, 1))
+    fam = rels.families[0]
+    buckets, heap, index = _lazy_index(rels)
+    terms = {(a, b): c for a, b, c in fam.members}
+    for word, coeff in terms.items():
+        index(word, coeff)
+    a, b, c = fam.members[1]
+    del terms[a, b]
+    terms[a, b] = c * 2
+    index((a, b), c * 2)
+    assert len(heap) == 2
+    assert _pop_ready(heap, buckets, terms) is None
+    assert reduce_poly(GradedPoly(terms), rels) == (GradedPoly(terms), [])
+
+
+def test_a_stale_push_does_not_fire_a_fired_bucket_refilled_in_part():
+    # u.col[1,1] is pushed twice (a member is indexed again while the bucket is
+    # full) and fires once; when one member comes back, the other push finds a
+    # new bucket with one of two members, which is live and proportional
+    rels = unitary_rels((0, 1))
+    fam = rels.families[0]
+    buckets, heap, index = _lazy_index(rels)
+    terms = {(a, b): c for a, b, c in fam.members}
+    for word, coeff in [*terms.items(), *terms.items()][:3]:
+        index(word, coeff)
+    assert len(heap) == 2
+    _, found = _pop_ready(heap, buckets, terms)
+    for word, _, _ in found.values():
+        del terms[word]
+    a, b, c = fam.members[0]
+    terms[a, b] = c
+    index((a, b), c)
+    assert len(heap) == 1
+    assert _pop_ready(heap, buckets, terms) is None
 
 
 def test_letter_pair_table_matches_the_symbol_index_and_is_empty_across_legs(monkeypatch):
