@@ -463,6 +463,28 @@ def _rescan_line(event):
     return f"rule local {a}{b}->({c}) at {lword_str(word)}"
 
 
+def rescan_ready(terms, rels):
+    """Every complete proportional (prefix, suffix, family, leg) bucket of ``terms``,
+    rebuilt from scratch with each coefficient divided by its member's, in
+    canonical order: a list of (key, {member: (word, ratio)})."""
+    buckets = {}
+    for word, coeff in terms.items():
+        for t in range(len(word) - 1):
+            a, b = word[t], word[t + 1]
+            for fi, fam in enumerate(rels.families):
+                for mi, (x, y, c) in enumerate(fam.members):
+                    if a.leg == b.leg and (a.symbol, b.symbol) == (x.symbol, y.symbol):
+                        key = (word[:t], word[t + 2 :], fi, a.leg)
+                        buckets.setdefault(key, {})[mi] = (word, coeff / c)
+    ready = sorted(
+        (-len(rels.families[key[2]].members), key[2], word_key(key[0]), word_key(key[1]), key[3], key)
+        for key, found in buckets.items()
+        if len(found) == len(rels.families[key[2]].members)
+        and len({ratio for _, ratio in found.values()}) == 1
+    )
+    return [(entry[-1], buckets[entry[-1]]) for entry in ready]
+
+
 def rescan_reduce(p, rels):
     """Reference engine: after a full local pass, rebuild every (prefix, suffix,
     family, leg) bucket, dividing each coefficient by its member's, and fire
@@ -479,26 +501,11 @@ def rescan_reduce(p, rels):
         )
         terms = _collect(rewritten)
         trace += map(_rescan_line, events)
-        buckets = {}
-        for word, coeff in terms.items():
-            for t in range(len(word) - 1):
-                a, b = word[t], word[t + 1]
-                for fi, fam in enumerate(rels.families):
-                    for mi, (x, y, c) in enumerate(fam.members):
-                        if a.leg == b.leg and (a.symbol, b.symbol) == (x.symbol, y.symbol):
-                            key = (word[:t], word[t + 2 :], fi, a.leg)
-                            buckets.setdefault(key, {})[mi] = (word, coeff / c)
-        ready = [
-            (-len(rels.families[key[2]].members), key[2], word_key(key[0]), word_key(key[1]), key[3], key)
-            for key, found in buckets.items()
-            if len(found) == len(rels.families[key[2]].members)
-            and len({ratio for _, ratio in found.values()}) == 1
-        ]
+        ready = rescan_ready(terms, rels)
         if not ready:
             return GradedPoly._make(terms, p.legs), trace
-        prefix, suffix, fi, leg = key = min(ready)[-1]
+        (prefix, suffix, fi, leg), found = ready[0]
         fam = rels.families[fi]
-        found = buckets[key]
         terms = dict(terms)
         for word, _ in found.values():
             del terms[word]
@@ -656,7 +663,9 @@ def test_lazy_index_after_departures_and_returns_pops_as_a_fresh_index(case, see
     fresh_buckets, fresh_heap, fresh_index = _lazy_index(rels)
     for word, coeff in terms.items():
         fresh_index(word, coeff)
-    assert _pops(heap, buckets, terms) == _pops(fresh_heap, fresh_buckets, terms)
+    got = _pops(heap, buckets, terms)
+    assert got == _pops(fresh_heap, fresh_buckets, terms)
+    assert got == [(key, found[0][1], {mi: word for mi, (word, _) in found.items()}) for key, found in rescan_ready(terms, rels)]
 
 
 def test_a_bucket_refilled_with_a_non_proportional_member_does_not_fire():
