@@ -83,8 +83,9 @@ class Letter:
     """A generator symbol: family name, optional index, degree, star flag, tensor leg.
 
     Letters are interned: equal fields give the same object, so letters compare
-    and hash by identity.  ``symbol`` (the generator, on whatever leg) and
-    ``sort_key`` (leg, family, index, star flag) are computed once, at creation.
+    and hash by identity.  ``symbol`` (the same letter on leg 1, which keys the
+    rules on every leg) and ``sort_key`` (leg, family, index, star flag) are
+    computed once, at creation.
     """
 
     __slots__ = ("name", "index", "degree", "starred", "leg", "symbol", "sort_key", "_star")
@@ -95,8 +96,8 @@ class Letter:
         self = cls._interned.get(key)
         if self is None:
             self = cls._interned[key] = object.__new__(cls)
-            symbol = (name, key[1], starred)
-            for attr, value in zip(cls.__slots__, (*key, symbol, (leg, *symbol))):
+            symbol = self if leg == 1 else cls(name, index, degree, starred)
+            for attr, value in zip(cls.__slots__, (*key, symbol, (leg, name, key[1], starred))):
                 object.__setattr__(self, attr, value)
             # the starred letter's own star finds this one in the table
             object.__setattr__(self, "_star", cls(name, index, -degree, not starred, leg))

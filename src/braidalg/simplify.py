@@ -27,9 +27,9 @@ one family pair; a term enters its buckets as it enters the reduction and
 never leaves them, so an entry is live only while its word keeps that
 coefficient.  A bucket goes on a heap in the canonical order (largest family,
 family, then prefix, suffix and leg) when it fills, and the next firing is
-the first popped bucket that is all live and proportional.  Letter pairs
-are looked up in tables keyed by the two letters.  A zero residual means
-Verified, anything else is Unverified (which is not a refutation).
+the first popped bucket that is all live and proportional.  A same-leg pair
+finds its rules by its interned leg-1 letters, hashed by identity.  A zero
+residual means Verified, anything else is Unverified (not a refutation).
 """
 
 from __future__ import annotations
@@ -180,11 +180,11 @@ class RelationSet:
 
     ``relations`` are relation-kind objects, such as ``Presentation.relations``;
     each compiles itself into this set, in the order given.  Rules are keyed
-    by pairs of letter symbols (``Letter.symbol``), so they apply on every leg;
+    by pairs of leg-1 letters (``Letter.symbol``), so they apply on every leg;
     ``pair_rules`` maps a pair to ``(coefficient, swap)``, where ``swap`` is
     False for a local rule (the pair is deleted) and True for a directed swap.
-    The engine reads ``pair_rules`` and ``pair_index`` through views keyed by
-    two letters on one leg, ``letter_rules`` and ``letter_pairs``.
+    ``pair_index`` maps a pair to its family entries.  A pair across legs has
+    no rule.
     """
 
     def __init__(self, relations=()):
@@ -194,7 +194,7 @@ class RelationSet:
         for rel in self.relations:
             rel.compile(self)
 
-        # (left symbol, right symbol) -> ((family, member, 1 / member coefficient,
+        # (left leg-1 letter, right leg-1 letter) -> ((family, member, 1 / member coefficient,
         # or None when the coefficient is one, family size), ...)
         index: dict[tuple, list[tuple[int, int, Scalar | None, int]]] = {}
         for fi, fam in enumerate(self.families):
@@ -202,34 +202,13 @@ class RelationSet:
                 inv = None if c.is_one() else c.inverse()
                 index.setdefault((a.symbol, b.symbol), []).append((fi, mi, inv, len(fam.members)))
         self.pair_index = {pair: tuple(entries) for pair, entries in index.items()}
-        self.letter_pairs = _LetterPairs(self.pair_index, ())
-        self.letter_rules = _LetterPairs(self.pair_rules, None)
-
-
-class _LetterPairs(dict):
-    """(left letter, right letter) -> the symbol pair's value in ``table``, ``missing`` when it has
-    none or across legs: a view keyed by identity, as letters are interned, filled on first use and
-    bounded by ``_MAX_LETTER_PAIRS``."""
-
-    def __init__(self, table: dict, missing):
-        self.table, self.missing = table, missing
-
-    def __missing__(self, pair: tuple[Letter, Letter]):
-        a, b = pair
-        value = self.table.get((a.symbol, b.symbol), self.missing) if a.leg == b.leg else self.missing
-        if len(self) < _MAX_LETTER_PAIRS:
-            self[pair] = value
-        return value
-
-
-_MAX_LETTER_PAIRS = 1 << 14
 
 
 # -- reduction passes -----------------------------------------------------------
 
 
-def _rewrite(word: Word, coeff: Scalar, letter_rules, trace: list) -> tuple[Word, Scalar]:
-    """Exhaustively apply a rule set's ``letter_rules`` to one monomial, leftmost first.
+def _rewrite(word: Word, coeff: Scalar, pair_rules: dict, trace: list) -> tuple[Word, Scalar]:
+    """Exhaustively apply a rule set's ``pair_rules`` to one monomial's same-leg pairs, leftmost first.
 
     A firing at t changes no pair left of t - 1, so the scan resumes there.
     """
@@ -237,7 +216,7 @@ def _rewrite(word: Word, coeff: Scalar, letter_rules, trace: list) -> tuple[Word
     t = 0
     while t < len(word) - 1:
         a, b = word[t], word[t + 1]
-        rule = letter_rules[a, b]
+        rule = pair_rules.get((a.symbol, b.symbol)) if a.leg == b.leg else None
         if rule is None:
             t += 1
             continue
@@ -259,8 +238,9 @@ def _rewrite(word: Word, coeff: Scalar, letter_rules, trace: list) -> tuple[Word
 _order_key = functools.lru_cache(maxsize=1 << 12)(word_key)
 
 
-def _index(word: Word, coeff: Scalar, letter_pairs, buckets: dict, heap: list, seq) -> None:
-    """Enter a term in every bucket it touches, and push ``(order, seq, key)`` for each it fills.
+def _index(word: Word, coeff: Scalar, pair_index: dict, buckets: dict, heap: list, seq) -> None:
+    """Enter a term in the buckets of its same-leg pairs' ``pair_index`` entries, and push
+    ``(order, seq, key)`` for each it fills.
 
     ``buckets`` maps ``(prefix, suffix, family, leg)`` to ``{member: (word, coeff,
     coeff / member coeff)}``: a key and a member fix one word, so a group never mixes
@@ -269,9 +249,9 @@ def _index(word: Word, coeff: Scalar, letter_pairs, buckets: dict, heap: list, s
     order, and ``seq`` numbers the pushes so that the heap never compares letters.
     """
     for t in range(len(word) - 1):
-        a = word[t]
-        entries = letter_pairs[a, word[t + 1]]
-        if not entries:
+        a, b = word[t], word[t + 1]
+        entries = pair_index.get((a.symbol, b.symbol)) if a.leg == b.leg else None
+        if entries is None:
             continue
         prefix, suffix = word[:t], word[t + 2 :]
         for fi, mi, inv, size in entries:
@@ -314,15 +294,15 @@ def reduce_poly(p: GradedPoly, rels: RelationSet):
     trace: list[tuple] = []
     if not p._terms:
         return GradedPoly._make({}, p.legs), trace
-    families, pair_rules, letter_rules, letter_pairs = rels.families, rels.pair_rules, rels.letter_rules, rels.letter_pairs
+    families, pair_rules, pair_index = rels.families, rels.pair_rules, rels.pair_index
     if pair_rules:
         words = sorted(p._terms, key=word_key)
-        terms = _collect(_rewrite(w, p._terms[w], letter_rules, trace) for w in words)
+        terms = _collect(_rewrite(w, p._terms[w], pair_rules, trace) for w in words)
     else:
         terms = dict(p._terms)
     buckets, heap, seq = {}, [], itertools.count()
     for word, coeff in terms.items():
-        _index(word, coeff, letter_pairs, buckets, heap, seq)
+        _index(word, coeff, pair_index, buckets, heap, seq)
     while (ready := _pop_ready(heap, buckets, terms)) is not None:
         (prefix, suffix, fi, _), found = ready
         fam = families[fi]
@@ -333,14 +313,14 @@ def reduce_poly(p: GradedPoly, rels: RelationSet):
             continue
         word, coeff = prefix + suffix, found[0][2] * fam.rhs
         if pair_rules:
-            word, coeff = _rewrite(word, coeff, letter_rules, trace)
+            word, coeff = _rewrite(word, coeff, pair_rules, trace)
             if coeff.is_zero():
                 continue
         if (old := terms.pop(word, None)) is not None:
             coeff = old + coeff
         if not coeff.is_zero():
             terms[word] = coeff
-            _index(word, coeff, letter_pairs, buckets, heap, seq)
+            _index(word, coeff, pair_index, buckets, heap, seq)
     return GradedPoly._make(terms, p.legs), trace
 
 

@@ -52,20 +52,23 @@ def test_letters_are_interned():
 @pytest.mark.parametrize(
     "letter, symbol, sort_key, text, rep",
     [
-        (Letter("u", (1, 2), 2), ("u", (1, 2), False), (1, "u", (1, 2), False), "u[1,2]",
+        (Letter("u", (1, 2), 2), Letter("u", (1, 2), 2), (1, "u", (1, 2), False), "u[1,2]",
          "Letter(name='u', index=(1, 2), degree=2, starred=False, leg=1)"),
-        (Letter("u", (1, 2), 2).star(), ("u", (1, 2), True), (1, "u", (1, 2), True), "u*[1,2]",
+        (Letter("u", (1, 2), 2).star(), Letter("u", (1, 2), -2, True), (1, "u", (1, 2), True), "u*[1,2]",
          "Letter(name='u', index=(1, 2), degree=-2, starred=True, leg=1)"),
-        (Letter("u", (1, 2), 2).on_leg(3), ("u", (1, 2), False), (3, "u", (1, 2), False), "u[1,2]",
+        (Letter("u", (1, 2), 2).on_leg(3), Letter("u", (1, 2), 2), (3, "u", (1, 2), False), "u[1,2]",
          "Letter(name='u', index=(1, 2), degree=2, starred=False, leg=3)"),
-        (Letter("z", (), 1), ("z", (), False), (1, "z", (), False), "z",
+        (Letter("z", (), 1), Letter("z", (), 1), (1, "z", (), False), "z",
          "Letter(name='z', index=(), degree=1, starred=False, leg=1)"),
-        (Letter("S", (1,), 1, True, 2), ("S", (1,), True), (2, "S", (1,), True), "S*[1]",
+        (Letter("S", (1,), 1, True, 2), Letter("S", (1,), 1, True), (2, "S", (1,), True), "S*[1]",
          "Letter(name='S', index=(1,), degree=1, starred=True, leg=2)"),
     ],
 )
 def test_letter_symbol_sort_key_and_rendering(letter, symbol, sort_key, text, rep):
     assert (letter.symbol, letter.sort_key, str(letter), repr(letter)) == (symbol, sort_key, text, rep)
+    # the symbol is the interned leg-1 letter, which keys the rules on every leg
+    assert letter.symbol.symbol is letter.symbol and letter.symbol.leg == 1
+    assert all(letter.on_leg(leg).symbol is letter.symbol for leg in (1, 2, 3, 4, 7))
 
 
 def test_poly_star_single_letter():

@@ -75,3 +75,28 @@ def test_verdicts_do_not_depend_on_the_contraction_order(monkeypatch, seed):
         if why := workloads.failures(request, code, text, None):
             wrong.append((request.label, why))
     assert wrong == []
+
+
+def test_shifting_the_degrees_changes_no_untraced_line():
+    """d and d + c*1 give isomorphic presentations, so for n = 1..3, F in {I, diag} and
+    every grid proposition, the untraced stdout at d = (0, ..., n-1) shifted by c in
+    {1, -2} must equal that at d, apart from the ``prop:`` header line."""
+
+    def run(prop, n, F, shift):
+        d = ",".join(str(i + shift) for i in range(n))
+        code, text = workloads.execute(workloads._cli("verify", "--prop", prop, "--n", str(n), f"--d={d}", "--F", F),
+                                       cli.run, fusion.check_fusion_ring)
+        header, *lines = text.splitlines()
+        assert header.startswith(f"prop: {prop}  n={n}  d=({d})")
+        return code, lines
+
+    runs = 0
+    for n in (1, 2, 3):
+        for F in ("I", "diag:" + ",".join(str(i + 1) for i in range(n))):
+            for prop in workloads.GRID_PROPS:
+                code, lines = run(prop, n, F, 0)
+                assert code == 0 and len(lines) > 1
+                for shift in (1, -2):
+                    assert run(prop, n, F, shift) == (code, lines), (prop, n, F, shift)
+                runs += 3
+    assert runs == 90

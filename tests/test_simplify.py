@@ -121,7 +121,7 @@ def test_a_swap_exposes_a_redex_one_place_to_its_left():
     unitary = UnitaryMatrixRel("x", ((GradedPoly.from_letter(x),),))
     rels = RelationSet([unitary, PhaseCommutationRel(((x, y, zeta(1)),))])
     trace = []
-    assert _rewrite((x.star(), y, x, x, x.star()), ONE, rels.letter_rules, trace) == ((y,), zeta(-1))
+    assert _rewrite((x.star(), y, x, x, x.star()), ONE, rels.pair_rules, trace) == ((y,), zeta(-1))
     assert [render_step(e) for e in trace] == [
         "rule swap yx->(z^-1)*xy at j1(x**y*x*x*x*)",
         "rule local x*x->(1) at j1(x**x*y*x*x*)",
@@ -143,6 +143,17 @@ def test_a_local_rule_wins_a_pair_shared_with_a_commutation(order):
         reduced, trace = reduce_poly(word_poly(*word), rels)
         assert reduced == GradedPoly.one()
         assert [render_step(e) for e in trace] == [f"rule local {word[0]}{word[1]}->(1) at {lword_str(word)}"]
+
+
+def test_a_letter_of_another_degree_finds_no_rule():
+    # the tables key by the whole leg-1 letter, degree included; a request gives each generator one degree
+    rels, heavy = cuntz_rels(2), S(1, deg=2)
+    for word in ((heavy.star(), S(1)), (S(1).star(), heavy), (heavy.star(), heavy)):
+        got, trace = reduce_poly(word_poly(*word), rels)
+        assert (got, trace) == (word_poly(*word), [])
+    assert reduce_poly(word_poly(S(1), S(1).star()) + word_poly(S(2), S(2).star()), rels)[0] == GradedPoly.one()
+    residual = word_poly(heavy, heavy.star()) + word_poly(S(2), S(2).star())
+    assert reduce_poly(residual, rels) == (residual, [])
 
 
 # -- complete contractions ------------------------------------------------------------
@@ -496,7 +507,7 @@ def rescan_reduce(p, rels):
     while True:
         events = []
         rewritten = (
-            _rewrite(w, terms[w], rels.letter_rules, events)
+            _rewrite(w, terms[w], rels.pair_rules, events)
             for w in sorted(terms, key=word_key)
         )
         terms = _collect(rewritten)
@@ -614,7 +625,7 @@ def test_zero_reduces_to_zero_with_an_empty_trace(case):
 def _lazy_index(rels):
     """An empty lazy index: its buckets, its heap, and the function that enters one term."""
     buckets, heap, seq = {}, [], itertools.count()
-    return buckets, heap, lambda word, coeff: _index(word, coeff, rels.letter_pairs, buckets, heap, seq)
+    return buckets, heap, lambda word, coeff: _index(word, coeff, rels.pair_index, buckets, heap, seq)
 
 
 def _pops(heap, buckets, terms):
@@ -708,39 +719,38 @@ def test_a_stale_push_does_not_fire_a_fired_bucket_refilled_in_part():
     assert _pop_ready(heap, buckets, terms) is None
 
 
-def test_letter_pair_table_matches_the_symbol_index_and_is_empty_across_legs(monkeypatch):
-    import braidalg.simplify as simplify_mod
-
-    rels = RelationSet(cuntz_rels(2).relations + unitary_rels((0, 1)).relations)
-    letters = sorted({l for fam in rels.families for a, b, _ in fam.members for l in (a, b)}, key=lambda l: l.sort_key)
-    pairs = [(a.on_leg(la), b.on_leg(lb)) for a in letters for b in letters for la in (1, 2) for lb in (1, 2)]
-    monkeypatch.setattr(simplify_mod, "_MAX_LETTER_PAIRS", len(pairs) // 2)
-    table = rels.letter_pairs
-    for a, b in pairs:
-        expected = tuple(rels.pair_index.get((a.symbol, b.symbol), ())) if a.leg == b.leg else ()
-        assert table[a, b] == expected
-        assert table[a, b] == expected  # once more, from the table or past its bound
-    assert len(table) == len(pairs) // 2
-    assert any(table[a, b] for a, b in pairs) and not any(table[a, b] for a, b in pairs if a.leg != b.leg)
+def _rule_fired(rels, a, b):
+    """The rule ``_rewrite`` fires first on the word a b, as (coefficient, swap), or None."""
+    trace = []
+    _rewrite((a, b), ONE, rels.pair_rules, trace)
+    return (trace[0][3], trace[0][0] == "swap") if trace else None
 
 
-def test_letter_rules_agree_with_the_pair_rules_and_are_none_across_legs(monkeypatch):
-    """The rewriter's letter-keyed view of a bosonization's pair rules: local rules (z z*),
-    directed swaps (z past every u) and pairs without a rule, on one leg and across legs."""
-    import braidalg.simplify as simplify_mod
+def _entries_filed(rels, a, b):
+    """The (family, member, leg) of every bucket entry ``_index`` files the word a b under."""
+    buckets = {}
+    _index((a, b), ONE, rels.pair_index, buckets, [], itertools.count())
+    return sorted((fi, mi, leg) for (_, _, fi, leg), found in buckets.items() for mi in found)
 
+
+@pytest.mark.parametrize("leg", [1, 2, 3, 4, 7])
+def test_a_same_leg_pair_finds_its_leg1_pairs_rules_and_a_cross_leg_pair_none(leg):
+    """A bosonization's tables, read through ``_rewrite`` and ``_index``: a pair of letters on one
+    leg, one that requests use (1-4) or not (7), finds the pair rule and the family entries of the
+    same pair on leg 1, and a pair across legs finds neither."""
     pres = build_bosonization(make_datum([[1, 0], [0, 2]], (0, 1))).presentation
     rels, letters = pres.rules, [x for g in pres.generators for x in (g, g.star())]
-    pairs = [(a.on_leg(la), b.on_leg(lb)) for a in letters for b in letters for la in (1, 2) for lb in (1, 2)]
-    monkeypatch.setattr(simplify_mod, "_MAX_LETTER_PAIRS", len(pairs) // 2)
-    view = rels.letter_rules
-    for a, b in pairs:
-        expected = rels.pair_rules.get((a.symbol, b.symbol)) if a.leg == b.leg else None
-        assert view[a, b] == expected
-        assert view[a, b] == expected  # once more, from the view or past its bound
-    assert len(view) == len(pairs) // 2
-    kinds = {view[a, b][1] for a, b in pairs if view[a, b] is not None}
-    assert kinds == {False, True} and all(view[a, b] is None for a, b in pairs if a.leg != b.leg)
+    assert all(l.leg == 1 for l in letters)
+    other = 2 if leg == 1 else 1
+    for a, b in itertools.product(letters, repeat=2):
+        a_leg, b_leg = a.on_leg(leg), b.on_leg(leg)
+        assert _rule_fired(rels, a_leg, b_leg) == rels.pair_rules.get((a, b))
+        assert _entries_filed(rels, a_leg, b_leg) == sorted((fi, mi, leg) for fi, mi, _, _ in rels.pair_index.get((a, b), ()))
+        for x, y in ((a_leg, b.on_leg(other)), (a.on_leg(other), b_leg)):
+            assert _rule_fired(rels, x, y) is None and _entries_filed(rels, x, y) == []
+    pairs = list(itertools.product(letters, repeat=2))
+    assert {rels.pair_rules[p][1] for p in pairs if p in rels.pair_rules} == {False, True}
+    assert sum(len(rels.pair_index.get(p, ())) for p in pairs) == sum(len(fam.members) for fam in rels.families)
 
 
 def _members_one_by_one(name, entries):
