@@ -16,6 +16,9 @@ different blocks commute without a phase.
 * ``legs=(2, 2)`` is the plain tensor square of a two-leg braided product,
   rendered ``... (x) ...``.
 
+Text is computed once: a letter renders at creation, and ``lword_str`` caches
+a word's leg notation, so a trace formats each letter and word once.
+
 One kernel forms products, for ``*`` and ``mat_entries`` alike: a product word
 merges the leg-sorted factors' per-leg segments rather than being sorted, every
 factor of a matrix product is split once, every factor pair of an entry
@@ -84,11 +87,12 @@ class Letter:
 
     Letters are interned: equal fields give the same object, so letters compare
     and hash by identity.  ``symbol`` (the same letter on leg 1, which keys the
-    rules on every leg) and ``sort_key`` (leg, family, index, star flag) are
-    computed once, at creation.
+    rules on every leg), ``sort_key`` (leg, family, index, star flag) and
+    ``text`` (the rendering, ``u*[1,2]``, which ``str`` returns) are computed
+    once, at creation.
     """
 
-    __slots__ = ("name", "index", "degree", "starred", "leg", "symbol", "sort_key", "_star")
+    __slots__ = ("name", "index", "degree", "starred", "leg", "symbol", "sort_key", "text", "_star")
     _interned: dict[tuple, "Letter"] = {}
 
     def __new__(cls, name: str, index, degree: int, starred: bool = False, leg: int = 1):
@@ -97,7 +101,9 @@ class Letter:
         if self is None:
             self = cls._interned[key] = object.__new__(cls)
             symbol = self if leg == 1 else cls(name, index, degree, starred)
-            for attr, value in zip(cls.__slots__, (*key, symbol, (leg, name, key[1], starred))):
+            star = "*" if starred else ""
+            text = f"{name}{star}[{','.join(map(str, key[1]))}]" if key[1] else f"{name}{star}"
+            for attr, value in zip(cls.__slots__, (*key, symbol, (leg, name, key[1], starred), text)):
                 object.__setattr__(self, attr, value)
             # the starred letter's own star finds this one in the table
             object.__setattr__(self, "_star", cls(name, index, -degree, not starred, leg))
@@ -119,10 +125,7 @@ class Letter:
         return Letter(self.name, self.index, self.degree, self.starred, leg)
 
     def __str__(self) -> str:
-        star = "*" if self.starred else ""
-        if self.index:
-            return f"{self.name}{star}[{','.join(map(str, self.index))}]"
-        return f"{self.name}{star}"
+        return self.text
 
 
 Word = tuple[Letter, ...]
@@ -139,13 +142,15 @@ def word_degree(word: Word) -> int:
 
 
 def word_str(word: Word) -> str:
-    return "*".join(str(l) for l in word) if word else "1"
+    return "*".join(l.text for l in word) if word else "1"
 
 
+@lru_cache(maxsize=4096)
 def lword_str(word: Word, offset: int = 0) -> str:
-    """Leg notation ``j1(a*b)*j2(c)``, numbering legs from ``offset + 1``."""
+    """Leg notation ``j1(a*b)*j2(c)``, numbering legs from ``offset + 1``; cached, as words of
+    interned letters never change, so the body runs only on a miss."""
     runs = groupby(word, _LEG)
-    return "*".join(f"j{leg - offset}({'*'.join(map(str, run))})" for leg, run in runs) if word else "1"
+    return "*".join(f"j{leg - offset}({'*'.join(l.text for l in run)})" for leg, run in runs) if word else "1"
 
 
 @lru_cache(maxsize=64)

@@ -101,10 +101,23 @@ def _refuse_above_bound(sizes, what: str, pairs: bool = False) -> None:
         raise ValueError(f"more than 10^6 {what}")
 
 
+class _StepText(list):
+    """The ``--trace`` sink: ``append((check, events))`` renders that check's numbered
+    step lines at once and keeps only their text, one string per check that fired."""
+
+    steps = 0
+
+    def append(self, item) -> None:
+        check, events = item
+        if events:
+            first, self.steps = self.steps + 1, self.steps + len(events)
+            super().append("".join([f"  step {k}: [{check}] {render_step(e)}\n" for k, e in enumerate(events, first)]))
+
+
 def _emit_report(report: VerificationReport, out) -> int:
+    """The report's verdict, check lines and residual, then the step text that the ``--trace`` sink kept."""
     out.write(report.render())
-    steps = (f"[{check}] {render_step(e)}" for check, events in EVENT_SINK.get() or () for e in events)
-    out.writelines(f"  step {k}: {line}\n" for k, line in enumerate(steps, 1))
+    out.writelines(EVENT_SINK.get() or ())
     return 0 if report.verified else 2
 
 
@@ -300,7 +313,7 @@ def run(argv=None, out=None, err=None) -> int:
         # argparse ends its complaint with "<prog>: error: <message>"
         err.write("error: " + usage.getvalue().rpartition(": error: ")[2])
         return 1
-    sink = EVENT_SINK.set([] if getattr(args, "trace", False) else None)
+    sink = EVENT_SINK.set(_StepText() if getattr(args, "trace", False) else None)
     try:
         return args.fn(args, out)
     except ValueError as exc:

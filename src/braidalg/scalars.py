@@ -13,7 +13,8 @@ Coefficients enter as ``int`` or ``Fraction`` only; others raise ``TypeError``.
 A rational phase term (n/d) z^k is shared: one object per value, kept in
 ``_TERMS``, and the product of two is one lookup in ``_PRODUCTS``, keyed by
 their ids, which stay unique as a shared term never leaves ``_TERMS``.  At its
-bound (``_MAX_TERMS``, ``_MAX_PRODUCTS``) a table stops growing.
+bound (``_MAX_TERMS``, ``_MAX_PRODUCTS``) a table stops growing.  A shared term
+renders once and keeps its text.
 
 Since the phase lives on the unit circle, complex conjugation (``star``)
 sends ``z^k`` to ``z^-k`` and fixes rationals and radicals.
@@ -344,9 +345,17 @@ def _coerce(value) -> Scalar:
 
 
 class _Term(Scalar):
-    """A shared rational phase term (n/d) z^k, the one object of its value in ``_TERMS``."""
+    """A shared rational phase term (n/d) z^k, the one object of its value in ``_TERMS``;
+    its rendering is kept in ``_text``, set on first use."""
 
-    __slots__ = ()
+    __slots__ = ("_text",)
+
+    def __str__(self) -> str:
+        try:
+            return self._text
+        except AttributeError:
+            self._text = text = Scalar.__str__(self)
+            return text
 
     def __reduce__(self):  # copies and pickles come back through the table
         ((k, _), c), = self._terms.items()

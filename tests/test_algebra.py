@@ -1,8 +1,10 @@
 """Letters, graded polynomials, star, degrees, matrix conjugation."""
 
 import copy
+import io
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,9 +21,12 @@ from braidalg.algebra import (
     mat_identity,
     mat_mul,
     SingularMatrix,
+    lword_str,
     scalar_mat_inverse,
 )
+from braidalg import cli, scalars, uqf
 from braidalg.scalars import ONE, ZERO, Scalar, sqrt, zeta
+from braidalg.simplify import EVENT_SINK
 
 
 def u(i, j, d):
@@ -69,6 +74,65 @@ def test_letter_symbol_sort_key_and_rendering(letter, symbol, sort_key, text, re
     # the symbol is the interned leg-1 letter, which keys the rules on every leg
     assert letter.symbol.symbol is letter.symbol and letter.symbol.leg == 1
     assert all(letter.on_leg(leg).symbol is letter.symbol for leg in (1, 2, 3, 4, 7))
+
+
+# a traced request whose local steps render z letters; its golden file pins the bytes
+FUNDAMENTAL_N3 = ["verify", "--prop", "fundamental", "--n", "3", "--d", "1,2,3", "--F", "diag:1,2,3", "--zeta", "formal"]
+FUNDAMENTAL_N3_GOLDEN = Path(__file__).resolve().parent / "golden" / "verify-fundamental-n3-trace-formal.out"
+
+
+def run_cli(argv):
+    out = io.StringIO()
+    assert cli.run(argv, out) == 0
+    return out.getvalue()
+
+
+def traced_fundamental_words():
+    """Every word that the steps of the traced fundamental n = 3 request render."""
+    sink = []
+    token = EVENT_SINK.set(sink)
+    try:
+        uqf.verify_fundamental_rep(uqf.make_datum(diag_matrix([Scalar.from_fraction(f) for f in (1, 2, 3)]), (1, 2, 3)))
+    finally:
+        EVENT_SINK.reset(token)
+    return {w for _, events in sink for e in events for w in ((e[2], e[3]) if e[0] == "contract" else (e[1],))}
+
+
+def test_every_interned_letter_keeps_the_text_of_its_fields():
+    run_cli(FUNDAMENTAL_N3 + ["--trace"])
+    assert len(Letter._interned) > 50
+    for letter in Letter._interned.values():
+        star = "*" if letter.starred else ""
+        index = f"[{','.join(str(i) for i in letter.index)}]" if letter.index else ""
+        assert letter.text == str(letter) == f"{letter.name}{star}{index}"
+
+
+def test_cached_leg_notation_matches_a_fresh_rendering():
+    words = traced_fundamental_words()
+    assert len(words) > 20 and any(l.name == "z" for w in words for l in w)
+    lword_str.cache_clear()
+    for word in words:
+        for offset in (0, 2):  # one entry per word and offset
+            assert lword_str(word, offset) == lword_str(word, offset) == lword_str.__wrapped__(word, offset)
+    assert lword_str.cache_info().misses == 2 * len(words)
+
+
+def test_a_traced_request_prints_the_same_bytes_with_cold_and_warm_text_caches():
+    lword_str.cache_clear()
+    for term in scalars._TERMS.values():
+        if hasattr(term, "_text"):
+            del term._text
+    cold = run_cli(FUNDAMENTAL_N3 + ["--trace"])
+    assert lword_str.cache_info().misses > 0
+    warm = run_cli(FUNDAMENTAL_N3 + ["--trace"])
+    assert cold == warm == FUNDAMENTAL_N3_GOLDEN.read_text(encoding="utf-8")
+
+
+def test_an_untraced_request_renders_no_word():
+    lword_str.cache_clear()
+    run_cli(FUNDAMENTAL_N3)
+    run_cli(["verify", "--prop", "coproduct", "--n", "2", "--d", "0,1", "--F", "diag:1,2"])
+    assert lword_str.cache_info()[:2] == (0, 0)  # hits, misses
 
 
 def test_poly_star_single_letter():

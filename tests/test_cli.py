@@ -1,9 +1,11 @@
 """The batch front end: output shapes, exit-code contract, determinism."""
 
+import gc
 import io
 import random
 import subprocess
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from braidalg import algebra, cli, graphalg, simplify, uqf
 from braidalg.algebra import scalar_mat_inverse
 from braidalg.cli import _refuse_above_bound, build_parser, run
 from braidalg.graphalg import check_dagger, cycle_graph
+from braidalg.scalars import ONE, zeta
 from braidalg.uqf import _MAX_Z_POWER
 
 
@@ -474,6 +477,27 @@ def test_an_untraced_verdict_formats_no_step(monkeypatch):
         assert invoke(argv) == (0, out, "")
         with pytest.raises(_Formatted):
             invoke(argv + ["--trace"])
+
+
+class _Events(list):
+    """An event list that a weak reference can watch."""
+
+
+def test_the_trace_sink_renders_each_check_at_once_and_keeps_no_event():
+    a, b = algebra.Letter("x", (), 1), algebra.Letter("y", (1,), 1, leg=2)
+    events = _Events([("local", (a, a.star(), b), 0, ONE), ("swap", (a, b.on_leg(1)), 0, zeta(-1))])
+    alive = weakref.ref(events)
+    sink = cli._StepText()
+    for check in (("first", events), ("empty", []), ("last", [events[0]])):
+        sink.append(check)
+    del events
+    gc.collect()
+    assert alive() is None and all(type(text) is str for text in sink)
+    assert "".join(sink) == (
+        "  step 1: [first] rule local xx*->(1) at j1(x*x*)*j2(y[1])\n"
+        "  step 2: [first] rule swap xy[1]->(z^-1)*y[1]x at j1(x*y[1])\n"
+        "  step 3: [last] rule local xx*->(1) at j1(x*x*)*j2(y[1])\n"
+    )
 
 
 DOUBLED_STATE_TRACE = """\

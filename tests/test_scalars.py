@@ -167,6 +167,19 @@ def test_arithmetic_never_changes_a_shared_term(values):
     assert all(scalars_mod._TERMS[key] is term for key, term in shared.items())
 
 
+def test_every_shared_term_renders_like_a_fresh_copy_of_itself():
+    for k in (-3, -1, 0, 1, 4):
+        for c in (1, -1, Fraction(2, 3), Fraction(-5, 7), 12):
+            zeta(k) * c
+    assert len(scalars_mod._TERMS) >= 25
+    for (k, n, d), term in list(scalars_mod._TERMS.items()):
+        fresh = Scalar({(k, 1): Fraction(n, d)})
+        assert type(term) is scalars_mod._Term and type(fresh) is Scalar
+        # the first call may set the kept text, the second reads it
+        assert str(term) == str(term) == term._text == str(fresh)
+        assert parse_scalar(str(term)) is term
+
+
 def test_bounded_tables_stop_growing_and_results_stay_equal(monkeypatch):
     monkeypatch.setattr(scalars_mod, "_MAX_TERMS", len(scalars_mod._TERMS) + 3)
     monkeypatch.setattr(scalars_mod, "_MAX_PRODUCTS", len(scalars_mod._PRODUCTS) + 3)
