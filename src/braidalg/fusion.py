@@ -8,8 +8,9 @@ against the bar of a prefix of the right word:
     (x, w) . (y, v) = sum over w = a g, v = bar(g) b of (x + y, a b).
 
 The rule is written once, in the memoized kernel ``_fuse`` on letter strings.
-``fuse`` wraps its output in ``Irrep`` and ``Word`` at the API boundary, and
-``check_fusion_ring`` compares multisets of its outputs directly.
+``fuse`` wraps its output in ``Irrep`` and ``Word`` at the API boundary.
+``check_fusion_ring`` reads the kernel as whole lines, one word against
+every word, and sorts outputs into multisets only where two lines differ.
 
 Dimensions are the unique multiplicative extension with the two-letter
 generators n-dimensional.
@@ -20,7 +21,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
+from operator import add, itemgetter, ne
 
 from .simplify import VerificationReport
 
@@ -47,7 +49,7 @@ class Word:
     letters: str = ""
 
     def __post_init__(self):
-        if any(ch not in "ab" for ch in self.letters):
+        if self.letters.strip("ab"):
             raise ValueError(f"word letters must be 'a' or 'b', got {self.letters!r}")
 
     def __mul__(self, other: "Word") -> "Word":
@@ -76,11 +78,8 @@ class FusionResult:
     def __init__(self, items=()):
         self._counts = Counter()
         for item in items:
-            if isinstance(item, tuple):
-                irrep, mult = item
-                self._counts[irrep] += mult
-            else:
-                self._counts[item] += 1
+            irrep, mult = item if isinstance(item, tuple) else (item, 1)
+            self._counts[irrep] += mult
         if any(m < 1 for m in self._counts.values()):
             raise ValueError("multiplicities must be positive")
 
@@ -196,23 +195,52 @@ def check_fusion_ring(n: int, max_len: int) -> VerificationReport:
     exhaustively over the charge-0 classes up to the length bound.
 
     Each check compares kernel outputs as multisets of letter strings.
+    Associativity is checked one line per pair (w, v), over every t at once:
+    (w v) t and w (v t) are concatenations of kernel lines, each built once
+    per call, and only the positions where they differ are sorted.
     """
     if n < 1 or max_len < 0:
         raise ValueError(f"need n >= 1 and max_len >= 0, got n={n}, max_len={max_len}")
     words = _words(max_len)
+    rows: dict[str, list[tuple[str, ...]]] = {}
+    cols: dict[str, list[tuple[str, ...]]] = {}
+
+    def row(u):  # [u x t for t in words]
+        line = rows.get(u)
+        if line is None:
+            line = rows[u] = [_fuse(u, t) for t in words]
+        return line
+
+    def col(u):  # [w x u for w in words]
+        line = cols.get(u)
+        if line is None:
+            line = cols[u] = [_fuse(w, u) for w in words]
+        return line
+
+    def side(summands, line):  # the summands' lines, concatenated position by position
+        lines = map(line, summands)
+        out = next(lines, None)
+        if out is None:
+            return [()] * len(words)
+        for more in lines:
+            out = list(map(add, out, more))
+        return out
+
+    # rights[j][t][i] is words[i] x (v x t) for v = words[j], summed over v x t
+    rights = [[side(vt, col) for vt in row(v)] for v in words]
     failed: list[tuple[str, tuple[str, ...]]] = []
-    for w in words:
-        for v in words:
-            wv = _fuse(w, v)
+    for i, w in enumerate(words):
+        at_w = itemgetter(i)
+        for v, wv, right_v in zip(words, row(w), rights):
             if sum(_dim(u, n) for u in wv) != _dim(w, n) * _dim(v, n):
                 failed.append(("dim", (w, v)))
             if sorted(map(_bar, wv)) != sorted(_fuse(_bar(v), _bar(w))):
                 failed.append(("conj", (w, v)))
-            for t in words:
-                left = [x for u in wv for x in _fuse(u, t)]
-                right = [x for u in _fuse(v, t) for x in _fuse(w, u)]
-                if sorted(left) != sorted(right):
-                    failed.append(("assoc", (w, v, t)))
+            left, right = side(wv, row), list(map(at_w, right_v))
+            if left != right:
+                for t, lt, rt in compress(zip(words, left, right), map(ne, left, right)):
+                    if sorted(lt) != sorted(rt):
+                        failed.append(("assoc", (w, v, t)))
         if _fuse(w, _bar(w)).count("") != 1:
             failed.append(("frobenius", (w,)))
     verdict = "Unverified" if failed else "Verified"

@@ -1,6 +1,10 @@
 """The free fusion ring: involution, product rule, dimensions, audits."""
 
+import functools
+import gc
 import itertools
+import random
+import tracemalloc
 
 import pytest
 
@@ -18,6 +22,7 @@ from braidalg.fusion import (
     parse_irrep,
     word_bar,
 )
+from braidalg.simplify import VerificationReport
 
 
 def W(s=""):
@@ -220,3 +225,99 @@ def test_audit_catches_a_kernel_that_breaks_conjugation(monkeypatch):
     assert first["conj"] == "conj((0; e),(0; a))"
     assert first["assoc"] == "assoc((0; a),(0; e),(0; a))"
     assert "frobenius" not in first
+
+
+def _reference_audit(n, max_len, canon=sorted):
+    """The per-triple loop that check_fusion_ring's line form replaced, kept
+    as its oracle; ``canon=list`` compares outputs in kernel order instead."""
+    kernel, words, failed = fusion._fuse, fusion._words(max_len), []
+    for w in words:
+        for v in words:
+            wv = kernel(w, v)
+            if sum(fusion._dim(u, n) for u in wv) != fusion._dim(w, n) * fusion._dim(v, n):
+                failed.append(("dim", (w, v)))
+            if canon(map(fusion._bar, wv)) != canon(kernel(fusion._bar(v), fusion._bar(w))):
+                failed.append(("conj", (w, v)))
+            for t in words:
+                left = [x for u in wv for x in kernel(u, t)]
+                right = [x for u in kernel(v, t) for x in kernel(w, u)]
+                if canon(left) != canon(right):
+                    failed.append(("assoc", (w, v, t)))
+        if kernel(w, fusion._bar(w)).count("") != 1:
+            failed.append(("frobenius", (w,)))
+    verdict = "Unverified" if failed else "Verified"
+    checks = [(f"exhaustive over {len(words)} words, n={n}", verdict)]
+    for kind, args in failed:
+        name = ",".join(str(Irrep(0, Word(u))) for u in args)
+        checks.append((f"{kind}({name})", "Unverified"))
+    return VerificationReport("fusion-ring", verdict, None, checks)
+
+
+def _changed(kind, out, rng):
+    """``out`` with one summand dropped, duplicated or made wrong, reversed, or emptied."""
+    i = rng.randrange(len(out))
+    wrong = out[i][:-1] + ("b" if out[i].endswith("a") else "a")
+    return {
+        "drop": out[:i] + out[i + 1:],
+        "duplicate": out + (out[i],),
+        "reverse": out[::-1],
+        "empty": (),
+        "wrong": out[:i] + (wrong,) + out[i + 1:],
+    }[kind]
+
+
+def _seeded_kernel(kind, seed):
+    """The real kernel with about one nonempty output in five changed, each
+    pair drawn from its own seeded generator."""
+    real = fusion._fuse
+
+    @functools.lru_cache(maxsize=None)
+    def kernel(w, v):
+        out, rng = real(w, v), random.Random(f"{kind}:{seed}:{w}:{v}")
+        return _changed(kind, out, rng) if out and rng.random() < 0.2 else out
+
+    return kernel
+
+
+@pytest.mark.parametrize("n, max_len", [(1, 2), (2, 2), (3, 3)])
+@pytest.mark.parametrize("kind", ["drop", "duplicate", "reverse", "empty", "wrong"])
+def test_the_line_audit_renders_the_per_triple_audit_under_mutated_kernels(
+    monkeypatch, kind, n, max_len
+):
+    verdicts = set()
+    for seed in range(12):
+        monkeypatch.setattr(fusion, "_fuse", _seeded_kernel(kind, seed))
+        report = check_fusion_ring(n, max_len)
+        assert report.render() == _reference_audit(n, max_len).render(), seed
+        verdicts.add(report.verdict)
+        if kind == "reverse" and n >= 2:
+            # the summands' order moved, their multiset did not; an audit that
+            # compared the concatenations without sorting them would fail
+            assert report.verified, seed
+            assert not _reference_audit(n, max_len, canon=list).verified, seed
+    assert verdicts == {"Verified" if kind == "reverse" and n >= 2 else "Unverified"}
+
+
+def test_one_length_3_audit_calls_the_kernel_once_per_pair():
+    fusion._fuse.cache_clear()
+    check_fusion_ring(2, 3)
+    info = fusion._fuse.cache_info()
+    # the 3,585 pairs that the comment on _fuse's decorator sizes it for
+    assert info.misses == info.currsize == 3585
+
+
+def test_repeated_audits_keep_no_memory():
+    """Lines built as tuple(iterator) grew the traced memory by about 1 MB
+    over these 8 audits: resized tuples filled free lists never drawn from."""
+    gc.collect()  # empties the free lists that earlier tests filled
+    tracemalloc.start()
+    try:
+        check_fusion_ring(2, 3)
+        before = tracemalloc.get_traced_memory()[0]
+        for n in range(2, 10):
+            check_fusion_ring(n, 3)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # up to about 156 KB of this is _dim's cache filling for the new n
+    assert grown < 256 * 1024, grown
